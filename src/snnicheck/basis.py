@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .explanations import minimal_e_vectors
+from .explanations import minimal_e_vectors_at
 from .nfa import Nfa
 from .petri import (DEFAULT_EXPLORATION_CAP, LabeledPetriNet, Marking, NetError,
                     ParikhVector, TransitionSequence)
@@ -114,12 +114,13 @@ def path_evector_sum(events: Iterable[BrgEvent], size: int | None = None) -> Par
 
 def basis_successor(lpn: LabeledPetriNet, m: Marking, t: str, evector: ParikhVector) -> Marking:
     """Marking equation step: apply ``evector`` high firings, then fire ``t``."""
+    net = lpn.net
     new = list(m)
     for count, h in zip(evector, lpn.high_transitions):
         if count:
-            for i, d in enumerate(lpn.net.incidence_column(h)):
+            for i, d in net.delta[h]:
                 new[i] += count * d
-    for i, d in enumerate(lpn.net.incidence_column(t)):
+    for i, d in net.delta[net.check_transition(t)]:
         new[i] += d
     if any(v < 0 for v in new):
         raise NetError(f"marking equation produced a negative marking for ({t}, {evector});"
@@ -138,9 +139,9 @@ def build_brg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Brg:
     queue: deque[Marking] = deque([root])
     while queue:
         m = queue.popleft()
+        explanations = minimal_e_vectors_at(lpn, m)
         for t in lpn.low_transitions:
-            vectors = minimal_e_vectors(lpn, m, t, cap).evectors
-            for y in sorted(vectors):
+            for y in sorted(explanations[t].evectors):
                 successor = basis_successor(lpn, m, t, y)
                 event = BrgEvent(t, y)
                 labeling[event] = lpn.label(t)
@@ -185,9 +186,9 @@ def build_ubrg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
             node.duplicated = True
             duplicate_markings.add(node.marking)
             continue
+        explanations = minimal_e_vectors_at(lpn, node.marking)
         for t in lpn.low_transitions:
-            vectors = minimal_e_vectors(lpn, node.marking, t, cap).evectors
-            for y in sorted(vectors):
+            for y in sorted(explanations[t].evectors):
                 if next_id > node_cap:
                     raise NetError(f"unfolding exceeds {node_cap} nodes; "
                                    "raise node_cap to continue")

@@ -2,9 +2,18 @@
 
 An explanation of a low transition ``t`` at marking ``m`` is a sequence of
 high transitions whose firing at ``m`` enables ``t``.  Only the Parikh-minimal
-count vectors of such sequences matter downstream; they are computed by a
-breadth-first search over count vectors that prunes anything dominating an
-explanation already found.
+count vectors of such sequences matter downstream.
+
+All low transitions at ``m`` share one search.  The high subnet is acyclic and
+the net bounded, so the count vectors of the high runs from ``m`` form a
+finite DAG, and each vector fixes its marking by the marking equation.  One
+breadth-first pass, level by level over the total firing count, lists every
+such vector once, with its marking and the first run that reached it.  Each
+low transition's minimal vectors are then read off that list in order: a
+vector is kept when the transition is enabled at its marking and no vector
+kept before lies strictly below it.  A strictly smaller vector has a smaller
+total and is met earlier, so what is kept is exactly the minimal set.  The
+answers for every low transition at ``m`` are cached together on the net.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .petri import (DEFAULT_EXPLORATION_CAP, InvalidNetError, LabeledPetriNet,
-                    Marking, ParikhVector, TransitionSequence, parikh)
+                    Marking, ParikhVector, TransitionSequence, covers, parikh, shift)
 
 
 @dataclass(frozen=True)
@@ -82,49 +91,65 @@ def minimal_e_vectors(lpn: LabeledPetriNet, m: Sequence[int], t: str,
                       cap: int = DEFAULT_EXPLORATION_CAP) -> MinimalExplanationSet:
     """Compute the Parikh-minimal explanation vectors of ``t`` at ``m``.
 
-    Levels of the search correspond to total firing counts, so any vector
-    dominating them strictly is met later and can be pruned; what remains when
-    the frontier empties is exactly the minimal set, each vector paired with
-    its first witness sequence in search order.  Termination needs both
-    standing assumptions, which are verified (and the report cached) before
-    the search runs.
+    The answer is read off the shared high-run search from ``m`` (see the
+    module docstring): exactly the minimal set, each vector paired with its
+    first witness sequence in breadth-first order.  The search terminates
+    because of both standing assumptions, which are verified (and the report
+    cached) before it runs.
     """
     marking = _check_low_query(lpn, m, t)
     lpn.require_assumptions(cap)
-    key = (marking, t)
-    cached = lpn._explanation_cache.get(key)
+    return minimal_e_vectors_at(lpn, marking)[t]
+
+
+def minimal_e_vectors_at(lpn: LabeledPetriNet,
+                         marking: Marking) -> dict[str, MinimalExplanationSet]:
+    """Minimal explanation sets of every low transition at ``marking``.
+
+    For callers that have already required the standing assumptions and pass
+    a marking of the net's own making; nothing is validated here.
+    """
+    cached = lpn._explanation_cache.get(marking)
     if cached is not None:
         return cached
+    runs = _high_runs(lpn, marking)
+    result: dict[str, MinimalExplanationSet] = {}
+    for t in lpn.low_transitions:
+        pre = lpn.net.pre[t]
+        found: dict[ParikhVector, TransitionSequence] = {}
+        for vector, current, seq in runs:
+            if covers(current, pre) and not any(_strictly_below(f, vector) for f in found):
+                found[vector] = seq
+        result[t] = MinimalExplanationSet(marking=marking, transition=t,
+                                          evectors=frozenset(found), witnesses=found)
+    lpn._explanation_cache[marking] = result
+    return result
 
+
+def _high_runs(lpn: LabeledPetriNet,
+               marking: Marking) -> list[tuple[ParikhVector, Marking, TransitionSequence]]:
+    """Every count vector of a high run from ``marking``, with its marking and first run.
+
+    Listed level by level over the total firing count; within a level, in
+    the order the vectors were first generated.
+    """
     net = lpn.net
-    high = lpn.high_transitions
-    zero = (0,) * len(high)
-    found: dict[ParikhVector, TransitionSequence] = {}
-    level: list[tuple[ParikhVector, Marking, TransitionSequence]] = [(zero, marking, ())]
+    moves = [(i, h, net.pre[h], net.delta[h]) for i, h in enumerate(lpn.high_transitions)]
+    zero = (0,) * len(moves)
+    runs: list[tuple[ParikhVector, Marking, TransitionSequence]] = []
+    level = [(zero, marking, ())]
     visited = {zero}
     while level:
-        next_level: list[tuple[ParikhVector, Marking, TransitionSequence]] = []
+        runs.extend(level)
+        next_level = []
         for vector, current, seq in level:
-            # A vector pruned here was generated before the dominating
-            # explanation surfaced later in the same level pass.
-            if any(_strictly_below(f, vector) for f in found):
-                continue
-            if net.enabled(current, t):
-                found[vector] = seq
-                continue
-            for i, h in enumerate(high):
-                if not net.enabled(current, h):
+            for i, h, pre, delta in moves:
+                if not covers(current, pre):
                     continue
                 extended = vector[:i] + (vector[i] + 1,) + vector[i + 1:]
                 if extended in visited:
                     continue
-                if any(_strictly_below(f, extended) for f in found):
-                    continue
                 visited.add(extended)
-                next_level.append((extended, net.fire(current, h), seq + (h,)))
+                next_level.append((extended, shift(current, delta), seq + (h,)))
         level = next_level
-
-    result = MinimalExplanationSet(marking=marking, transition=t,
-                                   evectors=frozenset(found), witnesses=dict(found))
-    lpn._explanation_cache[key] = result
-    return result
+    return runs

@@ -117,12 +117,13 @@ def justifications(lpn: LabeledPetriNet, word: Sequence[str] | str,
 
 def _marking_equation(lpn: LabeledPetriNet, low_seq: TransitionSequence,
                       high_vec: ParikhVector) -> Marking:
-    new = list(lpn.net.initial_marking)
+    net = lpn.net
+    new = list(net.initial_marking)
     for count, h in zip(high_vec, lpn.high_transitions):
         if count:
-            for i, d in enumerate(lpn.net.incidence_column(h)):
+            for i, d in net.delta[h]:
                 new[i] += count * d
     for t in low_seq:
-        for i, d in enumerate(lpn.net.incidence_column(t)):
+        for i, d in net.delta[t]:
             new[i] += d
     return tuple(new)

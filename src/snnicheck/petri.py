@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import le
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Marking = tuple[int, ...]
@@ -61,6 +62,13 @@ class PetriNet:
     ``places`` and ``transitions`` keep declaration order; every marking and
     Parikh vector in this package is indexed by that order.  An arc exists
     exactly when its weight is positive.
+
+    Enabling and firing read two sparse tables built once per transition:
+    ``pre[t]`` holds the ``(place index, weight)`` pairs of its input arcs and
+    ``delta[t]`` the ``(place index, change)`` pairs of the places whose token
+    count it changes, both in place order.  Public methods validate the
+    transition names they are given; code that has validated its names
+    already reads the tables directly.
     """
 
     def __init__(self, places: Sequence[str], transitions: Sequence[str],
@@ -96,16 +104,15 @@ class PetriNet:
 
         self.initial_marking = self.check_marking(initial_marking)
 
-        # Per-transition input/output/incidence vectors over the place order.
-        self._pre: dict[str, Marking] = {}
-        self._post: dict[str, Marking] = {}
-        self._delta: dict[str, tuple[int, ...]] = {}
+        self.pre: dict[str, tuple[tuple[int, int], ...]] = {}
+        self.delta: dict[str, tuple[tuple[int, int], ...]] = {}
         for t in self.transitions:
-            pre = tuple(self.weight.get((p, t), 0) for p in self.places)
-            post = tuple(self.weight.get((t, p), 0) for p in self.places)
-            self._pre[t] = pre
-            self._post[t] = post
-            self._delta[t] = tuple(o - i for i, o in zip(pre, post))
+            pre = tuple((i, self.weight[(p, t)]) for i, p in enumerate(self.places)
+                        if (p, t) in self.weight)
+            change = (self.weight.get((t, p), 0) - self.weight.get((p, t), 0)
+                      for p in self.places)
+            self.pre[t] = pre
+            self.delta[t] = tuple((i, d) for i, d in enumerate(change) if d)
 
     def check_marking(self, marking: Sequence[int]) -> Marking:
         m = tuple(marking)
@@ -126,27 +133,22 @@ class PetriNet:
             raise InvalidNetError(f"unknown place {p!r}")
         return self._place_index[p]
 
-    def input_weights(self, t: str) -> Marking:
-        return self._pre[self.check_transition(t)]
-
-    def output_weights(self, t: str) -> Marking:
-        return self._post[self.check_transition(t)]
-
     def incidence_column(self, t: str) -> tuple[int, ...]:
         """Token change per place caused by firing ``t`` once."""
-        return self._delta[self.check_transition(t)]
+        column = [0] * len(self.places)
+        for i, d in self.delta[self.check_transition(t)]:
+            column[i] = d
+        return tuple(column)
 
     def enabled(self, marking: Sequence[int], t: str) -> bool:
         """True iff every input place of ``t`` holds at least the arc weight."""
-        pre = self._pre[self.check_transition(t)]
-        return all(have >= need for have, need in zip(marking, pre))
+        return covers(marking, self.pre[self.check_transition(t)])
 
     def deficient_place(self, marking: Sequence[int], t: str) -> str | None:
         """First input place (in declaration order) blocking ``t``, if any."""
-        pre = self._pre[self.check_transition(t)]
-        for p, have, need in zip(self.places, marking, pre):
-            if have < need:
-                return p
+        for i, need in self.pre[self.check_transition(t)]:
+            if marking[i] < need:
+                return self.places[i]
         return None
 
     def fire(self, marking: Sequence[int], t: str) -> Marking:
@@ -155,8 +157,7 @@ class PetriNet:
         if blocking is not None:
             raise FiringError(f"transition {t} is not enabled: place {blocking} lacks tokens",
                               transition=t, place=blocking)
-        delta = self._delta[t]
-        return tuple(v + d for v, d in zip(marking, delta))
+        return shift(marking, self.delta[t])
 
     def fire_sequence(self, marking: Sequence[int], sequence: Sequence[str]) -> Marking:
         """Left fold of :meth:`fire`; the empty sequence returns ``marking``."""
@@ -167,7 +168,7 @@ class PetriNet:
                 raise FiringError(
                     f"step {i} of sequence is not enabled: transition {t} lacks tokens in place {blocking}",
                     transition=t, place=blocking, index=i)
-            m = tuple(v + d for v, d in zip(m, self._delta[t]))
+            m = shift(m, self.delta[t])
         return m
 
     def enabled_transitions(self, marking: Sequence[int],
@@ -191,6 +192,22 @@ class PetriNet:
     def __repr__(self) -> str:
         return (f"PetriNet(|P|={len(self.places)}, |T|={len(self.transitions)}, "
                 f"arcs={len(self.weight)})")
+
+
+def covers(marking: Sequence[int], pre: Iterable[tuple[int, int]]) -> bool:
+    """True iff ``marking`` holds every ``(place index, weight)`` demand of ``pre``."""
+    for i, need in pre:
+        if marking[i] < need:
+            return False
+    return True
+
+
+def shift(marking: Sequence[int], delta: Iterable[tuple[int, int]]) -> Marking:
+    """``marking`` plus the sparse ``(place index, change)`` pairs of ``delta``."""
+    m = list(marking)
+    for i, d in delta:
+        m[i] += d
+    return tuple(m)
 
 
 def parikh(sequence: Sequence[str], index_set: Sequence[str]) -> ParikhVector:
@@ -266,11 +283,18 @@ class LabeledPetriNet:
         return self.net.induced_subnet(self.high_transitions)
 
     def verify_assumptions(self, cap: int = DEFAULT_EXPLORATION_CAP) -> AssumptionReport:
-        """Check boundedness and high-subnet acyclicity; cache a passing report."""
-        if self._assumption_report is not None and self._assumption_report.ok:
-            return self._assumption_report
+        """Check boundedness and high-subnet acyclicity; cache a passing report.
+
+        A cached report answers only caps that cover its marking count; a
+        smaller cap is checked afresh, so the answer never depends on what
+        was asked before.
+        """
+        cached = self._assumption_report
+        if cached is not None and cached.ok and cached.reachable_count <= cap:
+            return cached
         report = check_assumptions(self, cap)
-        self._assumption_report = report
+        if report.ok:
+            self._assumption_report = report
         return report
 
     def require_assumptions(self, cap: int = DEFAULT_EXPLORATION_CAP) -> AssumptionReport:
@@ -354,29 +378,38 @@ def explore_markings(net: PetriNet, cap: int) -> ExplorationResult:
     duplicates pruned) and compares every fresh marking against the markings
     on its own discovery path.  A strict domination proves unboundedness by
     firing monotonicity; frontier exhaustion without one proves boundedness
-    with an exact reachable-marking count.
+    with an exact reachable-marking count.  Exploration stops as soon as more
+    than ``cap`` markings are known, so an incomplete result holds at most
+    ``cap + 1`` of them.
+
+    A strictly dominated marking holds strictly fewer tokens, so each node
+    carries its token count and the path walk only compares ancestors with
+    fewer tokens than the new marking.
     """
     root = net.initial_marking
-    # node = (marking, parent node or None, transition fired to reach it)
-    root_node = (root, None, None)
+    if cap < 1:
+        return ExplorationResult((root,), None, complete=False)
+    # node = (marking, parent node or None, transition fired to reach it, token count)
+    root_node = (root, None, None, sum(root))
     seen: set[Marking] = {root}
     order: list[Marking] = [root]
     queue: deque = deque([root_node])
+    moves = [(t, net.pre[t], net.delta[t], sum(d for _, d in net.delta[t]))
+             for t in net.transitions]
     while queue:
-        if len(seen) > cap:
-            return ExplorationResult(tuple(order), None, complete=False)
         node = queue.popleft()
         marking = node[0]
-        for t in net.transitions:
-            if not net.enabled(marking, t):
+        for t, pre, delta, gain in moves:
+            if not covers(marking, pre):
                 continue
-            successor = net.fire(marking, t)
+            successor = shift(marking, delta)
+            tokens = node[3] + gain
             # Walk the discovery path looking for a strictly dominated ancestor.
             ancestor = node
             depth_from_child = 1
             while ancestor is not None:
                 m_anc = ancestor[0]
-                if m_anc != successor and all(a <= b for a, b in zip(m_anc, successor)):
+                if ancestor[3] < tokens and all(map(le, m_anc, successor)):
                     path: list[str] = [t]
                     back = node
                     while back[1] is not None:
@@ -391,7 +424,9 @@ def explore_markings(net: PetriNet, cap: int) -> ExplorationResult:
                 continue
             seen.add(successor)
             order.append(successor)
-            queue.append((successor, node, t))
+            if len(order) > cap:
+                return ExplorationResult(tuple(order), None, complete=False)
+            queue.append((successor, node, t, tokens))
     return ExplorationResult(tuple(order), None, complete=True)
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .petri import LabeledPetriNet, NetError, PetriNet, check_assumptions
+from .petri import (LabeledPetriNet, NetError, PetriNet, _high_subnet_cycle,
+                    check_assumptions)
 
 _LOW_POOL = ("a", "b", "c")
 _HIGH_POOL = ("f", "g")
@@ -35,7 +36,8 @@ def random_lpn(seed: int, config: GeneratorConfig = GeneratorConfig()) -> Labele
     rng = random.Random(seed)
     for _ in range(config.max_attempts):
         lpn = _candidate(rng, config)
-        if check_assumptions(lpn, config.bound_cap).ok:
+        # The structural cycle test is cheap; explore only acyclic candidates.
+        if _high_subnet_cycle(lpn) is None and check_assumptions(lpn, config.bound_cap).ok:
             return lpn
     raise NetError(f"no acceptable net found for seed {seed} "
                    f"within {config.max_attempts} attempts")

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+
 from snnicheck.basis import build_brg, build_ubrg
 from snnicheck.dot import export_dot
+from snnicheck.netdoc import serialize_net
 from snnicheck.nfa import Nfa
+from snnicheck.randnets import GeneratorConfig, random_lpn
 from snnicheck.reach import reachability_graph
 from snnicheck.verifier import build_sv
 
@@ -49,3 +53,26 @@ def test_exports_deterministic(secure):
     assert export_dot(build_brg(secure)) == export_dot(build_brg(secure))
     assert export_dot(build_ubrg(secure)) == export_dot(build_ubrg(secure))
     assert export_dot(build_sv(secure)) == export_dot(build_sv(secure))
+
+
+#: sha256 over ``serialize_net`` and the BRG's DOT export of every net below,
+#: recorded with the per-transition explanation search that preceded the
+#: shared one.  A change to any generated net or BRG export breaks it.
+PINNED_EXPORTS = (
+    (GeneratorConfig(), range(1, 51)),
+    (GeneratorConfig(max_places=14, max_transitions=20, max_tokens=6, bound_cap=100_000),
+     range(1, 41)),
+    (GeneratorConfig(max_places=20, max_transitions=30, max_tokens=10, bound_cap=300_000),
+     (5, 11)),
+)
+PINNED_EXPORTS_SHA256 = "77c0c06584fe1b56a7db3b16a94c2de3f3bf2878a07b450f967ea438917fac84"
+
+
+def test_random_net_exports_are_pinned():
+    digest = hashlib.sha256()
+    for config, seeds in PINNED_EXPORTS:
+        for seed in seeds:
+            lpn = random_lpn(seed, config)
+            digest.update(serialize_net(lpn).encode())
+            digest.update(export_dot(build_brg(lpn)).encode())
+    assert digest.hexdigest() == PINNED_EXPORTS_SHA256

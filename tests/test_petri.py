@@ -7,7 +7,7 @@ from snnicheck.fixtures import (_DEMO_ARCS, demo_cyclic_high, demo_secure,
                                 demo_unbounded)
 from snnicheck.petri import (AssumptionError, FiringError, InvalidNetError,
                              LabeledPetriNet, PetriNet, check_assumptions,
-                             parikh, project)
+                             explore_markings, parikh, project)
 
 from conftest import BASIS_M2, BASIS_M4, marking_of
 
@@ -176,6 +176,38 @@ def test_assumptions_cap_exhaustion():
     assert report.bounded in (None, False)
     if report.bounded is None:
         assert not report.ok
+
+
+def _fan_out(branches: int) -> PetriNet:
+    """One token that any of ``branches`` transitions moves to a place of its own."""
+    places = ("p0",) + tuple(f"p{i}" for i in range(1, branches + 1))
+    transitions = tuple(f"t{i}" for i in range(1, branches + 1))
+    arcs = [(a, b) for i in range(1, branches + 1) for a, b in (("p0", f"t{i}"), (f"t{i}", f"p{i}"))]
+    return PetriNet(places, transitions, arcs, (1,) + (0,) * branches)
+
+
+def test_exploration_stops_at_its_cap():
+    net = _fan_out(5)  # six reachable markings
+    for cap in range(1, 6):
+        result = explore_markings(net, cap)
+        assert not result.complete
+        assert len(result.markings) == cap + 1
+    result = explore_markings(net, 6)
+    assert result.complete
+    assert len(result.markings) == 6
+
+
+def test_cached_assumption_report_does_not_answer_a_smaller_cap():
+    lpn = LabeledPetriNet(_fan_out(5), {f"t{i}": "a" for i in range(1, 6)})
+    passing = lpn.verify_assumptions(100)
+    assert passing.reachable_count == 6
+    report = lpn.verify_assumptions(2)
+    assert report.bounded is None
+    assert report.cap == 2
+    with pytest.raises(AssumptionError):
+        lpn.require_assumptions(2)
+    # The failing answer does not evict the passing one.
+    assert lpn.verify_assumptions(6) is passing
 
 
 def test_require_assumptions_refuses(secure):

@@ -13,7 +13,7 @@ from snnicheck.netdoc import serialize_net
 from snnicheck.nfa import EPSILON
 from snnicheck.oracle import snni_oracle
 from snnicheck.petri import explore_markings
-from snnicheck.randnets import random_lpn
+from snnicheck.randnets import GeneratorConfig, random_lpn
 from snnicheck.reach import (low_label_language, projected_label_language,
                              reachability_graph)
 from snnicheck.verifier import build_sv, decide_snni
@@ -22,6 +22,8 @@ CROSS_VALIDATION_SEEDS = range(1, 201)
 PROJECTION_SEEDS = range(1, 51)
 QUERY_SEEDS = range(1, 31)
 STRUCTURE_SEEDS = range(1, 41)
+BIG = GeneratorConfig(max_places=14, max_transitions=20, max_tokens=6, bound_cap=100_000)
+BIG_QUERY_SEEDS = range(1, 41)
 
 
 def test_pipeline_and_oracle_agree_on_random_nets():
@@ -53,24 +55,39 @@ def test_brg_words_equal_projected_net_words():
                         f"net document:\n{serialize_net(lpn)}")
 
 
-def test_minimal_explanations_match_enumeration():
-    queries = 0
+def _explanation_queries():
+    """(name, net, markings to query, exhaustive length cap) for the enumeration check.
+
+    Four sampled reachable markings of each small net, then every basis state
+    of the big nets, whose shared high-run searches are the deepest.
+    """
     for seed in QUERY_SEEDS:
         lpn = random_lpn(seed)
         markings = explore_markings(lpn.net, cap=2000).markings
-        # A firable high run never repeats a marking, so this cap is exhaustive.
-        cap = len(markings) + 1
         rng = random.Random(seed * 977)
         sample = list(markings)
         rng.shuffle(sample)
-        for m in sample[:4]:
+        # A firable high run never repeats a marking, so this cap is exhaustive.
+        yield f"default net {seed}", lpn, sample[:4], len(markings) + 1
+    for seed in BIG_QUERY_SEEDS:
+        lpn = random_lpn(seed, BIG)
+        reachable = lpn.require_assumptions(BIG.bound_cap).reachable_count
+        yield f"big net {seed}", lpn, sorted(build_brg(lpn, BIG.bound_cap).nfa.states), reachable + 1
+
+
+def test_minimal_explanations_match_enumeration():
+    queries = 0
+    for name, lpn, markings, cap in _explanation_queries():
+        for m in markings:
             for t in lpn.low_transitions:
                 enumerated = minimality_filter(
                     {e.evector for e in explanations_bounded(lpn, m, t, len_cap=cap)})
-                assert minimal_e_vectors(lpn, m, t).evectors == enumerated, \
-                    f"seed {seed}, marking {m}, transition {t}"
+                result = minimal_e_vectors(lpn, m, t)
+                assert result.evectors == enumerated, f"{name}, marking {m}, transition {t}"
+                for witness in result.witnesses.values():
+                    assert lpn.net.enabled(lpn.net.fire_sequence(m, witness), t), (name, m, t)
                 queries += 1
-    assert queries >= 100
+    assert queries >= 7000
 
 
 def test_low_words_always_in_projection():
@@ -170,3 +187,30 @@ def test_documents_round_trip_random_nets():
     for seed in STRUCTURE_SEEDS:
         text = serialize_net(random_lpn(seed))
         assert serialize_net(parse_net(text)) == text, seed
+
+
+def test_generator_never_explores_a_cyclic_candidate(monkeypatch):
+    import snnicheck.petri as petri
+    import snnicheck.randnets as randnets
+    candidates = []
+    explored = []
+    make_candidate = randnets._candidate
+    explore = petri.explore_markings
+
+    def recording_candidate(rng, config):
+        lpn = make_candidate(rng, config)
+        candidates.append(lpn)
+        return lpn
+
+    def counting_explore(net, cap):
+        explored.append(net)
+        return explore(net, cap)
+
+    monkeypatch.setattr(randnets, "_candidate", recording_candidate)
+    monkeypatch.setattr(petri, "explore_markings", counting_explore)
+    for seed in STRUCTURE_SEEDS:
+        random_lpn(seed)
+    cyclic = [lpn for lpn in candidates if petri._high_subnet_cycle(lpn) is not None]
+    assert cyclic
+    assert not any(net is lpn.net for lpn in cyclic for net in explored)
+    assert len(explored) == len(candidates) - len(cyclic)
