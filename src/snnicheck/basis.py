@@ -3,9 +3,13 @@
 The graph's states are basis markings: markings reached by low transitions
 plus exactly the minimally necessary high firings.  Each arc carries the low
 transition fired and the minimal explanation vector that enabled it.  The
-unfolding never fuses repeated markings; instead a node repeating an ancestor
-marking becomes an unexpanded leaf, and every leaf whose path consumed a
-nonzero explanation vector receives an alpha tag (fresh marking) or beta tag
+unfolding (UBRG) is a tree copy of that graph: starting from the initial
+marking, every node copies the outgoing arcs of its marking's basis state,
+and nothing is fused.  A node whose marking already occurs on its own root
+path becomes an unexpanded, duplicated leaf; the path is carried down the
+tree as a set of basis states, so the check costs the same at any depth.
+Every leaf whose path consumed a nonzero explanation vector (a flag also
+inherited from the parent) receives an alpha tag (fresh marking) or beta tag
 (repeated marking).  Those tags are what the interference verifier matches.
 """
 
@@ -154,77 +158,70 @@ def build_brg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Brg:
 
 
 def build_ubrg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
-               node_cap: int = DEFAULT_TREE_NODE_CAP) -> UbrgResult:
+               node_cap: int = DEFAULT_TREE_NODE_CAP, brg: Brg | None = None) -> UbrgResult:
     """Unfold the basis graph into a tree and tag its interference-relevant leaves.
 
-    Breadth-first, iterating transitions in declaration order and explanation
-    vectors in lexicographic order, so node ids and tag numbers are stable
-    across runs.  A node whose marking equals an ancestor's marking on its own
-    root path is left unexpanded and recorded as duplicated.
+    The unfolding is a tree copy of the BRG: each node copies the arcs of its
+    marking's basis state, breadth-first and in the BRG's arc order (low
+    transitions in declaration order, explanation vectors in lexicographic
+    order), so node ids and tag numbers are stable across runs.  Each queued
+    node carries its root path as a bitmask over BRG states; a node whose
+    marking is already on its parent's path is left unexpanded and recorded
+    as duplicated.  Each node also carries whether its path consumed a
+    nonzero explanation vector, and exactly such leaves get a tag, numbered
+    per kind in node order.  Pass a prebuilt ``brg`` to avoid building the
+    basis graph twice.
     """
     lpn.require_assumptions(cap)
-    root_marking = lpn.net.initial_marking
+    if brg is None:
+        brg = build_brg(lpn, cap)
+    index = {m: i for i, m in enumerate(brg.nfa.states)}
+    # Per BRG state: (event, successor marking, its index, arc consumes high firings).
+    children = [tuple((event, successor, index[successor], any(event.evector))
+                      for event, successor in brg.nfa.arcs_from(m))
+                for m in brg.nfa.states]
+    root_marking = brg.initial
     nodes: dict[int, UbrgNode] = {0: UbrgNode(0, root_marking)}
     parent: dict[int, tuple[int, BrgEvent]] = {}
     arcs: list[tuple[int, BrgEvent, int]] = []
-    labeling: dict[BrgEvent, str] = {}
     duplicate_markings: set[Marking] = set()
-    queue: deque[int] = deque([0])
-    next_id = 1
-    while queue:
-        nid = queue.popleft()
-        node = nodes[nid]
-        ancestor = parent.get(nid)
-        duplicated = False
-        while ancestor is not None:
-            ancestor_id = ancestor[0]
-            if nodes[ancestor_id].marking == node.marking:
-                duplicated = True
-                break
-            ancestor = parent.get(ancestor_id)
-        if duplicated:
-            node.duplicated = True
-            duplicate_markings.add(node.marking)
-            continue
-        explanations = minimal_e_vectors_at(lpn, node.marking)
-        for t in lpn.low_transitions:
-            for y in sorted(explanations[t].evectors):
-                if next_id > node_cap:
-                    raise NetError(f"unfolding exceeds {node_cap} nodes; "
-                                   "raise node_cap to continue")
-                successor = basis_successor(lpn, node.marking, t, y)
-                event = BrgEvent(t, y)
-                labeling[event] = lpn.label(t)
-                nodes[next_id] = UbrgNode(next_id, successor)
-                parent[next_id] = (nid, event)
-                arcs.append((nid, event, next_id))
-                queue.append(next_id)
-                next_id += 1
-
-    tree = Nfa(list(nodes), arcs, [0], labeling)
-    result = UbrgResult(tree=tree, root=0, nodes=nodes, parent=parent,
-                        alpha_tags=frozenset(), beta_tags=frozenset(),
-                        duplicate_markings=frozenset(duplicate_markings))
-
-    # Tag pass: leaves in discovery order; only paths that consumed high firings.
     alpha: list[Tag] = []
     beta: list[Tag] = []
-    expanded = {src for src, _, _ in arcs}
-    for nid in nodes:
-        if nid in expanded:
-            continue
-        node = nodes[nid]
-        events = result.root_path_events(nid)
-        if not any(any(e.evector) for e in events):
-            continue
-        if node.duplicated:
-            tag = Tag("beta", len(beta) + 1)
-            beta.append(tag)
-        else:
-            tag = Tag("alpha", len(alpha) + 1)
-            alpha.append(tag)
-        node.tag = tag
-        result.tag_leaves[tag] = nid
-    result.alpha_tags = frozenset(alpha)
-    result.beta_tags = frozenset(beta)
-    return result
+    tag_leaves: dict[Tag, int] = {}
+    root_state = index[root_marking]
+    # Expandable nodes: (node id, BRG state, path bitmask including the node,
+    # path consumed high firings).  Leaves are settled when they are created.
+    queue: deque[tuple[int, int, int, bool]] = deque([(0, root_state, 1 << root_state, False)])
+    next_id = 1
+    while queue:
+        nid, state, path, consumed = queue.popleft()
+        for event, successor, child_state, high in children[state]:
+            if next_id > node_cap:
+                raise NetError(f"unfolding exceeds {node_cap} nodes; "
+                               "raise node_cap to continue")
+            child = nodes[next_id] = UbrgNode(next_id, successor)
+            parent[next_id] = (nid, event)
+            arcs.append((nid, event, next_id))
+            bit = 1 << child_state
+            child_consumed = consumed or high
+            if path & bit:
+                child.duplicated = True
+                duplicate_markings.add(successor)
+            elif children[child_state]:
+                queue.append((next_id, child_state, path | bit, child_consumed))
+            if child_consumed and (child.duplicated or not children[child_state]):
+                if child.duplicated:
+                    tag = Tag("beta", len(beta) + 1)
+                    beta.append(tag)
+                else:
+                    tag = Tag("alpha", len(alpha) + 1)
+                    alpha.append(tag)
+                child.tag = tag
+                tag_leaves[tag] = next_id
+            next_id += 1
+
+    tree = Nfa(list(nodes), arcs, [0], brg.nfa.labeling)
+    return UbrgResult(tree=tree, root=0, nodes=nodes, parent=parent,
+                      alpha_tags=frozenset(alpha), beta_tags=frozenset(beta),
+                      duplicate_markings=frozenset(duplicate_markings),
+                      tag_leaves=tag_leaves)

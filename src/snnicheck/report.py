@@ -104,7 +104,7 @@ def analyze(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Analysi
     timings["brg"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    ubrg = build_ubrg(lpn, cap)
+    ubrg = build_ubrg(lpn, cap, brg=brg)
     timings["ubrg"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -14,8 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .basis import (DEFAULT_TREE_NODE_CAP, Brg, Tag, UbrgResult, build_brg,
-                    build_ubrg, path_transitions)
+from .basis import DEFAULT_TREE_NODE_CAP, Brg, Tag, UbrgResult, build_brg, build_ubrg
 from .language import language_equal
 from .nfa import EPSILON, Nfa
 from .petri import (DEFAULT_EXPLORATION_CAP, LabeledPetriNet, LabelWord,
@@ -97,17 +96,43 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
              node_cap: int = DEFAULT_TREE_NODE_CAP) -> SvResult:
     """Unfold, then pair each unfolding arc with an equally-labeled low firing.
 
-    A beta-tagged pairing whose (marking, low marking) pair already occurred
-    on its root path is recorded as a duplicate and left unexpanded; all other
-    nodes expand through every label-matched (unfolding arc, low transition)
-    combination.  Alpha tags are matched by mere reachability of their leaf;
-    beta tags only by a recorded duplicate pairing.  Pass a prebuilt ``ubrg``
-    to avoid unfolding twice.
+    Breadth-first from (unfolding root, low initial marking); a node expands
+    through every unfolding arc of its unfolding node, in arc order, times
+    every enabled low transition with the same label, in declaration order.
+    The low moves of each low marking are computed once and shared by every
+    node that holds it.  Each queued node carries its root path as a bitmask
+    over interned (marking, low marking) pairs.  A beta-tagged pairing whose
+    pair is already on its parent's path is recorded as a duplicate and left
+    unexpanded; other repeats are only recorded.  Alpha tags are matched by
+    mere reachability of their leaf; beta tags only by a recorded duplicate
+    pairing.  Pass a prebuilt ``ubrg`` to avoid unfolding twice.
     """
     if ubrg is None:
         ubrg = build_ubrg(lpn, cap, node_cap)
     low = lpn.low_subnet()
     low_net = low.net
+    low_moves: dict[Marking, dict[str, list[tuple[str, Marking]]]] = {}
+
+    def moves_at(low_marking: Marking) -> dict[str, list[tuple[str, Marking]]]:
+        """Enabled low transitions per label, with the markings they reach."""
+        moves = low_moves.get(low_marking)
+        if moves is None:
+            moves = low_moves[low_marking] = {}
+            for t2 in low.low_transitions:
+                if low_net.enabled(low_marking, t2):
+                    moves.setdefault(low.label(t2), []).append(
+                        (t2, low_net.fire(low_marking, t2)))
+        return moves
+
+    pair_ids: dict[tuple[Marking, Marking], int] = {}
+
+    def path_bit(ubrg_node: int, low_marking: Marking) -> int:
+        pair = (ubrg.nodes[ubrg_node].marking, low_marking)
+        pair_id = pair_ids.get(pair)
+        if pair_id is None:
+            pair_id = pair_ids[pair] = len(pair_ids)
+        return 1 << pair_id
+
     root = SvNode(0, ubrg.root, low_net.initial_marking)
     nodes: dict[int, SvNode] = {0: root}
     parent: dict[int, tuple[int, tuple[str, str]]] = {}
@@ -115,43 +140,33 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
     labeling: dict[tuple[str, str], str] = {}
     duplicate_pair_nodes: set[int] = set()
     plain_duplicate_nodes: set[int] = set()
-    queue: deque[int] = deque([0])
+    # (node id, path bitmask over the pairs on the parent's path)
+    queue: deque[tuple[int, int]] = deque([(0, 0)])
     next_id = 1
     while queue:
-        nid = queue.popleft()
+        nid, parent_path = queue.popleft()
         node = nodes[nid]
-        unode = ubrg.nodes[node.ubrg_node]
-        pair = (unode.marking, node.low_marking)
-        repeated = False
-        ancestor = parent.get(nid)
-        while ancestor is not None:
-            ancestor_id = ancestor[0]
-            anc = nodes[ancestor_id]
-            if (ubrg.nodes[anc.ubrg_node].marking, anc.low_marking) == pair:
-                repeated = True
-                break
-            ancestor = parent.get(ancestor_id)
-        if unode.tag is not None and unode.tag.kind == "beta":
-            if repeated:
+        bit = path_bit(node.ubrg_node, node.low_marking)
+        if parent_path & bit:
+            tag = ubrg.nodes[node.ubrg_node].tag
+            if tag is not None and tag.kind == "beta":
                 duplicate_pair_nodes.add(nid)
                 continue
-        elif repeated:
             plain_duplicate_nodes.add(nid)
+        path = parent_path | bit
+        moves = moves_at(node.low_marking)
         for event, u_child in ubrg.tree.arcs_from(node.ubrg_node):
-            a = lpn.label(event.transition)
-            for t2 in low.low_transitions:
-                if low.label(t2) != a or not low_net.enabled(node.low_marking, t2):
-                    continue
+            a = lpn.labeling[event.transition]
+            for t2, fired in moves.get(a, ()):
                 if next_id > node_cap:
                     raise NetError(f"verifier tree exceeds {node_cap} nodes; "
                                    "raise node_cap to continue")
-                child = SvNode(next_id, u_child, low_net.fire(node.low_marking, t2))
-                nodes[next_id] = child
+                nodes[next_id] = SvNode(next_id, u_child, fired)
                 sv_event = (event.transition, t2)
                 labeling[sv_event] = a
                 parent[next_id] = (nid, sv_event)
                 arcs.append((nid, sv_event, next_id))
-                queue.append(next_id)
+                queue.append((next_id, path))
                 next_id += 1
 
     alpha_matched = set()
@@ -208,6 +223,10 @@ def sv_verdict(lpn: LabeledPetriNet, sv: SvResult, brg: Brg | None = None,
     label language must coincide with the low subnet's.  Tags the matching
     missed while the languages are equal are reported as spurious rather
     than treated as leaks.
+
+    On a negative verdict each unmatched tag gets the label word of its
+    leaf's unfolding path.  The words are built by walks up the parent links
+    that remember every node's word, so leaves share their common prefixes.
     """
     missing_alpha = sv.ubrg.alpha_tags - sv.alpha_matched
     missing_beta = sv.ubrg.beta_tags - sv.beta_matched
@@ -221,10 +240,9 @@ def sv_verdict(lpn: LabeledPetriNet, sv: SvResult, brg: Brg | None = None,
         return Verdict(snni=True,
                        spurious_tags=frozenset(missing_alpha | missing_beta))
     witness_words: dict[Tag, LabelWord] = {}
+    words: dict[int, LabelWord] = {sv.ubrg.root: ()}
     for tag in sorted(missing_alpha | missing_beta):
-        leaf = sv.ubrg.tag_leaves[tag]
-        events = sv.ubrg.root_path_events(leaf)
-        witness_words[tag] = lpn.label_word(path_transitions(events))
+        witness_words[tag] = _path_word(lpn, sv.ubrg, sv.ubrg.tag_leaves[tag], words)
     return Verdict(snni=False,
                    missing_alpha=frozenset(missing_alpha),
                    missing_beta=frozenset(missing_beta),
@@ -232,10 +250,31 @@ def sv_verdict(lpn: LabeledPetriNet, sv: SvResult, brg: Brg | None = None,
                    counterexample=check.counterexample)
 
 
+def _path_word(lpn: LabeledPetriNet, ubrg: UbrgResult, node_id: int,
+               words: dict[int, LabelWord]) -> LabelWord:
+    """Label word of the unfolding path to ``node_id``.
+
+    ``words`` memoizes the word of every node passed on the way up, so the
+    paths of many leaves share the walk over their common prefix.
+    """
+    pending: list[int] = []
+    while node_id not in words:
+        pending.append(node_id)
+        node_id = ubrg.parent[node_id][0]
+    word = words[node_id]
+    for nid in reversed(pending):
+        word += (lpn.labeling[ubrg.parent[nid][1].transition],)
+        words[nid] = word
+    return word
+
+
 def decide_snni(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Verdict:
     """Decide non-interference along the basis route.
 
-    Builds the unfolding and the verifier, matches tags, and grounds the
-    boolean in the basis-graph/low-subnet language comparison.
+    Builds the basis graph once, unfolds it, builds the verifier, matches
+    tags, and grounds the boolean in the basis-graph/low-subnet language
+    comparison.
     """
-    return sv_verdict(lpn, build_sv(lpn, cap), cap=cap)
+    brg = build_brg(lpn, cap)
+    sv = build_sv(lpn, cap, ubrg=build_ubrg(lpn, cap, brg=brg))
+    return sv_verdict(lpn, sv, brg=brg, cap=cap)

@@ -6,8 +6,10 @@ import pytest
 from snnicheck.basis import (BrgEvent, Tag, basis_successor, build_brg,
                              build_ubrg, path_evector_sum, path_transitions)
 from snnicheck.explanations import minimal_e_vectors
-from snnicheck.fixtures import demo_unbounded
+from snnicheck.dot import export_dot
+from snnicheck.fixtures import demo_leaky, demo_secure, demo_sync_period_two, demo_unbounded
 from snnicheck.petri import AssumptionError, LabeledPetriNet, PetriNet
+from snnicheck.randnets import random_lpn
 
 from conftest import ALL_BASIS_MARKINGS, BASIS_M0, BASIS_M1, BASIS_M2
 
@@ -150,6 +152,10 @@ def test_construction_is_deterministic(secure):
     assert [n.marking for n in first.nodes.values()] == \
            [n.marking for n in second.nodes.values()]
     assert build_brg(secure).nfa.arcs == build_brg(secure).nfa.arcs
+    # Unfolding a prebuilt BRG is the same as letting build_ubrg build it.
+    nets = [demo() for demo in (demo_secure, demo_leaky, demo_sync_period_two)]
+    for lpn in nets + [random_lpn(seed) for seed in range(1, 51)]:
+        assert export_dot(build_ubrg(lpn, brg=build_brg(lpn))) == export_dot(build_ubrg(lpn))
 
 
 def test_secure_and_leaky_share_basis_structure(secure, leaky):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 
 from snnicheck.basis import build_brg, build_ubrg
 from snnicheck.dot import export_dot
@@ -8,6 +9,7 @@ from snnicheck.netdoc import serialize_net
 from snnicheck.nfa import Nfa
 from snnicheck.randnets import GeneratorConfig, random_lpn
 from snnicheck.reach import reachability_graph
+from snnicheck.report import analyze
 from snnicheck.verifier import build_sv
 
 
@@ -76,3 +78,26 @@ def test_random_net_exports_are_pinned():
             digest.update(serialize_net(lpn).encode())
             digest.update(export_dot(build_brg(lpn)).encode())
     assert digest.hexdigest() == PINNED_EXPORTS_SHA256
+
+
+#: sha256 over the unfolding's and the verifier's DOT exports and
+#: ``analyze(...).to_dict()`` without timings, for every net above except big
+#: net 16, whose verifier tree exceeds the node cap.  Recorded when both trees
+#: were still derived afresh at every node instead of copied from the BRG.
+PINNED_TREES_SHA256 = "6451a91e93305ab1698f79fe41f32e53a1d82c3603c17dd2716c2ae1d6e7b8c0"
+
+
+def test_random_net_tree_exports_are_pinned():
+    digest = hashlib.sha256()
+    for config, seeds in PINNED_EXPORTS:
+        for seed in seeds:
+            if config == PINNED_EXPORTS[1][0] and seed == 16:
+                continue
+            lpn = random_lpn(seed, config)
+            ubrg = build_ubrg(lpn)
+            digest.update(export_dot(ubrg).encode())
+            digest.update(export_dot(build_sv(lpn, ubrg=ubrg)).encode())
+            report = analyze(lpn).to_dict()
+            del report["timings"]
+            digest.update(json.dumps(report, sort_keys=True).encode())
+    assert digest.hexdigest() == PINNED_TREES_SHA256

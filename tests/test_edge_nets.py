@@ -8,6 +8,7 @@ from snnicheck.basis import build_brg, build_ubrg
 from snnicheck.explanations import minimal_e_vectors
 from snnicheck.oracle import snni_oracle
 from snnicheck.petri import LabeledPetriNet, NetError, PetriNet, format_word
+from snnicheck.randnets import GeneratorConfig, random_lpn
 from snnicheck.verifier import build_sv, decide_snni
 
 
@@ -88,6 +89,23 @@ def test_tree_node_caps_refuse_cleanly(secure):
         build_ubrg(secure, node_cap=3)
     with pytest.raises(NetError, match="node_cap"):
         build_sv(secure, node_cap=3)
+    # A tree of n nodes fits node_cap=n-1 and is refused at its last node
+    # with node_cap=n-2.
+    big = GeneratorConfig(max_places=14, max_transitions=20, max_tokens=6, bound_cap=100_000)
+    nets = [secure] + [random_lpn(seed) for seed in range(1, 51)] + [random_lpn(24, big)]
+    for lpn in nets:
+        ubrg = build_ubrg(lpn)
+        sv = build_sv(lpn, ubrg=ubrg)
+        builds = ((len(ubrg.nodes), "unfolding", lambda cap: build_ubrg(lpn, node_cap=cap)),
+                  (len(sv.nodes), "verifier tree",
+                   lambda cap: build_sv(lpn, ubrg=ubrg, node_cap=cap)))
+        for n, name, build in builds:
+            assert len(build(n - 1).tree.states) == n
+            if n > 1:
+                with pytest.raises(NetError) as refused:
+                    build(n - 2)
+                assert str(refused.value) == (f"{name} exceeds {n - 2} nodes; "
+                                              "raise node_cap to continue")
 
 
 def test_weighted_arcs_round_trip_through_documents():
