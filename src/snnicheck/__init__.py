@@ -25,8 +25,7 @@ from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionError, AssumptionReport,
                     TransitionSequence, check_assumptions, format_word, parikh,
                     project)
 from .report import AnalysisReport, analyze
-from .verifier import (SvNode, SvResult, Verdict, build_sv, decide_snni,
-                       parallel_composition, sv_verdict)
+from .verifier import SvNode, SvResult, Verdict, build_sv, decide_snni, sv_verdict
 
 __all__ = [
     "AnalysisReport", "AssumptionError", "AssumptionReport", "Brg", "BrgEvent",
@@ -39,7 +38,7 @@ __all__ = [
     "build_sv", "build_ubrg", "check_assumptions", "decide_snni",
     "explanations_bounded", "export_dot", "format_word", "justifications",
     "language_equal", "low_label_language", "minimal_e_vectors",
-    "minimality_filter", "parallel_composition", "parikh", "parse_net",
+    "minimality_filter", "parikh", "parse_net",
     "path_evector_sum", "path_transitions", "project",
     "projected_label_language", "reachability_graph", "serialize_net",
     "snni_oracle", "sv_verdict", "word_in_language",

@@ -16,10 +16,11 @@ from .dot import export_dot, format_marking
 from .explanations import minimal_e_vectors
 from .fixtures import DEMOS, fixture_document
 from .netdoc import NetDocument, parse_net
-from .oracle import reachability_graph, snni_oracle
+from .oracle import snni_oracle
 from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionReport, LabeledPetriNet,
                     NetError, check_assumptions, format_word)
 from .randnets import random_lpn
+from .reach import reachability_graph
 from .report import analyze
 from .verifier import build_sv
 

@@ -14,21 +14,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .explanations import minimality_filter
-from .language import (LanguageCheckResult, bounded_language, epsilon_closure,
-                       label_step, language_equal, word_in_language)
+from .language import language_equal
 from .petri import (DEFAULT_EXPLORATION_CAP, InvalidNetError, LabeledPetriNet,
                     LabelWord, Marking, NetError, ParikhVector,
                     TransitionSequence, explore_markings)
-from .reach import (ReachGraph, low_label_language, projected_label_language,
-                    reachability_graph)
+from .reach import low_label_language, projected_label_language
 from .verifier import Verdict
-
-__all__ = [
-    "JustificationSet", "LanguageCheckResult", "ReachGraph", "bounded_language",
-    "epsilon_closure", "justifications", "label_step", "language_equal",
-    "low_label_language", "projected_label_language", "reachability_graph",
-    "snni_oracle", "word_in_language",
-]
 
 
 @dataclass(frozen=True)

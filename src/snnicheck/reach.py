@@ -8,6 +8,7 @@ net's.  Construction refuses unbounded nets with the domination witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from .nfa import EPSILON, Nfa
 from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionError, LabeledPetriNet,
@@ -25,8 +26,9 @@ class ReachGraph:
         return len(self.nfa.states)
 
 
-def reachability_graph(net: PetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> ReachGraph:
-    """Enumerate every reachable marking and firing arc; refuse unbounded nets."""
+def _reachability_nfa(net: PetriNet, cap: int,
+                      labeling: Mapping[str, str] | None = None) -> Nfa:
+    """Explore every reachable marking once and build its automaton once."""
     exploration = explore_markings(net, cap)
     if exploration.domination_witness is not None:
         w = exploration.domination_witness
@@ -37,7 +39,12 @@ def reachability_graph(net: PetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Rea
     arcs = [(m, t, net.fire(m, t))
             for m in exploration.markings
             for t in net.enabled_transitions(m)]
-    return ReachGraph(Nfa(exploration.markings, arcs, [net.initial_marking]))
+    return Nfa(exploration.markings, arcs, [net.initial_marking], labeling)
+
+
+def reachability_graph(net: PetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> ReachGraph:
+    """Enumerate every reachable marking and firing arc; refuse unbounded nets."""
+    return ReachGraph(_reachability_nfa(net, cap))
 
 
 def projected_label_language(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Nfa:
@@ -46,14 +53,11 @@ def projected_label_language(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATIO
     With every state accepting, this recognizes exactly the low projection of
     the net's label language (prefix-closed by construction).
     """
-    graph = reachability_graph(lpn.net, cap).nfa
     labeling = {t: lpn.label(t) if lpn.is_low(t) else EPSILON for t in lpn.net.transitions}
-    return Nfa(graph.states, graph.arcs, graph.initial, labeling)
+    return _reachability_nfa(lpn.net, cap, labeling)
 
 
 def low_label_language(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Nfa:
     """Label language of the low-transition-induced subnet."""
     low = lpn.low_subnet()
-    graph = reachability_graph(low.net, cap).nfa
-    labeling = {t: low.label(t) for t in low.net.transitions}
-    return Nfa(graph.states, graph.arcs, graph.initial, labeling)
+    return _reachability_nfa(low.net, cap, {t: low.label(t) for t in low.net.transitions})

@@ -7,11 +7,10 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .basis import Tag, build_brg, build_ubrg
-from .language import language_equal
 from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionReport, LabeledPetriNet,
                     LabelWord, format_word)
-from .reach import low_label_language, projected_label_language
-from .verifier import Verdict, build_sv, sv_verdict
+from .reach import low_label_language
+from .verifier import Verdict, _verdict_from, build_sv
 
 
 @dataclass
@@ -91,8 +90,10 @@ def _tags(tags: frozenset[Tag]) -> str:
 def analyze(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> AnalysisReport:
     """Run the whole pipeline and collect the report.
 
-    When the verdict is negative, the shortest leaked low word is computed by
-    the brute-force language difference search on top of the tag evidence.
+    The full net's state space is explored once, by the assumption check, and
+    the low subnet's once, for its label language.  The verdict and the shortest
+    leaked low word come from one comparison of the basis graph's language
+    with the low subnet's; the tags are evidence on top of it.
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -109,24 +110,18 @@ def analyze(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Analysi
 
     t0 = time.perf_counter()
     sv = build_sv(lpn, cap, ubrg=ubrg)
-    verdict = sv_verdict(lpn, sv, brg=brg, cap=cap)
     timings["sv"] = time.perf_counter() - t0
 
-    # The leaked word in the report comes from the full-net difference search,
-    # independently of the basis-route counterexample already in the verdict.
     t0 = time.perf_counter()
     low_language = low_label_language(lpn, cap)
-    leaked = None
-    if not verdict.snni:
-        check = language_equal(projected_label_language(lpn, cap), low_language)
-        leaked = check.counterexample
+    verdict = _verdict_from(lpn, sv, brg, low_language)
     timings["languages"] = time.perf_counter() - t0
 
     return AnalysisReport(
         snni=verdict.snni, verdict=verdict,
         alpha_tags=sv.ubrg.alpha_tags, beta_tags=sv.ubrg.beta_tags,
         alpha_matched=sv.alpha_matched, beta_matched=sv.beta_matched,
-        witness_words=verdict.witness_words, leaked_word=leaked,
+        witness_words=verdict.witness_words, leaked_word=verdict.counterexample,
         brg_states=len(brg.nfa.states), ubrg_nodes=len(sv.ubrg.nodes),
         sv_nodes=len(sv.nodes), reachable_markings=assumptions.reachable_count,
         low_reachable_markings=len(low_language.states),

@@ -16,49 +16,10 @@ from typing import Mapping
 
 from .basis import DEFAULT_TREE_NODE_CAP, Brg, Tag, UbrgResult, build_brg, build_ubrg
 from .language import language_equal
-from .nfa import EPSILON, Nfa
+from .nfa import Nfa
 from .petri import (DEFAULT_EXPLORATION_CAP, LabeledPetriNet, LabelWord,
                     Marking, NetError)
 from .reach import low_label_language
-
-
-def parallel_composition(g1: Nfa, g2: Nfa) -> Nfa:
-    """Product automaton: synchronized moves on equal labels, solo moves on ε.
-
-    Both automata must carry labelings.  States are pairs built on the fly
-    from the initial pair; event payloads are ``(e1, e2)`` with ``None`` on
-    the side that did not move.
-    """
-    if g1.labeling is None or g2.labeling is None:
-        raise NetError("parallel composition requires labeled automata on both sides")
-    initial = [(x1, x2) for x1 in g1.initial for x2 in g2.initial]
-    states: list[tuple] = list(initial)
-    seen = set(initial)
-    arcs: list[tuple] = []
-    labeling: dict = {}
-    queue = deque(initial)
-    while queue:
-        x1, x2 = queue.popleft()
-        moves = []
-        for e1, d1 in g1.arcs_from(x1):
-            a = g1.label_of(e1)
-            if a == EPSILON:
-                moves.append(((e1, None), (d1, x2), EPSILON))
-            else:
-                for e2, d2 in g2.arcs_from(x2):
-                    if g2.label_of(e2) == a:
-                        moves.append(((e1, e2), (d1, d2), a))
-        for e2, d2 in g2.arcs_from(x2):
-            if g2.label_of(e2) == EPSILON:
-                moves.append(((None, e2), (x1, d2), EPSILON))
-        for event, target, a in moves:
-            labeling[event] = a
-            arcs.append(((x1, x2), event, target))
-            if target not in seen:
-                seen.add(target)
-                states.append(target)
-                queue.append(target)
-    return Nfa(states, arcs, initial, labeling)
 
 
 @dataclass
@@ -207,7 +168,8 @@ class Verdict:
     spurious_tags: frozenset[Tag] = frozenset()
 
     def __post_init__(self):
-        if self.snni and (self.missing_alpha or self.missing_beta or self.counterexample):
+        if self.snni and (self.missing_alpha or self.missing_beta
+                          or self.counterexample is not None):
             raise NetError("a positive verdict cannot carry interference evidence")
 
 
@@ -219,20 +181,29 @@ def sv_verdict(lpn: LabeledPetriNet, sv: SvResult, brg: Brg | None = None,
     incomplete decision rule: a beta pairing may need several traversals of
     its basis cycle before the low side returns to a repeated pair, and the
     path-local repeat check cannot see that far.  The verdict is therefore
-    grounded in the exact criterion on the same objects: the basis graph's
-    label language must coincide with the low subnet's.  Tags the matching
-    missed while the languages are equal are reported as spurious rather
-    than treated as leaks.
+    grounded in the exact criterion: the basis graph's label language, which
+    is the low projection of the net's language, must coincide with the low
+    subnet's.  That one comparison also yields the shortest (and
+    lexicographically least) leaked word.  Tags the matching missed while the
+    languages are equal are reported as spurious rather than treated as leaks.
 
     On a negative verdict each unmatched tag gets the label word of its
     leaf's unfolding path.  The words are built by walks up the parent links
     that remember every node's word, so leaves share their common prefixes.
+
+    The basis graph is built when none is passed; the low subnet's label
+    language is always built here.
     """
-    missing_alpha = sv.ubrg.alpha_tags - sv.alpha_matched
-    missing_beta = sv.ubrg.beta_tags - sv.beta_matched
     if brg is None:
         brg = build_brg(lpn, cap)
-    check = language_equal(brg.nfa, low_label_language(lpn, cap))
+    return _verdict_from(lpn, sv, brg, low_label_language(lpn, cap))
+
+
+def _verdict_from(lpn: LabeledPetriNet, sv: SvResult, brg: Brg, low: Nfa) -> Verdict:
+    """:func:`sv_verdict` on a basis graph and low label language already built."""
+    missing_alpha = sv.ubrg.alpha_tags - sv.alpha_matched
+    missing_beta = sv.ubrg.beta_tags - sv.beta_matched
+    check = language_equal(brg.nfa, low)
     if not check.equal and check.counterexample_side == "right":
         raise NetError("internal error: low-subnet word missing from the basis-graph "
                        f"language: {check.counterexample}")

@@ -16,6 +16,7 @@ from snnicheck.petri import explore_markings
 from snnicheck.randnets import GeneratorConfig, random_lpn
 from snnicheck.reach import (low_label_language, projected_label_language,
                              reachability_graph)
+from snnicheck.report import analyze
 from snnicheck.verifier import build_sv, decide_snni
 
 CROSS_VALIDATION_SEEDS = range(1, 201)
@@ -152,12 +153,15 @@ def test_negative_verdicts_carry_replayable_counterexamples():
 def test_basis_and_full_route_counterexamples_agree():
     # Both difference searches return the shortest lexicographically-least
     # leaked word, so they must coincide whenever the verdict is negative.
+    # The report takes its leaked word from the basis route alone, so the
+    # full-net search checks it here.
     for seed in STRUCTURE_SEEDS:
         lpn = random_lpn(seed)
         pipeline = decide_snni(lpn)
         oracle = snni_oracle(lpn)
         if not pipeline.snni:
             assert pipeline.counterexample == oracle.counterexample, seed
+        assert analyze(lpn).leaked_word == oracle.counterexample, seed
 
 
 def test_justification_markings_exhaust_basis_states_by_depth():

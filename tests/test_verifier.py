@@ -5,48 +5,11 @@ import pytest
 from snnicheck.basis import Tag, build_ubrg
 from snnicheck.fixtures import demo_sync_period_two, demo_unbounded
 from snnicheck.language import word_in_language
-from snnicheck.nfa import EPSILON, Nfa
 from snnicheck.petri import AssumptionError, NetError
 from snnicheck.reach import low_label_language
-from snnicheck.verifier import (Verdict, build_sv, decide_snni,
-                                parallel_composition, sv_verdict)
+from snnicheck.verifier import Verdict, build_sv, decide_snni, sv_verdict
 
 from conftest import BASIS_M0, BASIS_M1, marking_of
-
-
-def _nfa(arcs, labels, initial=("s0",)):
-    states = {s for a in arcs for s in (a[0], a[2])} | set(initial)
-    return Nfa(sorted(states), arcs, initial, labels)
-
-
-def test_parallel_composition_synchronizes_on_shared_label():
-    g1 = _nfa([("s0", "e1", "s1")], {"e1": "a"})
-    g2 = _nfa([("s0", "e2", "s1")], {"e2": "a"})
-    product = parallel_composition(g1, g2)
-    assert product.arcs == ((("s0", "s0"), ("e1", "e2"), ("s1", "s1")),)
-
-
-def test_parallel_composition_epsilon_solo_moves():
-    g1 = _nfa([("s0", "e1", "s1")], {"e1": EPSILON})
-    g2 = _nfa([("s0", "e2", "s1")], {"e2": "a"})
-    product = parallel_composition(g1, g2)
-    assert (("s0", "s0"), ("e1", None), ("s1", "s0")) in product.arcs
-    # The ε move advances only the left component; no synchronized move exists.
-    assert all(event[1] is None for _, event, _ in product.arcs)
-
-
-def test_parallel_composition_disjoint_labels_deadlocks():
-    g1 = _nfa([("s0", "e1", "s1")], {"e1": "a"})
-    g2 = _nfa([("s0", "e2", "s1")], {"e2": "b"})
-    product = parallel_composition(g1, g2)
-    assert product.arcs == ()
-    assert product.states == (("s0", "s0"),)
-
-
-def test_parallel_composition_requires_labelings():
-    bare = Nfa(["s0"], [], ["s0"])
-    with pytest.raises(NetError):
-        parallel_composition(bare, bare)
 
 
 def test_sv_matches_both_tags_on_secure(secure):
@@ -147,6 +110,8 @@ def test_verdict_consistency_guard():
         Verdict(snni=True, missing_beta=frozenset({Tag("beta", 1)}))
     with pytest.raises(NetError):
         Verdict(snni=True, counterexample=("a",))
+    with pytest.raises(NetError):
+        Verdict(snni=True, counterexample=())
     Verdict(snni=True, spurious_tags=frozenset({Tag("beta", 1)}))  # allowed
 
 
