@@ -154,7 +154,8 @@ def build_brg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Brg:
                     seen.add(successor)
                     states.append(successor)
                     queue.append(successor)
-    return Brg(nfa=Nfa(states, arcs, [root], labeling), initial=root)
+    return Brg(nfa=Nfa._from_unique(tuple(states), tuple(arcs), (root,), labeling),
+               initial=root)
 
 
 def build_ubrg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
@@ -220,7 +221,7 @@ def build_ubrg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
                 tag_leaves[tag] = next_id
             next_id += 1
 
-    tree = Nfa(list(nodes), arcs, [0], brg.nfa.labeling)
+    tree = Nfa._from_unique(tuple(nodes), tuple(arcs), (0,), brg.nfa.labeling)
     return UbrgResult(tree=tree, root=0, nodes=nodes, parent=parent,
                       alpha_tags=frozenset(alpha), beta_tags=frozenset(beta),
                       duplicate_markings=frozenset(duplicate_markings),

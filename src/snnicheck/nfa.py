@@ -2,11 +2,14 @@
 
 States and events may be any hashable values.  Construction order of states
 and arcs is preserved so that derived artifacts (exports, tag numbering) are
-deterministic; membership checks use frozen sets built once.
+deterministic; state membership and outgoing-arc lookups use one dict built
+once.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import Hashable, Iterable, Mapping
 
 from .petri import InvalidNetError
@@ -26,36 +29,70 @@ def _ordered_dedupe(items: Iterable) -> tuple:
 
 
 class Nfa:
-    """States, arcs ``(source, event, target)``, initial states, optional labeling."""
+    """States, arcs ``(source, event, target)``, initial states, optional labeling.
+
+    ``Nfa(...)`` drops repeated states, arcs and initial states and checks
+    that every arc and initial state uses a declared state.  The graphs this
+    package builds (reachability graphs, the basis reachability graph, the
+    unfolding and the verifier tree) are unique by construction: their states
+    are discovered once each and their arcs come straight from that one
+    discovery.  They go through :meth:`_from_unique`, which skips both steps.
+    """
 
     def __init__(self, states: Iterable[Hashable],
                  arcs: Iterable[tuple],
                  initial: Iterable[Hashable],
                  labeling: Mapping[Hashable, str] | None = None):
-        self.states = _ordered_dedupe(states)
-        self._state_set = frozenset(self.states)
-        self.arcs = _ordered_dedupe(tuple(a) for a in arcs)
-        self.initial = _ordered_dedupe(initial)
-        for s, e, d in self.arcs:
-            if s not in self._state_set or d not in self._state_set:
+        states = _ordered_dedupe(states)
+        arcs = _ordered_dedupe(tuple(a) for a in arcs)
+        initial = _ordered_dedupe(initial)
+        declared = frozenset(states)
+        for s, e, d in arcs:
+            if s not in declared or d not in declared:
                 raise InvalidNetError(f"arc ({s!r}, {e!r}, {d!r}) uses an undeclared state")
-        for s in self.initial:
-            if s not in self._state_set:
+        for s in initial:
+            if s not in declared:
                 raise InvalidNetError(f"initial state {s!r} is not declared")
-        self.events = _ordered_dedupe(e for _, e, _ in self.arcs)
+        self._index(states, arcs, initial, labeling)
+
+    @classmethod
+    def _from_unique(cls, states: tuple, arcs: tuple, initial: tuple,
+                     labeling: Mapping[Hashable, str] | None = None) -> Nfa:
+        """Trusted construction for graphs unique by construction.
+
+        The caller guarantees distinct ``states``, distinct ``arcs`` whose ends
+        are among ``states``, and distinct ``initial`` states among them; the
+        result equals ``Nfa(states, arcs, initial, labeling)``.
+        """
+        nfa = cls.__new__(cls)
+        nfa._index(states, arcs, initial, labeling)
+        return nfa
+
+    def _index(self, states: tuple, arcs: tuple, initial: tuple,
+               labeling: Mapping[Hashable, str] | None) -> None:
+        self.states = states
+        self.arcs = arcs
+        self.initial = initial
+        self.events = _ordered_dedupe(e for _, e, _ in arcs)
         self.labeling = dict(labeling) if labeling is not None else None
-        self._out: dict[Hashable, list[tuple]] = {s: [] for s in self.states}
-        for s, e, d in self.arcs:
-            self._out[s].append((e, d))
+        # Arcs usually arrive grouped by source, so each state's tuple is
+        # built from its run of arcs in one go (a source that comes back
+        # later has its tuple extended).  A list per state, converted
+        # afterwards, would leave twice the survivors and set off extra full
+        # garbage collections while a large unfolding is alive.
+        self._out: dict[Hashable, tuple[tuple, ...]] = dict.fromkeys(states, ())
+        for s, group in groupby(arcs, key=itemgetter(0)):
+            self._out[s] += tuple((e, d) for _, e, d in group)
 
     def has_state(self, state: Hashable) -> bool:
-        return state in self._state_set
+        return state in self._out
 
     def arcs_from(self, state: Hashable) -> tuple[tuple, ...]:
         """Outgoing ``(event, target)`` pairs in construction order."""
-        if state not in self._state_set:
-            raise InvalidNetError(f"unknown state {state!r}")
-        return tuple(self._out[state])
+        try:
+            return self._out[state]
+        except KeyError:
+            raise InvalidNetError(f"unknown state {state!r}") from None
 
     def label_of(self, event: Hashable) -> str:
         if self.labeling is None:

@@ -104,15 +104,24 @@ class PetriNet:
 
         self.initial_marking = self.check_marking(initial_marking)
 
-        self.pre: dict[str, tuple[tuple[int, int], ...]] = {}
-        self.delta: dict[str, tuple[tuple[int, int], ...]] = {}
-        for t in self.transitions:
-            pre = tuple((i, self.weight[(p, t)]) for i, p in enumerate(self.places)
-                        if (p, t) in self.weight)
-            change = (self.weight.get((t, p), 0) - self.weight.get((p, t), 0)
-                      for p in self.places)
-            self.pre[t] = pre
-            self.delta[t] = tuple((i, d) for i, d in enumerate(change) if d)
+        # One pass over the arcs; sorting the pairs puts them in place order.
+        inputs: dict[str, list[tuple[int, int]]] = {t: [] for t in self.transitions}
+        changes: dict[str, dict[int, int]] = {t: {} for t in self.transitions}
+        for (source, target), w in self.weight.items():
+            if source in self._transition_index:
+                change = changes[source]
+                i = self._place_index[target]
+                change[i] = change.get(i, 0) + w
+            else:
+                change = changes[target]
+                i = self._place_index[source]
+                change[i] = change.get(i, 0) - w
+                inputs[target].append((i, w))
+        self.pre: dict[str, tuple[tuple[int, int], ...]] = {
+            t: tuple(sorted(pairs)) for t, pairs in inputs.items()}
+        self.delta: dict[str, tuple[tuple[int, int], ...]] = {
+            t: tuple(sorted((i, d) for i, d in change.items() if d))
+            for t, change in changes.items()}
 
     def check_marking(self, marking: Sequence[int]) -> Marking:
         m = tuple(marking)
@@ -364,11 +373,26 @@ class AssumptionReport:
 
 @dataclass(frozen=True)
 class ExplorationResult:
-    """Markings found by bounded exploration, in discovery order."""
+    """Markings found by bounded exploration, in discovery order.
+
+    A complete result also holds every firing the exploration computed, as
+    three parallel tuples: arc ``k`` fires ``arc_transitions[k]`` at
+    ``arc_sources[k]`` and reaches ``arc_targets[k]``.  Arcs are ordered by
+    source in discovery order, then by transition in declaration order; both
+    ends are the very objects held in ``markings``.  The arcs are kept as
+    flat tuples rather than one tuple per arc: the same exploration checks
+    the assumptions of every generated net, and a tuple per arc would be one
+    more object for the garbage collector to track per firing.  An
+    incomplete result, or one with a domination witness, carries empty arc
+    tuples.
+    """
 
     markings: tuple[Marking, ...]
     domination_witness: DominationWitness | None
     complete: bool
+    arc_sources: tuple[Marking, ...] = ()
+    arc_transitions: tuple[str, ...] = ()
+    arc_targets: tuple[Marking, ...] = ()
 
 
 def explore_markings(net: PetriNet, cap: int) -> ExplorationResult:
@@ -383,62 +407,82 @@ def explore_markings(net: PetriNet, cap: int) -> ExplorationResult:
     ``cap + 1`` of them.
 
     A strictly dominated marking holds strictly fewer tokens, so each node
-    carries its token count and the path walk only compares ancestors with
-    fewer tokens than the new marking.
+    carries its token count and the fewest tokens on its path from the root:
+    the path walk only compares ancestors with fewer tokens than the new
+    marking, and stops where no ancestor further up has fewer.
+
+    Every firing is recorded as it is computed, so a complete result is the
+    whole reachability graph and nothing needs to be fired again.  Repeated
+    successors are interned: an arc's target is the marking object first
+    discovered, and the duplicate just computed is dropped.
     """
     root = net.initial_marking
     if cap < 1:
         return ExplorationResult((root,), None, complete=False)
-    # node = (marking, parent node or None, transition fired to reach it, token count)
-    root_node = (root, None, None, sum(root))
-    seen: set[Marking] = {root}
+    # node = (marking, parent node or None, transition fired to reach it,
+    #         token count, fewest tokens on the path from the root to it)
+    root_node = (root, None, None, sum(root), sum(root))
+    seen: dict[Marking, Marking] = {root: root}
     order: list[Marking] = [root]
+    sources: list[Marking] = []
+    fired: list[str] = []
+    targets: list[Marking] = []
     queue: deque = deque([root_node])
     moves = [(t, net.pre[t], net.delta[t], sum(d for _, d in net.delta[t]))
              for t in net.transitions]
     while queue:
         node = queue.popleft()
-        marking = node[0]
+        marking, _, _, node_tokens, path_min = node
         for t, pre, delta, gain in moves:
-            if not covers(marking, pre):
-                continue
-            successor = shift(marking, delta)
-            tokens = node[3] + gain
-            # Walk the discovery path looking for a strictly dominated ancestor.
-            ancestor = node
-            depth_from_child = 1
-            while ancestor is not None:
-                m_anc = ancestor[0]
-                if ancestor[3] < tokens and all(map(le, m_anc, successor)):
-                    path: list[str] = [t]
-                    back = node
-                    while back[1] is not None:
-                        path.append(back[2])
-                        back = back[1]
-                    path.reverse()
-                    witness = DominationWitness(tuple(path), len(path) - depth_from_child)
-                    return ExplorationResult(tuple(order), witness, complete=False)
-                ancestor = ancestor[1]
-                depth_from_child += 1
-            if successor in seen:
-                continue
-            seen.add(successor)
-            order.append(successor)
-            if len(order) > cap:
-                return ExplorationResult(tuple(order), None, complete=False)
-            queue.append((successor, node, t, tokens))
-    return ExplorationResult(tuple(order), None, complete=True)
+            for i, need in pre:  # covers(marking, pre), inlined
+                if marking[i] < need:
+                    break
+            else:
+                successor = shift(marking, delta)
+                tokens = node_tokens + gain
+                # Walk the discovery path looking for a strictly dominated ancestor.
+                ancestor = node
+                depth_from_child = 1
+                while ancestor is not None and ancestor[4] < tokens:
+                    if ancestor[3] < tokens and all(map(le, ancestor[0], successor)):
+                        path: list[str] = [t]
+                        back = node
+                        while back[1] is not None:
+                            path.append(back[2])
+                            back = back[1]
+                        path.reverse()
+                        witness = DominationWitness(tuple(path), len(path) - depth_from_child)
+                        return ExplorationResult(tuple(order), witness, complete=False)
+                    ancestor = ancestor[1]
+                    depth_from_child += 1
+                sources.append(marking)
+                fired.append(t)
+                known = seen.get(successor)
+                if known is not None:
+                    targets.append(known)
+                    continue
+                targets.append(successor)
+                seen[successor] = successor
+                order.append(successor)
+                if len(order) > cap:
+                    return ExplorationResult(tuple(order), None, complete=False)
+                queue.append((successor, node, t, tokens, min(tokens, path_min)))
+    return ExplorationResult(tuple(order), None, True,
+                             tuple(sources), tuple(fired), tuple(targets))
 
 
 def _high_subnet_cycle(lpn: LabeledPetriNet) -> tuple[str, ...] | None:
     """Find a directed cycle in the bipartite graph of the high-induced subnet."""
-    adjacency: dict[str, list[str]] = {x: [] for x in lpn.net.places + lpn.high_transitions}
+    net = lpn.net
+    adjacency: dict[str, list[str]] = {x: [] for x in net.places + lpn.high_transitions}
+    for source, target in net.weight:
+        if source in adjacency and target in adjacency:
+            adjacency[source].append(target)
+    # Declaration order: high transitions after a place, places after a transition.
+    for p in net.places:
+        adjacency[p].sort(key=net._transition_index.__getitem__)
     for t in lpn.high_transitions:
-        for p in lpn.net.places:
-            if lpn.net.weight.get((p, t), 0) > 0:
-                adjacency[p].append(t)
-            if lpn.net.weight.get((t, p), 0) > 0:
-                adjacency[t].append(p)
+        adjacency[t].sort(key=net._place_index.__getitem__)
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {x: WHITE for x in adjacency}
     for start in adjacency:

@@ -3,6 +3,10 @@
 Shared by both decision routes: the verifier needs the low subnet's behavior
 (its state space is defined over it), the brute-force oracle needs the full
 net's.  Construction refuses unbounded nets with the domination witness.
+
+The graph's arcs are the firings :func:`~snnicheck.petri.explore_markings`
+recorded while it explored, zipped together; no transition is fired or
+checked for enabling a second time.
 """
 
 from __future__ import annotations
@@ -36,10 +40,9 @@ def _reachability_nfa(net: PetriNet, cap: int,
                               f"the marking reached after step {w.pump_start}")
     if not exploration.complete:
         raise AssumptionError(f"reachability exploration cap of {cap} markings exhausted")
-    arcs = [(m, t, net.fire(m, t))
-            for m in exploration.markings
-            for t in net.enabled_transitions(m)]
-    return Nfa(exploration.markings, arcs, [net.initial_marking], labeling)
+    arcs = tuple(zip(exploration.arc_sources, exploration.arc_transitions,
+                     exploration.arc_targets))
+    return Nfa._from_unique(exploration.markings, arcs, (net.initial_marking,), labeling)
 
 
 def reachability_graph(net: PetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> ReachGraph:

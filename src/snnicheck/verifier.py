@@ -140,7 +140,7 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
             alpha_matched.add(tag)
         elif nid in duplicate_pair_nodes:
             beta_matched.add(tag)
-    tree = Nfa(list(nodes), arcs, [0], labeling)
+    tree = Nfa._from_unique(tuple(nodes), tuple(arcs), (0,), labeling)
     return SvResult(tree=tree, root=0, nodes=nodes, parent=parent, ubrg=ubrg,
                     alpha_matched=frozenset(alpha_matched),
                     beta_matched=frozenset(beta_matched),

@@ -8,7 +8,7 @@ from snnicheck.dot import export_dot
 from snnicheck.netdoc import serialize_net
 from snnicheck.nfa import Nfa
 from snnicheck.randnets import GeneratorConfig, random_lpn
-from snnicheck.reach import reachability_graph
+from snnicheck.reach import low_label_language, reachability_graph
 from snnicheck.report import analyze
 from snnicheck.verifier import build_sv
 
@@ -101,3 +101,22 @@ def test_random_net_tree_exports_are_pinned():
             del report["timings"]
             digest.update(json.dumps(report, sort_keys=True).encode())
     assert digest.hexdigest() == PINNED_TREES_SHA256
+
+
+#: sha256 over the full net's reachability-graph DOT export and the states,
+#: arcs, initial states and labeling of the low subnet's label language, for
+#: every net above.  Recorded while the graphs' arcs were still produced by
+#: firing every enabled transition again after exploration.
+PINNED_REACH_SHA256 = "f52a20ed2d284238e7e70978b6958593ade9bdea91eaa1f84cd64bd1363ba9ae"
+
+
+def test_random_net_reachability_graphs_are_pinned():
+    digest = hashlib.sha256()
+    for config, seeds in PINNED_EXPORTS:
+        for seed in seeds:
+            lpn = random_lpn(seed, config)
+            digest.update(export_dot(reachability_graph(lpn.net)).encode())
+            low = low_label_language(lpn)
+            digest.update(repr((low.states, low.arcs, low.initial,
+                                tuple(low.labeling.items()))).encode())
+    assert digest.hexdigest() == PINNED_REACH_SHA256

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
-from snnicheck.fixtures import (_DEMO_ARCS, demo_cyclic_high, demo_secure,
+from snnicheck.fixtures import (_DEMO_ARCS, DEMOS, demo_cyclic_high, demo_secure,
                                 demo_unbounded)
 from snnicheck.petri import (AssumptionError, FiringError, InvalidNetError,
                              LabeledPetriNet, PetriNet, check_assumptions,
                              explore_markings, parikh, project)
+from snnicheck.randnets import GeneratorConfig, random_lpn
 
 from conftest import BASIS_M2, BASIS_M4, marking_of
 
@@ -195,6 +198,45 @@ def test_exploration_stops_at_its_cap():
     result = explore_markings(net, 6)
     assert result.complete
     assert len(result.markings) == 6
+
+
+def test_exploration_result_is_frozen_and_holds_tuples():
+    complete = explore_markings(_fan_out(3), 10)
+    assert complete.complete
+    assert complete.arc_transitions == ("t1", "t2", "t3")
+    incomplete = explore_markings(_fan_out(3), 2)
+    unbounded = explore_markings(demo_unbounded().net, 10)
+    assert not incomplete.complete
+    assert unbounded.domination_witness is not None
+    for result in (complete, incomplete, unbounded):
+        for name in ("markings", "arc_sources", "arc_transitions", "arc_targets"):
+            assert type(getattr(result, name)) is tuple
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.arc_targets = ()
+    for result in (incomplete, unbounded):
+        assert result.arc_sources == result.arc_transitions == result.arc_targets == ()
+
+
+#: The nets of the three benchmark suites: default nets 1-400, big 1-40, huge 1-12.
+BENCH_SUITES = (
+    (GeneratorConfig(), range(1, 401)),
+    (GeneratorConfig(max_places=14, max_transitions=20, max_tokens=6, bound_cap=100_000),
+     range(1, 41)),
+    (GeneratorConfig(max_places=20, max_transitions=30, max_tokens=10, bound_cap=300_000),
+     range(1, 13)),
+)
+
+
+def test_sparse_tables_match_dense_definition():
+    nets = [make().net for make in DEMOS.values()]
+    nets += [random_lpn(seed, config).net for config, seeds in BENCH_SUITES for seed in seeds]
+    for net in nets:
+        for t in net.transitions:
+            pre = tuple((i, net.weight[(p, t)]) for i, p in enumerate(net.places)
+                        if (p, t) in net.weight)
+            change = (net.weight.get((t, p), 0) - net.weight.get((p, t), 0) for p in net.places)
+            assert net.pre[t] == pre
+            assert net.delta[t] == tuple((i, d) for i, d in enumerate(change) if d)
 
 
 def test_cached_assumption_report_does_not_answer_a_smaller_cap():
