@@ -69,12 +69,14 @@ class UbrgNode:
 
 @dataclass
 class UbrgResult:
-    """Unfolded graph (a tree over node ids) plus the tag bookkeeping."""
+    """Unfolded graph (a tree over node ids) plus the tag bookkeeping.
+
+    Node ``k > 0`` is created with arc ``k - 1`` of ``tree``, its one parent link.
+    """
 
     tree: Nfa
     root: int
     nodes: dict[int, UbrgNode]
-    parent: dict[int, tuple[int, BrgEvent]]
     alpha_tags: frozenset[Tag]
     beta_tags: frozenset[Tag]
     duplicate_markings: frozenset[Marking]
@@ -84,10 +86,9 @@ class UbrgResult:
         """Arc payloads from the root down to ``node_id``."""
         events: list[BrgEvent] = []
         current = node_id
-        while current in self.parent:
-            parent_id, event = self.parent[current]
+        while current != self.root:
+            current, event, _ = self.tree.arcs[current - 1]
             events.append(event)
-            current = parent_id
         events.reverse()
         return tuple(events)
 
@@ -183,7 +184,6 @@ def build_ubrg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
                 for m in brg.nfa.states]
     root_marking = brg.initial
     nodes: dict[int, UbrgNode] = {0: UbrgNode(0, root_marking)}
-    parent: dict[int, tuple[int, BrgEvent]] = {}
     arcs: list[tuple[int, BrgEvent, int]] = []
     duplicate_markings: set[Marking] = set()
     alpha: list[Tag] = []
@@ -201,7 +201,6 @@ def build_ubrg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
                 raise NetError(f"unfolding exceeds {node_cap} nodes; "
                                "raise node_cap to continue")
             child = nodes[next_id] = UbrgNode(next_id, successor)
-            parent[next_id] = (nid, event)
             arcs.append((nid, event, next_id))
             bit = 1 << child_state
             child_consumed = consumed or high
@@ -222,7 +221,7 @@ def build_ubrg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
             next_id += 1
 
     tree = Nfa._from_unique(tuple(nodes), tuple(arcs), (0,), brg.nfa.labeling)
-    return UbrgResult(tree=tree, root=0, nodes=nodes, parent=parent,
+    return UbrgResult(tree=tree, root=0, nodes=nodes,
                       alpha_tags=frozenset(alpha), beta_tags=frozenset(beta),
                       duplicate_markings=frozenset(duplicate_markings),
                       tag_leaves=tag_leaves)

@@ -84,9 +84,6 @@ class Nfa:
         for s, group in groupby(arcs, key=itemgetter(0)):
             self._out[s] += tuple((e, d) for _, e, d in group)
 
-    def has_state(self, state: Hashable) -> bool:
-        return state in self._out
-
     def arcs_from(self, state: Hashable) -> tuple[tuple, ...]:
         """Outgoing ``(event, target)`` pairs in construction order."""
         try:

@@ -56,12 +56,22 @@ def _check_identifiers(kind: str, ids: Sequence[str]) -> tuple[str, ...]:
     return out
 
 
+def _arc_entry(a: tuple) -> tuple:
+    """``(source, target, weight)`` of an arc entry; a pair has weight 1."""
+    if len(a) == 2:
+        return (*a, 1)
+    if len(a) != 3:
+        raise InvalidNetError(f"arc entry {a!r} must be (source, target[, weight])")
+    return a
+
+
 class PetriNet:
     """Place/transition net with weighted arcs and an initial marking.
 
     ``places`` and ``transitions`` keep declaration order; every marking and
     Parikh vector in this package is indexed by that order.  An arc exists
-    exactly when its weight is positive.
+    exactly when its weight is positive; weights and token counts are ints,
+    never bools.
 
     Enabling and firing read two sparse tables built once per transition:
     ``pre[t]`` holds the ``(place index, weight)`` pairs of its input arcs and
@@ -85,11 +95,11 @@ class PetriNet:
         if isinstance(arcs, Mapping):
             arc_items = [(s, d, w) for (s, d), w in arcs.items()]
         else:
-            arc_items = [a if len(a) == 3 else (a[0], a[1], 1) for a in (tuple(a) for a in arcs)]
+            arc_items = [_arc_entry(a) for a in map(tuple, arcs)]
 
         self.weight: dict[tuple[str, str], int] = {}
         for source, target, w in arc_items:
-            if not isinstance(w, int) or w <= 0:
+            if type(w) is not int or w <= 0:
                 raise InvalidNetError(f"arc ({source}, {target}) must have a positive integer weight, got {w!r}")
             if source in self._place_index and target in self._transition_index:
                 pass
@@ -128,7 +138,7 @@ class PetriNet:
         if len(m) != len(self.places):
             raise InvalidNetError(f"marking has {len(m)} entries, net has {len(self.places)} places")
         for p, v in zip(self.places, m):
-            if not isinstance(v, int) or v < 0:
+            if type(v) is not int or v < 0:
                 raise InvalidNetError(f"marking of place {p} must be a non-negative integer, got {v!r}")
         return m
 

@@ -2,10 +2,10 @@
 the low-subnet behavior, and the resulting yes/no verdict.
 
 Every tagged leaf of the unfolding stands for a low observation whose
-enabling may depend on hidden high firings.  The verifier pairs the unfolding
-with on-the-fly low-subnet exploration under equal labels; a tag that the
-product can still reach has an indistinguishable low-only counterpart.  The
-system is interference-free exactly when every tag is matched.
+enabling may depend on hidden high firings.  The verifier is the product of
+the unfolding with the low subnet's reachability graph under equal labels; a
+tag that the product can still reach has an indistinguishable low-only
+counterpart.  The system is interference-free exactly when every tag is matched.
 """
 
 from __future__ import annotations
@@ -31,13 +31,17 @@ class SvNode:
 
 @dataclass
 class SvResult:
-    """Verifier tree plus which unfolding tags it managed to match."""
+    """Verifier tree plus which unfolding tags it managed to match.
+
+    Node ``k > 0`` is created with arc ``k - 1`` of ``tree``, its one parent link.
+    """
 
     tree: Nfa
     root: int
     nodes: dict[int, SvNode]
-    parent: dict[int, tuple[int, tuple[str, str]]]
     ubrg: UbrgResult
+    #: The low subnet's label language the tree is paired with.
+    low: Nfa
     alpha_matched: frozenset[Tag]
     beta_matched: frozenset[Tag]
     #: Unexpanded beta-leaf pairings whose (marking, low marking) pair repeats
@@ -55,34 +59,31 @@ class SvResult:
 def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
              ubrg: UbrgResult | None = None,
              node_cap: int = DEFAULT_TREE_NODE_CAP) -> SvResult:
-    """Unfold, then pair each unfolding arc with an equally-labeled low firing.
+    """Pair each unfolding arc with every equally-labeled arc of the low RG.
 
+    The low subnet's label language is built once and kept as ``low``.
     Breadth-first from (unfolding root, low initial marking); a node expands
     through every unfolding arc of its unfolding node, in arc order, times
-    every enabled low transition with the same label, in declaration order.
-    The low moves of each low marking are computed once and shared by every
-    node that holds it.  Each queued node carries its root path as a bitmask
-    over interned (marking, low marking) pairs.  A beta-tagged pairing whose
-    pair is already on its parent's path is recorded as a duplicate and left
-    unexpanded; other repeats are only recorded.  Alpha tags are matched by
+    every low arc with the same label, in the low graph's (declaration) order,
+    grouped by label once per low marking.  Each queued node carries its root
+    path as a bitmask over interned (marking, low marking) pairs.  A
+    beta-tagged pairing whose pair is already on its parent's path is recorded
+    as a duplicate and left unexpanded; other repeats are only recorded.  Alpha tags are matched by
     mere reachability of their leaf; beta tags only by a recorded duplicate
     pairing.  Pass a prebuilt ``ubrg`` to avoid unfolding twice.
     """
     if ubrg is None:
         ubrg = build_ubrg(lpn, cap, node_cap)
-    low = lpn.low_subnet()
-    low_net = low.net
+    low = low_label_language(lpn, cap)
     low_moves: dict[Marking, dict[str, list[tuple[str, Marking]]]] = {}
 
     def moves_at(low_marking: Marking) -> dict[str, list[tuple[str, Marking]]]:
-        """Enabled low transitions per label, with the markings they reach."""
+        """Low arcs per label, with the markings they reach."""
         moves = low_moves.get(low_marking)
         if moves is None:
             moves = low_moves[low_marking] = {}
-            for t2 in low.low_transitions:
-                if low_net.enabled(low_marking, t2):
-                    moves.setdefault(low.label(t2), []).append(
-                        (t2, low_net.fire(low_marking, t2)))
+            for t2, fired in low.arcs_from(low_marking):
+                moves.setdefault(low.labeling[t2], []).append((t2, fired))
         return moves
 
     pair_ids: dict[tuple[Marking, Marking], int] = {}
@@ -94,9 +95,7 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
             pair_id = pair_ids[pair] = len(pair_ids)
         return 1 << pair_id
 
-    root = SvNode(0, ubrg.root, low_net.initial_marking)
-    nodes: dict[int, SvNode] = {0: root}
-    parent: dict[int, tuple[int, tuple[str, str]]] = {}
+    nodes: dict[int, SvNode] = {0: SvNode(0, ubrg.root, low.initial[0])}
     arcs: list[tuple[int, tuple[str, str], int]] = []
     labeling: dict[tuple[str, str], str] = {}
     duplicate_pair_nodes: set[int] = set()
@@ -125,7 +124,6 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
                 nodes[next_id] = SvNode(next_id, u_child, fired)
                 sv_event = (event.transition, t2)
                 labeling[sv_event] = a
-                parent[next_id] = (nid, sv_event)
                 arcs.append((nid, sv_event, next_id))
                 queue.append((next_id, path))
                 next_id += 1
@@ -141,7 +139,7 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
         elif nid in duplicate_pair_nodes:
             beta_matched.add(tag)
     tree = Nfa._from_unique(tuple(nodes), tuple(arcs), (0,), labeling)
-    return SvResult(tree=tree, root=0, nodes=nodes, parent=parent, ubrg=ubrg,
+    return SvResult(tree=tree, root=0, nodes=nodes, ubrg=ubrg, low=low,
                     alpha_matched=frozenset(alpha_matched),
                     beta_matched=frozenset(beta_matched),
                     duplicate_pair_nodes=frozenset(duplicate_pair_nodes),
@@ -191,19 +189,13 @@ def sv_verdict(lpn: LabeledPetriNet, sv: SvResult, brg: Brg | None = None,
     leaf's unfolding path.  The words are built by walks up the parent links
     that remember every node's word, so leaves share their common prefixes.
 
-    The basis graph is built when none is passed; the low subnet's label
-    language is always built here.
+    The basis graph is built when none is passed; the low side is ``sv.low``.
     """
     if brg is None:
         brg = build_brg(lpn, cap)
-    return _verdict_from(lpn, sv, brg, low_label_language(lpn, cap))
-
-
-def _verdict_from(lpn: LabeledPetriNet, sv: SvResult, brg: Brg, low: Nfa) -> Verdict:
-    """:func:`sv_verdict` on a basis graph and low label language already built."""
     missing_alpha = sv.ubrg.alpha_tags - sv.alpha_matched
     missing_beta = sv.ubrg.beta_tags - sv.beta_matched
-    check = language_equal(brg.nfa, low)
+    check = language_equal(brg.nfa, sv.low)
     if not check.equal and check.counterexample_side == "right":
         raise NetError("internal error: low-subnet word missing from the basis-graph "
                        f"language: {check.counterexample}")
@@ -228,13 +220,14 @@ def _path_word(lpn: LabeledPetriNet, ubrg: UbrgResult, node_id: int,
     ``words`` memoizes the word of every node passed on the way up, so the
     paths of many leaves share the walk over their common prefix.
     """
+    arcs = ubrg.tree.arcs
     pending: list[int] = []
     while node_id not in words:
         pending.append(node_id)
-        node_id = ubrg.parent[node_id][0]
+        node_id = arcs[node_id - 1][0]
     word = words[node_id]
     for nid in reversed(pending):
-        word += (lpn.labeling[ubrg.parent[nid][1].transition],)
+        word += (lpn.labeling[arcs[nid - 1][1].transition],)
         words[nid] = word
     return word
 

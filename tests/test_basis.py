@@ -96,8 +96,8 @@ def test_ubrg_duplicate_iff_marking_repeats_on_path(secure):
     for nid, node in ubrg.nodes.items():
         ancestors = []
         current = nid
-        while current in ubrg.parent:
-            current = ubrg.parent[current][0]
+        while current != ubrg.root:
+            current = ubrg.tree.arcs[current - 1][0]
             ancestors.append(ubrg.nodes[current].marking)
         assert node.duplicated == (node.marking in ancestors)
 

@@ -291,6 +291,18 @@ def test_net_construction_validation():
         PetriNet(("p",), ("t",), [], (-1,))
 
 
+@pytest.mark.parametrize("arcs, marking", [
+    ([("p1", "t1", 2, 5)], [1]),  # an entry of four fields
+    ([("p1",)], [1]),             # an entry of one field
+    ([("p1", "t1", True)], [1]),  # a bool weight, in an entry
+    ({("p1", "t1"): True}, [1]),  # a bool weight, in a mapping
+    ([("p1", "t1")], [True]),     # a bool token count
+])
+def test_net_rejects_malformed_arc_entries_and_bool_counts(arcs, marking):
+    with pytest.raises(InvalidNetError):
+        PetriNet(["p1"], ["t1"], arcs, marking)
+
+
 def test_labeling_validation(secure):
     net = secure.net
     with pytest.raises(InvalidNetError):

@@ -4,13 +4,15 @@ import pytest
 
 import snnicheck.petri as petri
 import snnicheck.reach as reach
+from snnicheck.basis import build_brg, build_ubrg
 from snnicheck.fixtures import demo_leaky, demo_secure
+from snnicheck.petri import LabeledPetriNet, PetriNet
 from snnicheck.report import analyze
+from snnicheck.verifier import build_sv, sv_verdict
 
 
-@pytest.mark.parametrize("demo", [demo_secure, demo_leaky])
-def test_analyze_explores_each_state_space_once(monkeypatch, demo):
-    lpn = demo()
+def _record_explorations(monkeypatch) -> list:
+    """Transitions of every net ``explore_markings`` is called on, in order."""
     explored = []
     explore = petri.explore_markings
 
@@ -20,9 +22,54 @@ def test_analyze_explores_each_state_space_once(monkeypatch, demo):
 
     monkeypatch.setattr(petri, "explore_markings", counting_explore)
     monkeypatch.setattr(reach, "explore_markings", counting_explore)
+    return explored
+
+
+def _record_calls(monkeypatch, cls, names: tuple[str, ...]) -> list:
+    """Names of the methods of ``cls`` among ``names`` as they are called."""
+    calls = []
+
+    def recording(name):
+        original = getattr(cls, name)
+
+        def record(self, *args, **kwargs):
+            calls.append(name)
+            return original(self, *args, **kwargs)
+        return record
+
+    for name in names:
+        monkeypatch.setattr(cls, name, recording(name))
+    return calls
+
+
+@pytest.mark.parametrize("demo", [demo_secure, demo_leaky])
+def test_analyze_explores_each_state_space_once(monkeypatch, demo):
+    lpn = demo()
+    low_transitions = lpn.low_subnet().net.transitions
+    explored = _record_explorations(monkeypatch)
     analyze(lpn)
     # The full net once, for the assumption check; the low subnet once, for
     # its label language.
     assert explored.count(lpn.net.transitions) == 1
-    assert explored.count(lpn.low_subnet().net.transitions) == 1
+    assert explored.count(low_transitions) == 1
     assert len(explored) == 2
+
+
+@pytest.mark.parametrize("demo", [demo_secure, demo_leaky])
+def test_analyze_builds_one_low_subnet_and_fires_nothing(monkeypatch, demo):
+    lpn = demo()
+    subnets = _record_calls(monkeypatch, LabeledPetriNet, ("low_subnet",))
+    fired = _record_calls(monkeypatch, PetriNet, ("fire", "enabled"))
+    analyze(lpn)
+    assert subnets == ["low_subnet"]
+    assert fired == []
+
+
+@pytest.mark.parametrize("demo", [demo_secure, demo_leaky])
+def test_sv_verdict_explores_nothing(monkeypatch, demo):
+    lpn = demo()
+    brg = build_brg(lpn)
+    sv = build_sv(lpn, ubrg=build_ubrg(lpn, brg=brg))
+    explored = _record_explorations(monkeypatch)
+    sv_verdict(lpn, sv, brg=brg)
+    assert explored == []

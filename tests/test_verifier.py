@@ -46,6 +46,9 @@ def test_sv_arcs_share_labels(secure, leaky):
         sv = build_sv(lpn)
         for _, (t_pipeline, t_low), _ in sv.tree.arcs:
             assert lpn.label(t_pipeline) == lpn.label(t_low)
+        # Node k is created with arc k - 1, which is the one link into it.
+        for tree in (sv.tree, sv.ubrg.tree):
+            assert [d for _, _, d in tree.arcs] == list(range(1, len(tree.states)))
 
 
 def test_sv_matched_subsets_of_tags(secure, leaky):
