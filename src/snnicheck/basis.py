@@ -17,12 +17,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import le
 from typing import Iterable, NamedTuple
 
-from .explanations import minimal_e_vectors_at
+from .explanations import high_run_answers
 from .nfa import Nfa
-from .petri import (DEFAULT_EXPLORATION_CAP, LabeledPetriNet, Marking, NetError,
-                    ParikhVector, TransitionSequence)
+from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionError, AssumptionReport,
+                    DominationWitness, InvalidNetError, LabeledPetriNet, Marking,
+                    NetError, ParikhVector, TransitionSequence, _high_subnet_cycle, shift)
 
 #: Hard ceiling on tree sizes (unfolding and verifier); exceeding it raises
 #: instead of thrashing.  Both trees never fuse repeated nodes, so adversarial
@@ -118,7 +120,11 @@ def path_evector_sum(events: Iterable[BrgEvent], size: int | None = None) -> Par
 
 
 def basis_successor(lpn: LabeledPetriNet, m: Marking, t: str, evector: ParikhVector) -> Marking:
-    """Marking equation step: apply ``evector`` high firings, then fire ``t``."""
+    """Marking equation step: apply ``evector`` high firings, then fire ``t``.
+
+    :func:`build_brg` reads successors off the witness runs instead; this is
+    the independent reference the tests compare its arcs against.
+    """
     net = lpn.net
     new = list(m)
     for count, h in zip(evector, lpn.high_transitions):
@@ -134,29 +140,107 @@ def basis_successor(lpn: LabeledPetriNet, m: Marking, t: str, evector: ParikhVec
 
 
 def build_brg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Brg:
-    """Saturate basis markings from the initial marking; repeats fuse into one state."""
-    lpn.require_assumptions(cap)
-    root = lpn.net.initial_marking
+    """Saturate basis markings from the initial marking; repeats fuse into one state.
+
+    One high-run search per basis marking (:func:`high_run_answers`) gives
+    its arcs, in low transition declaration order and then lexicographic
+    vector order: the successor of arc ``(t, y)`` is the marking of
+    ``y``'s witness run with ``t`` fired.
+
+    The saturation also proves both standing assumptions without exploring
+    the full net.  The high subnet is checked for a cycle first; a net that
+    has one, or a high transition that fires without input, is handed to
+    :meth:`~snnicheck.petri.LabeledPetriNet.require_assumptions`, which
+    refuses it.  Otherwise every high run is finite and every reachable
+    marking is a basis marking followed by high firings, so the reachable
+    markings are the union of the run markings of every basis marking, and
+    ``cap`` bounds that union.  The net is bounded iff the saturation ends:
+    on an unbounded net, some new basis marking strictly dominates an
+    ancestor on its discovery path (König's and Dickson's lemmas), and each
+    new basis marking is compared with those ancestors, pruned by token
+    count as in :func:`~snnicheck.petri.explore_markings`.  A domination or
+    an exhausted cap raises :class:`~snnicheck.petri.AssumptionError`; a
+    finished saturation caches the passing report on the net.
+    """
+    if cap <= 0:
+        raise InvalidNetError(f"exploration cap must be positive, got {cap}")
+    net = lpn.net
+    if (_high_subnet_cycle(lpn) is not None
+            or any(net.delta[h] and not net.pre[h] for h in lpn.high_transitions)):
+        lpn.require_assumptions(cap)
+    root = net.initial_marking
+    tokens = sum(root)
+    # node = (marking, parent node or None, witness run and low transition of
+    #         the arc that found it, token count, fewest tokens on its path)
+    queue: deque = deque([(root, None, (), None, tokens, tokens)])
+    seen: dict[Marking, Marking] = {root: root}
     states: list[Marking] = [root]
-    seen = {root}
     arcs: list[tuple[Marking, BrgEvent, Marking]] = []
     labeling: dict[BrgEvent, str] = {}
-    queue: deque[Marking] = deque([root])
+    reachable: set[Marking] = set()
     while queue:
-        m = queue.popleft()
-        explanations = minimal_e_vectors_at(lpn, m)
-        for t in lpn.low_transitions:
-            for y in sorted(explanations[t].evectors):
-                successor = basis_successor(lpn, m, t, y)
+        node = queue.popleft()
+        m, path_min = node[0], node[5]
+        answers, run_markings = high_run_answers(lpn, m)
+        reachable.update(run_markings)
+        if len(reachable) > cap:
+            raise AssumptionError(_report(None, None, cap).describe_failure())
+        for t, found in answers:
+            delta = net.delta[t]
+            label = lpn.labeling[t]
+            for y, run_marking, run in found:
+                successor = shift(run_marking, delta)
                 event = BrgEvent(t, y)
-                labeling[event] = lpn.label(t)
-                arcs.append((m, event, successor))
-                if successor not in seen:
-                    seen.add(successor)
+                labeling[event] = label
+                known = seen.get(successor)
+                if known is None:
+                    tokens = sum(successor)
+                    ancestor = node
+                    while ancestor is not None and ancestor[5] < tokens:
+                        if ancestor[4] < tokens and all(map(le, ancestor[0], successor)):
+                            witness = _domination_witness(node, ancestor, run, t)
+                            raise AssumptionError(_report(False, witness, cap).describe_failure())
+                        ancestor = ancestor[1]
+                    known = seen[successor] = successor
                     states.append(successor)
-                    queue.append(successor)
+                    queue.append((successor, node, run, t, tokens, min(tokens, path_min)))
+                arcs.append((m, event, known))
+    lpn._assumption_report = AssumptionReport(
+        bounded=True, reachable_count=len(reachable), domination_witness=None,
+        high_subnet_acyclic=True, high_cycle=None, cap=cap)
     return Brg(nfa=Nfa._from_unique(tuple(states), tuple(arcs), (root,), labeling),
                initial=root)
+
+
+def _report(bounded: bool | None, witness: DominationWitness | None,
+            cap: int) -> AssumptionReport:
+    """A failing report of a net whose high subnet is acyclic."""
+    return AssumptionReport(bounded=bounded, reachable_count=None, domination_witness=witness,
+                            high_subnet_acyclic=True, high_cycle=None, cap=cap)
+
+
+def _domination_witness(parent: tuple, ancestor: tuple, run: TransitionSequence,
+                        t: str) -> DominationWitness:
+    """The discovery path to ``parent`` and on by ``run`` and ``t`` as one firing path.
+
+    Each basis arc is expanded into its witness run followed by its low
+    transition; the pump starts where the path reaches ``ancestor``.
+    """
+    chain = []
+    node = parent
+    while node[1] is not None:
+        chain.append(node)
+        node = node[1]
+    path: list[str] = []
+    pump_start = 0
+    for node in reversed(chain):
+        path.extend(node[2])
+        path.append(node[3])
+        if node is ancestor:
+            pump_start = len(path)
+    path.extend(run)
+    path.append(t)
+    return DominationWitness(tuple(path), pump_start)
 
 
 def build_ubrg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
@@ -174,9 +258,9 @@ def build_ubrg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
     per kind in node order.  Pass a prebuilt ``brg`` to avoid building the
     basis graph twice.
     """
-    lpn.require_assumptions(cap)
     if brg is None:
         brg = build_brg(lpn, cap)
+    lpn.require_assumptions(cap)
     index = {m: i for i, m in enumerate(brg.nfa.states)}
     # Per BRG state: (event, successor marking, its index, arc consumes high firings).
     children = [tuple((event, successor, index[successor], any(event.evector))

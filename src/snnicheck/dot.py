@@ -14,7 +14,7 @@ from .verifier import SvResult
 
 
 def format_marking(m: Marking) -> str:
-    return "[" + " ".join(str(v) for v in m) + "]"
+    return "[" + " ".join(map(str, m)) + "]"
 
 
 def format_event(event: BrgEvent) -> str:
@@ -51,8 +51,12 @@ def _nfa_dot(nfa: Nfa, name: str, state_text, event_text) -> str:
         if state in initial:
             attrs.append("peripheries=2")
         lines.append(f"  {ids[state]} [{', '.join(attrs)}];")
+    labels: dict = {}  # each distinct event is rendered and quoted once
     for src, event, dst in nfa.arcs:
-        lines.append(f"  {ids[src]} -> {ids[dst]} [label={_quote(event_text(event))}];")
+        label = labels.get(event)
+        if label is None:
+            label = labels[event] = _quote(event_text(event))
+        lines.append(f"  {ids[src]} -> {ids[dst]} [label={label}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

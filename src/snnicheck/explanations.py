@@ -4,25 +4,33 @@ An explanation of a low transition ``t`` at marking ``m`` is a sequence of
 high transitions whose firing at ``m`` enables ``t``.  Only the Parikh-minimal
 count vectors of such sequences matter downstream.
 
-All low transitions at ``m`` share one search.  The high subnet is acyclic and
-the net bounded, so the count vectors of the high runs from ``m`` form a
-finite DAG, and each vector fixes its marking by the marking equation.  One
-breadth-first pass, level by level over the total firing count, lists every
-such vector once, with its marking and the first run that reached it.  Each
-low transition's minimal vectors are then read off that list in order: a
-vector is kept when the transition is enabled at its marking and no vector
-kept before lies strictly below it.  A strictly smaller vector has a smaller
-total and is met earlier, so what is kept is exactly the minimal set.  The
-answers for every low transition at ``m`` are cached together on the net.
+All low transitions at ``m`` share one search.  The high subnet is acyclic,
+so the count vectors of the high runs from ``m`` form a finite DAG, and each
+vector fixes its marking by the marking equation.  One breadth-first pass,
+level by level over the total firing count, lists every such vector once,
+with its marking and the first run that reached it.  Each low transition's
+minimal vectors are then read off that list in order: a vector is kept when
+the transition is enabled at its marking and no vector kept before lies
+strictly below it.  A strictly smaller vector has a smaller total and is met
+earlier, so what is kept is exactly the minimal set; a transition enabled at
+``m`` itself has the zero vector alone, and its scan stops there.
+
+The answers are kept lean: per marking, only the low transitions that have
+vectors, each vector with its run's marking and the run.  The basis graph
+reads its successors off those run markings, and the markings of all runs
+are every marking reachable from ``m`` by high firings, which is what its
+boundedness proof counts.  Both are cached together on the net;
+:class:`MinimalExplanationSet` is built only for the public queries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 from typing import Iterable, Mapping, Sequence
 
 from .petri import (DEFAULT_EXPLORATION_CAP, InvalidNetError, LabeledPetriNet,
-                    Marking, ParikhVector, TransitionSequence, covers, parikh, shift)
+                    Marking, ParikhVector, TransitionSequence, parikh, shift)
 
 
 @dataclass(frozen=True)
@@ -41,6 +49,13 @@ class MinimalExplanationSet:
     transition: str
     evectors: frozenset[ParikhVector]
     witnesses: Mapping[ParikhVector, TransitionSequence]
+
+
+#: A minimal explanation: its vector, the marking its witness run reaches, the run.
+Answer = tuple[ParikhVector, Marking, TransitionSequence]
+#: Per marking: ``(t, minimal answers)`` for each low transition with any,
+#: and the marking of every high run.
+HighRunAnswers = tuple[tuple[tuple[str, tuple[Answer, ...]], ...], tuple[Marking, ...]]
 
 
 def _strictly_below(a: ParikhVector, b: ParikhVector) -> bool:
@@ -99,7 +114,7 @@ def minimal_e_vectors(lpn: LabeledPetriNet, m: Sequence[int], t: str,
     """
     marking = _check_low_query(lpn, m, t)
     lpn.require_assumptions(cap)
-    return minimal_e_vectors_at(lpn, marking)[t]
+    return _explanation_set(marking, t, dict(high_run_answers(lpn, marking)[0]).get(t, ()))
 
 
 def minimal_e_vectors_at(lpn: LabeledPetriNet,
@@ -107,36 +122,71 @@ def minimal_e_vectors_at(lpn: LabeledPetriNet,
     """Minimal explanation sets of every low transition at ``marking``.
 
     For callers that have already required the standing assumptions and pass
-    a marking of the net's own making; nothing is validated here.
+    a marking of the net's own making; nothing is validated here.  The sets
+    are built afresh from the cached answers of :func:`high_run_answers`.
+    """
+    found = dict(high_run_answers(lpn, marking)[0])
+    return {t: _explanation_set(marking, t, found.get(t, ())) for t in lpn.low_transitions}
+
+
+def _explanation_set(marking: Marking, t: str,
+                     found: tuple[Answer, ...]) -> MinimalExplanationSet:
+    witnesses = {vector: run for vector, _, run in found}
+    return MinimalExplanationSet(marking=marking, transition=t,
+                                 evectors=frozenset(witnesses), witnesses=witnesses)
+
+
+def high_run_answers(lpn: LabeledPetriNet, marking: Marking) -> HighRunAnswers:
+    """Minimal explanations of every low transition at ``marking``, and the run markings.
+
+    The first part lists, for each low transition that has any, in
+    declaration order, its minimal vectors in lexicographic order, each with
+    the marking its witness run reaches and the run itself.  The second part
+    holds the marking of every high run from ``marking``, which is every
+    marking reachable from it by high firings alone.  Nothing is validated;
+    the search ends only when the high subnet is acyclic and every high
+    transition has an input place or changes no token.  Both parts are cached
+    on the net, keyed by marking.
     """
     cached = lpn._explanation_cache.get(marking)
     if cached is not None:
         return cached
     runs = _high_runs(lpn, marking)
-    result: dict[str, MinimalExplanationSet] = {}
+    answers = []
     for t in lpn.low_transitions:
         pre = lpn.net.pre[t]
-        found: dict[ParikhVector, TransitionSequence] = {}
-        for vector, current, seq in runs:
-            if covers(current, pre) and not any(_strictly_below(f, vector) for f in found):
-                found[vector] = seq
-        result[t] = MinimalExplanationSet(marking=marking, transition=t,
-                                          evectors=frozenset(found), witnesses=found)
-    lpn._explanation_cache[marking] = result
-    return result
+        found: list[Answer] = []
+        for run in runs:
+            current = run[1]
+            for i, need in pre:  # covers(current, pre), inlined
+                if current[i] < need:
+                    break
+            else:
+                vector = run[0]
+                if not any(all(map(le, f[0], vector)) for f in found):
+                    found.append(run)
+                if current is marking:
+                    break  # enabled outright: the zero vector alone is minimal
+        if found:
+            found.sort()
+            answers.append((t, tuple(found)))
+    cached = lpn._explanation_cache[marking] = (tuple(answers), tuple(r[1] for r in runs))
+    return cached
 
 
-def _high_runs(lpn: LabeledPetriNet,
-               marking: Marking) -> list[tuple[ParikhVector, Marking, TransitionSequence]]:
+def _high_runs(lpn: LabeledPetriNet, marking: Marking) -> list[Answer]:
     """Every count vector of a high run from ``marking``, with its marking and first run.
 
     Listed level by level over the total firing count; within a level, in
-    the order the vectors were first generated.
+    the order the vectors were first generated.  High transitions that
+    change no token are left out: they cannot help enable anything, so they
+    occur in no minimal vector, and counting their firings would never end.
     """
     net = lpn.net
-    moves = [(i, h, net.pre[h], net.delta[h]) for i, h in enumerate(lpn.high_transitions)]
-    zero = (0,) * len(moves)
-    runs: list[tuple[ParikhVector, Marking, TransitionSequence]] = []
+    moves = [(i, h, net.pre[h], net.delta[h]) for i, h in enumerate(lpn.high_transitions)
+             if net.delta[h]]
+    zero = (0,) * len(lpn.high_transitions)
+    runs: list[Answer] = []
     level = [(zero, marking, ())]
     visited = {zero}
     while level:
@@ -144,12 +194,13 @@ def _high_runs(lpn: LabeledPetriNet,
         next_level = []
         for vector, current, seq in level:
             for i, h, pre, delta in moves:
-                if not covers(current, pre):
-                    continue
-                extended = vector[:i] + (vector[i] + 1,) + vector[i + 1:]
-                if extended in visited:
-                    continue
-                visited.add(extended)
-                next_level.append((extended, shift(current, delta), seq + (h,)))
+                for p, need in pre:  # covers(current, pre), inlined
+                    if current[p] < need:
+                        break
+                else:
+                    extended = vector[:i] + (vector[i] + 1,) + vector[i + 1:]
+                    if extended not in visited:
+                        visited.add(extended)
+                        next_level.append((extended, shift(current, delta), seq + (h,)))
         level = next_level
     return runs

@@ -7,11 +7,14 @@ from snnicheck.basis import (BrgEvent, Tag, basis_successor, build_brg,
                              build_ubrg, path_evector_sum, path_transitions)
 from snnicheck.explanations import minimal_e_vectors
 from snnicheck.dot import export_dot
-from snnicheck.fixtures import demo_leaky, demo_secure, demo_sync_period_two, demo_unbounded
-from snnicheck.petri import AssumptionError, LabeledPetriNet, PetriNet
+from snnicheck.fixtures import (demo_cyclic_high, demo_leaky, demo_secure,
+                                demo_sync_period_two, demo_unbounded)
+from snnicheck.petri import (AssumptionError, InvalidNetError, LabeledPetriNet, PetriNet,
+                             check_assumptions)
 from snnicheck.randnets import random_lpn
 
-from conftest import ALL_BASIS_MARKINGS, BASIS_M0, BASIS_M1, BASIS_M2
+from conftest import (ALL_BASIS_MARKINGS, BASIS_M0, BASIS_M1, BASIS_M2, assert_pumps,
+                      unbounded_witness)
 
 
 def test_brg_states_match_expected_set(secure):
@@ -38,6 +41,52 @@ def test_brg_without_low_transitions():
 def test_brg_refuses_unbounded():
     with pytest.raises(AssumptionError):
         build_brg(demo_unbounded())
+
+
+def test_brg_witness_of_demo_unbounded():
+    with pytest.raises(AssumptionError) as refused:
+        build_brg(demo_unbounded())
+    assert unbounded_witness(str(refused.value)) == (("t",), 0)
+    assert str(refused.value) == check_assumptions(demo_unbounded()).describe_failure()
+
+
+def test_brg_witness_expands_the_hidden_pump():
+    # Only a high firing enables the low transition that pumps p.
+    net = PetriNet(("p", "q"), ("h", "l"), [("p", "h"), ("h", "q"), ("q", "l"), ("l", "p", 2)],
+                   (1, 0))
+    lpn = LabeledPetriNet(net, {"h": "f", "l": "a"}, high_labels={"f"})
+    with pytest.raises(AssumptionError) as refused:
+        build_brg(lpn)
+    path, pump_start = unbounded_witness(str(refused.value))
+    assert "h" in path
+    assert_pumps(net, path, pump_start)
+
+
+def test_brg_keeps_the_cyclic_high_refusal():
+    with pytest.raises(AssumptionError) as refused:
+        build_brg(demo_cyclic_high())
+    assert str(refused.value) == check_assumptions(demo_cyclic_high()).describe_failure()
+    assert "cycle" in str(refused.value)
+
+
+def test_brg_cap_bounds_the_reachable_markings(secure):
+    # The secure demo has 9 reachable markings but only 8 basis markings.  The
+    # report cached by the first build does not answer the smaller cap.
+    assert len(build_brg(secure, cap=9).nfa.states) == 8
+    with pytest.raises(AssumptionError, match="exploration cap of 8 markings exhausted"):
+        build_brg(secure, cap=8)
+    with pytest.raises(InvalidNetError, match="exploration cap must be positive"):
+        build_brg(secure, cap=0)
+
+
+def test_brg_with_a_high_transition_that_changes_nothing():
+    # An isolated high transition fires forever without changing a token; the
+    # high-run search leaves it out instead of counting its firings.
+    net = PetriNet(("p", "q"), ("h", "l"), [("p", "l"), ("l", "q")], (1, 0))
+    lpn = LabeledPetriNet(net, {"h": "f", "l": "a"}, high_labels={"f"})
+    brg = build_brg(lpn)
+    assert brg.nfa.arcs == (((1, 0), BrgEvent("l", (0,)), (0, 1)),)
+    assert minimal_e_vectors(lpn, (1, 0), "l").evectors == {(0,)}
 
 
 def test_path_transitions_and_vector_sum():

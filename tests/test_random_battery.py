@@ -12,12 +12,15 @@ from snnicheck.language import bounded_language, word_in_language
 from snnicheck.netdoc import serialize_net
 from snnicheck.nfa import EPSILON
 from snnicheck.oracle import snni_oracle
-from snnicheck.petri import explore_markings
-from snnicheck.randnets import GeneratorConfig, random_lpn
+from snnicheck.petri import (AssumptionError, _high_subnet_cycle, check_assumptions,
+                             explore_markings)
+from snnicheck.randnets import GeneratorConfig, _candidate, random_lpn
 from snnicheck.reach import (low_label_language, projected_label_language,
                              reachability_graph)
 from snnicheck.report import analyze
 from snnicheck.verifier import build_sv, decide_snni
+
+from conftest import assert_pumps, unbounded_witness
 
 CROSS_VALIDATION_SEEDS = range(1, 201)
 PROJECTION_SEEDS = range(1, 51)
@@ -25,6 +28,7 @@ QUERY_SEEDS = range(1, 31)
 STRUCTURE_SEEDS = range(1, 41)
 BIG = GeneratorConfig(max_places=14, max_transitions=20, max_tokens=6, bound_cap=100_000)
 BIG_QUERY_SEEDS = range(1, 41)
+HUGE = GeneratorConfig(max_places=20, max_transitions=30, max_tokens=10, bound_cap=300_000)
 
 
 def test_pipeline_and_oracle_agree_on_random_nets():
@@ -184,6 +188,55 @@ def test_justification_markings_exhaust_basis_states_by_depth():
                         if dst not in within}
             within |= frontier
         assert union == within, seed
+
+
+def _assumption_outcome(report):
+    return (report.bounded, report.high_subnet_acyclic, report.reachable_count)
+
+
+def test_basis_route_proof_agrees_with_full_exploration(monkeypatch):
+    import snnicheck.petri as petri
+    nets = [(config, random_lpn(seed, config))
+            for config, seeds in ((GeneratorConfig(), range(1, 401)), (BIG, range(1, 41)),
+                                  (HUGE, range(1, 13)))
+            for seed in seeds]
+    full = [_assumption_outcome(check_assumptions(lpn, config.bound_cap)) for config, lpn in nets]
+
+    def no_exploration(net, cap):
+        raise AssertionError("the basis route explored the full net")
+
+    monkeypatch.setattr(petri, "explore_markings", no_exploration)
+    for (config, lpn), expected in zip(nets, full):
+        build_brg(lpn, config.bound_cap)
+        assert _assumption_outcome(lpn.require_assumptions(config.bound_cap)) == expected
+
+
+def test_basis_route_refuses_what_full_exploration_refuses():
+    # Raw acyclic generator candidates, unbounded ones included.
+    outcomes = {}
+    for config in (GeneratorConfig(), BIG):
+        rng = random.Random(1018)
+        tried = 0
+        while tried < 150:
+            lpn = _candidate(rng, config)
+            if _high_subnet_cycle(lpn) is not None:
+                continue
+            tried += 1
+            full = check_assumptions(lpn, 3000)
+            try:
+                build_brg(lpn, 3000)
+            except AssumptionError as exc:
+                basis = str(exc)
+            else:
+                basis = lpn.require_assumptions(3000).reachable_count
+            if full.ok:
+                assert basis == full.reachable_count, serialize_net(lpn)
+            else:
+                assert isinstance(basis, str), serialize_net(lpn)
+                if basis.startswith("net is unbounded"):
+                    assert_pumps(lpn.net, *unbounded_witness(basis))
+            outcomes[full.bounded] = outcomes.get(full.bounded, 0) + 1
+    assert outcomes[True] and outcomes[False]
 
 
 def test_documents_round_trip_random_nets():

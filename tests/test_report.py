@@ -5,8 +5,9 @@ import pytest
 import snnicheck.petri as petri
 import snnicheck.reach as reach
 from snnicheck.basis import build_brg, build_ubrg
-from snnicheck.fixtures import demo_leaky, demo_secure
-from snnicheck.petri import LabeledPetriNet, PetriNet
+from snnicheck.fixtures import demo_leaky, demo_secure, demo_sync_period_two
+from snnicheck.oracle import snni_oracle
+from snnicheck.petri import LabeledPetriNet, PetriNet, check_assumptions
 from snnicheck.report import analyze
 from snnicheck.verifier import build_sv, sv_verdict
 
@@ -47,11 +48,36 @@ def test_analyze_explores_each_state_space_once(monkeypatch, demo):
     lpn = demo()
     low_transitions = lpn.low_subnet().net.transitions
     explored = _record_explorations(monkeypatch)
-    analyze(lpn)
-    # The full net once, for the assumption check; the low subnet once, for
-    # its label language.
-    assert explored.count(lpn.net.transitions) == 1
+    report = analyze(lpn)
+    # The full net never: the BRG saturation proves the assumptions; the low
+    # subnet once, for its label language.
+    assert explored.count(lpn.net.transitions) == 0
     assert explored.count(low_transitions) == 1
+    assert len(explored) == 1
+    assert report.reachable_markings == check_assumptions(demo()).reachable_count
+
+
+@pytest.mark.parametrize("demo", [demo_secure, demo_leaky, demo_sync_period_two])
+def test_build_brg_explores_nothing(monkeypatch, demo):
+    lpn = demo()
+    explored = _record_explorations(monkeypatch)
+    build_brg(lpn)
+    # The passing report is cached, so later requirements explore nothing either.
+    lpn.require_assumptions()
+    build_ubrg(lpn)
+    assert explored == []
+
+
+@pytest.mark.parametrize("demo", [demo_secure, demo_leaky])
+def test_oracle_explores_the_full_net_after_analyze(monkeypatch, demo):
+    lpn = demo()
+    analyze(lpn)
+    explored = _record_explorations(monkeypatch)
+    snni_oracle(lpn)
+    # The oracle proves boundedness with its own exploration, whatever the
+    # basis route has cached on the net.
+    assert explored.count(lpn.net.transitions) == 1
+    assert explored.count(lpn.low_subnet().net.transitions) == 1
     assert len(explored) == 2
 
 
