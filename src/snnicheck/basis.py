@@ -153,8 +153,10 @@ def build_brg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Brg:
     :meth:`~snnicheck.petri.LabeledPetriNet.require_assumptions`, which
     refuses it.  Otherwise every high run is finite and every reachable
     marking is a basis marking followed by high firings, so the reachable
-    markings are the union of the run markings of every basis marking, and
-    ``cap`` bounds that union.  The net is bounded iff the saturation ends:
+    markings are the union of the run markings of every basis marking.  The
+    union is counted level by level inside each search, so a search stops
+    soon after the union passes ``cap``, however many runs it has left.  The
+    net is bounded iff the saturation ends:
     on an unbounded net, some new basis marking strictly dominates an
     ancestor on its discovery path (König's and Dickson's lemmas), and each
     new basis marking is compared with those ancestors, pruned by token
@@ -181,10 +183,7 @@ def build_brg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Brg:
     while queue:
         node = queue.popleft()
         m, path_min = node[0], node[5]
-        answers, run_markings = high_run_answers(lpn, m)
-        reachable.update(run_markings)
-        if len(reachable) > cap:
-            raise AssumptionError(_report(None, None, cap).describe_failure())
+        answers = high_run_answers(lpn, m, reachable, cap)[0]
         for t, found in answers:
             delta = net.delta[t]
             label = lpn.labeling[t]
@@ -198,8 +197,11 @@ def build_brg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Brg:
                     ancestor = node
                     while ancestor is not None and ancestor[5] < tokens:
                         if ancestor[4] < tokens and all(map(le, ancestor[0], successor)):
-                            witness = _domination_witness(node, ancestor, run, t)
-                            raise AssumptionError(_report(False, witness, cap).describe_failure())
+                            raise AssumptionError(AssumptionReport(
+                                bounded=False, reachable_count=None,
+                                domination_witness=_domination_witness(node, ancestor, run, t),
+                                high_subnet_acyclic=True, high_cycle=None,
+                                cap=cap).describe_failure())
                         ancestor = ancestor[1]
                     known = seen[successor] = successor
                     states.append(successor)
@@ -210,13 +212,6 @@ def build_brg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Brg:
         high_subnet_acyclic=True, high_cycle=None, cap=cap)
     return Brg(nfa=Nfa._from_unique(tuple(states), tuple(arcs), (root,), labeling),
                initial=root)
-
-
-def _report(bounded: bool | None, witness: DominationWitness | None,
-            cap: int) -> AssumptionReport:
-    """A failing report of a net whose high subnet is acyclic."""
-    return AssumptionReport(bounded=bounded, reachable_count=None, domination_witness=witness,
-                            high_subnet_acyclic=True, high_cycle=None, cap=cap)
 
 
 def _domination_witness(parent: tuple, ancestor: tuple, run: TransitionSequence,

@@ -29,8 +29,9 @@ from dataclasses import dataclass
 from operator import le
 from typing import Iterable, Mapping, Sequence
 
-from .petri import (DEFAULT_EXPLORATION_CAP, InvalidNetError, LabeledPetriNet,
-                    Marking, ParikhVector, TransitionSequence, parikh, shift)
+from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionError, AssumptionReport,
+                    InvalidNetError, LabeledPetriNet, Marking, ParikhVector,
+                    TransitionSequence, parikh, shift)
 
 
 @dataclass(frozen=True)
@@ -117,18 +118,6 @@ def minimal_e_vectors(lpn: LabeledPetriNet, m: Sequence[int], t: str,
     return _explanation_set(marking, t, dict(high_run_answers(lpn, marking)[0]).get(t, ()))
 
 
-def minimal_e_vectors_at(lpn: LabeledPetriNet,
-                         marking: Marking) -> dict[str, MinimalExplanationSet]:
-    """Minimal explanation sets of every low transition at ``marking``.
-
-    For callers that have already required the standing assumptions and pass
-    a marking of the net's own making; nothing is validated here.  The sets
-    are built afresh from the cached answers of :func:`high_run_answers`.
-    """
-    found = dict(high_run_answers(lpn, marking)[0])
-    return {t: _explanation_set(marking, t, found.get(t, ())) for t in lpn.low_transitions}
-
-
 def _explanation_set(marking: Marking, t: str,
                      found: tuple[Answer, ...]) -> MinimalExplanationSet:
     witnesses = {vector: run for vector, _, run in found}
@@ -136,7 +125,8 @@ def _explanation_set(marking: Marking, t: str,
                                  evectors=frozenset(witnesses), witnesses=witnesses)
 
 
-def high_run_answers(lpn: LabeledPetriNet, marking: Marking) -> HighRunAnswers:
+def high_run_answers(lpn: LabeledPetriNet, marking: Marking,
+                     reachable: set[Marking] | None = None, cap: int = 0) -> HighRunAnswers:
     """Minimal explanations of every low transition at ``marking``, and the run markings.
 
     The first part lists, for each low transition that has any, in
@@ -147,11 +137,17 @@ def high_run_answers(lpn: LabeledPetriNet, marking: Marking) -> HighRunAnswers:
     the search ends only when the high subnet is acyclic and every high
     transition has an input place or changes no token.  Both parts are cached
     on the net, keyed by marking.
+
+    When ``reachable`` is given, the run markings are added to it level by
+    level, and :class:`~snnicheck.petri.AssumptionError` is raised as soon as
+    it holds more than ``cap`` markings, so the cap bounds the search itself.
     """
     cached = lpn._explanation_cache.get(marking)
     if cached is not None:
+        if reachable is not None:
+            _count(reachable, cached[1], cap)
         return cached
-    runs = _high_runs(lpn, marking)
+    runs = _high_runs(lpn, marking, reachable, cap)
     answers = []
     for t in lpn.low_transitions:
         pre = lpn.net.pre[t]
@@ -174,13 +170,24 @@ def high_run_answers(lpn: LabeledPetriNet, marking: Marking) -> HighRunAnswers:
     return cached
 
 
-def _high_runs(lpn: LabeledPetriNet, marking: Marking) -> list[Answer]:
+def _count(reachable: set[Marking], markings: Iterable[Marking], cap: int) -> None:
+    reachable.update(markings)
+    if len(reachable) > cap:
+        raise AssumptionError(AssumptionReport(
+            bounded=None, reachable_count=None, domination_witness=None,
+            high_subnet_acyclic=True, high_cycle=None, cap=cap).describe_failure())
+
+
+def _high_runs(lpn: LabeledPetriNet, marking: Marking,
+               reachable: set[Marking] | None, cap: int) -> list[Answer]:
     """Every count vector of a high run from ``marking``, with its marking and first run.
 
     Listed level by level over the total firing count; within a level, in
     the order the vectors were first generated.  High transitions that
     change no token are left out: they cannot help enable anything, so they
     occur in no minimal vector, and counting their firings would never end.
+    Each level's markings are counted into ``reachable``, when given, before
+    the next level is generated.
     """
     net = lpn.net
     moves = [(i, h, net.pre[h], net.delta[h]) for i, h in enumerate(lpn.high_transitions)
@@ -191,6 +198,8 @@ def _high_runs(lpn: LabeledPetriNet, marking: Marking) -> list[Answer]:
     visited = {zero}
     while level:
         runs.extend(level)
+        if reachable is not None:
+            _count(reachable, [r[1] for r in level], cap)
         next_level = []
         for vector, current, seq in level:
             for i, h, pre, delta in moves:

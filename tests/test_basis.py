@@ -79,6 +79,21 @@ def test_brg_cap_bounds_the_reachable_markings(secure):
         build_brg(secure, cap=0)
 
 
+def test_brg_cap_stops_a_large_high_run_search():
+    # 200 tokens spread by four high transitions: about 70 million reachable
+    # markings, all reached by high firings from the initial marking.  The cap
+    # must stop the very first high-run search, as it stops full exploration.
+    places = ("p", "q1", "q2", "q3", "q4")
+    highs = ("h1", "h2", "h3", "h4")
+    arcs = [a for i, h in enumerate(highs, 1) for a in (("p", h), (h, f"q{i}"))]
+    net = PetriNet(places, highs, arcs, (200, 0, 0, 0, 0))
+    lpn = LabeledPetriNet(net, {h: "f" for h in highs}, high_labels={"f"})
+    with pytest.raises(AssumptionError) as refused:
+        build_brg(lpn, cap=1000)
+    assert str(refused.value) == "boundedness unknown: exploration cap of 1000 markings exhausted"
+    assert str(refused.value) == check_assumptions(lpn, cap=1000).describe_failure()
+
+
 def test_brg_with_a_high_transition_that_changes_nothing():
     # An isolated high transition fires forever without changing a token; the
     # high-run search leaves it out instead of counting its firings.
