@@ -11,14 +11,22 @@ tree as a set of basis states, so the check costs the same at any depth.
 Every leaf whose path consumed a nonzero explanation vector (a flag also
 inherited from the parent) receives an alpha tag (fresh marking) or beta tag
 (repeated marking).  Those tags are what the interference verifier matches.
+
+The unfolding is stored as columns, parallel lists indexed by node id (BRG
+state, parent, incoming arc payload, first child), plus a sparse map of
+tags and the set of duplicated ids.  A large unfolding is then a handful of
+lists, not one object per node for the garbage collector to walk.  Node
+objects and the tree automaton are views built on access, for tests and
+callers that want them; nothing on the decision or export path builds them.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from operator import le
-from typing import Iterable, NamedTuple
+from operator import itemgetter, le
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .explanations import high_run_answers
 from .nfa import Nfa
@@ -49,6 +57,21 @@ class Tag(NamedTuple):
         return f"{self.kind}_{self.number}"
 
 
+def sorted_tags(tags: Iterable[Tag]) -> list[Tag]:
+    """``sorted(tags)``, with each kind's tags sorted by their plain int numbers.
+
+    Sorting the tags as tuples compares kinds again for every pair, which
+    costs twice as much on the tens of thousands of tags of a large unfolding.
+    """
+    by_kind: dict[str, list[Tag]] = {}
+    for tag in tags:
+        by_kind.setdefault(tag.kind, []).append(tag)
+    ordered: list[Tag] = []
+    for kind in sorted(by_kind):
+        ordered += sorted(by_kind[kind], key=itemgetter(1))
+    return ordered
+
+
 @dataclass(frozen=True)
 class Brg:
     """Basis reachability graph; NFA states are the basis markings themselves."""
@@ -63,39 +86,101 @@ class Brg:
 
 @dataclass
 class UbrgNode:
+    """One unfolding node, built on access by :attr:`UbrgResult.nodes`."""
+
     node_id: int
     marking: Marking
     tag: Tag | None = None
     duplicated: bool = False
 
 
-@dataclass
-class UbrgResult:
-    """Unfolded graph (a tree over node ids) plus the tag bookkeeping.
+class TreeNodes(Mapping):
+    """Read-only ``{node id: node}`` view over a tree's columns.
 
-    Node ``k > 0`` is created with arc ``k - 1`` of ``tree``, its one parent link.
+    Ids run from 0 to ``len - 1``.  Each access builds a fresh node object
+    from the columns; nothing is stored per node.
     """
 
-    tree: Nfa
-    root: int
-    nodes: dict[int, UbrgNode]
+    __slots__ = ("_size", "_node")
+
+    def __init__(self, size: int, node: Callable[[int], object]):
+        self._size = size
+        self._node = node
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(self._size))
+
+    def __getitem__(self, node_id: int):
+        if isinstance(node_id, int) and 0 <= node_id < self._size:
+            return self._node(node_id)
+        raise KeyError(node_id)
+
+
+@dataclass
+class UbrgResult:
+    """Unfolded graph as parallel columns indexed by node id, plus the tags.
+
+    The root is node 0.  Breadth-first creation gives each expanded node's
+    children consecutive ids, in the order of its BRG state's arcs: child
+    ``first_child[k] + j`` copies arc ``j`` of state ``state[k]``.  Nothing
+    is allocated per node beyond the column entries; the arc payloads are
+    the BRG's own ``BrgEvent`` objects.  :attr:`nodes` and :attr:`tree` are
+    views built from the columns on access.
+    """
+
+    brg: Brg
+    #: Per node: the index of its marking in ``brg.nfa.states``.
+    state: list[int]
+    #: Per node: its parent's id (-1 at the root).
+    parent: list[int]
+    #: Per node: the BRG arc payload it was created with (``None`` at the root).
+    event: list[BrgEvent | None]
+    #: Per node: the id of its first child, 0 for a leaf.
+    first_child: list[int]
+    #: The tag of each tagged leaf.
+    tags: dict[int, Tag]
+    #: Ids of the duplicated leaves.
+    duplicated: frozenset[int]
     alpha_tags: frozenset[Tag]
     beta_tags: frozenset[Tag]
     duplicate_markings: frozenset[Marking]
     tag_leaves: dict[Tag, int] = field(default_factory=dict)
+    root: int = 0
+
+    def marking(self, node_id: int) -> Marking:
+        return self.brg.nfa.states[self.state[node_id]]
+
+    @property
+    def nodes(self) -> TreeNodes:
+        """Read-only ``{node id: UbrgNode}`` view; each access builds the node."""
+        return TreeNodes(len(self.state), lambda k: UbrgNode(
+            k, self.marking(k), self.tags.get(k), k in self.duplicated))
+
+    @property
+    def tree(self) -> Nfa:
+        """The unfolding as an automaton over node ids, built afresh on each access.
+
+        Node ``k > 0`` is created with arc ``k - 1``, its one parent link.
+        """
+        parent, event = self.parent, self.event
+        return Nfa._from_unique(tuple(range(len(parent))),
+                                tuple((parent[k], event[k], k) for k in range(1, len(parent))),
+                                (self.root,), self.brg.nfa.labeling)
 
     def root_path_events(self, node_id: int) -> tuple[BrgEvent, ...]:
         """Arc payloads from the root down to ``node_id``."""
         events: list[BrgEvent] = []
-        current = node_id
-        while current != self.root:
-            current, event, _ = self.tree.arcs[current - 1]
-            events.append(event)
+        while node_id != self.root:
+            events.append(self.event[node_id])
+            node_id = self.parent[node_id]
         events.reverse()
         return tuple(events)
 
     def leaf_ids(self) -> tuple[int, ...]:
-        return tuple(nid for nid in self.nodes if not self.tree.arcs_from(nid))
+        return tuple(k for k, first in enumerate(self.first_child) if not first)
 
 
 def path_transitions(events: Iterable[BrgEvent]) -> TransitionSequence:
@@ -250,57 +335,63 @@ def build_ubrg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
     marking is already on its parent's path is left unexpanded and recorded
     as duplicated.  Each node also carries whether its path consumed a
     nonzero explanation vector, and exactly such leaves get a tag, numbered
-    per kind in node order.  Pass a prebuilt ``brg`` to avoid building the
-    basis graph twice.
+    per kind in node order.  Nodes are stored as column entries, not
+    objects (see :class:`UbrgResult`).  Pass a prebuilt ``brg`` to avoid
+    building the basis graph twice.
     """
     if brg is None:
         brg = build_brg(lpn, cap)
     lpn.require_assumptions(cap)
-    index = {m: i for i, m in enumerate(brg.nfa.states)}
-    # Per BRG state: (event, successor marking, its index, arc consumes high firings).
-    children = [tuple((event, successor, index[successor], any(event.evector))
+    markings = brg.nfa.states
+    index = {m: i for i, m in enumerate(markings)}
+    # Per BRG state: (event, successor index, its path bit, arc consumes high firings).
+    children = [tuple((event, index[successor], 1 << index[successor], any(event.evector))
                       for event, successor in brg.nfa.arcs_from(m))
-                for m in brg.nfa.states]
-    root_marking = brg.initial
-    nodes: dict[int, UbrgNode] = {0: UbrgNode(0, root_marking)}
-    arcs: list[tuple[int, BrgEvent, int]] = []
-    duplicate_markings: set[Marking] = set()
+                for m in markings]
+    root_state = index[brg.initial]
+    state = [root_state]
+    parent = [-1]
+    events: list[BrgEvent | None] = [None]
+    first_child = [0]
+    tags: dict[int, Tag] = {}
+    duplicated: set[int] = set()
+    duplicate_states: set[int] = set()
     alpha: list[Tag] = []
     beta: list[Tag] = []
     tag_leaves: dict[Tag, int] = {}
-    root_state = index[root_marking]
     # Expandable nodes: (node id, BRG state, path bitmask including the node,
     # path consumed high firings).  Leaves are settled when they are created.
     queue: deque[tuple[int, int, int, bool]] = deque([(0, root_state, 1 << root_state, False)])
     next_id = 1
     while queue:
-        nid, state, path, consumed = queue.popleft()
-        for event, successor, child_state, high in children[state]:
+        nid, s, path, consumed = queue.popleft()
+        first_child[nid] = next_id
+        for event, child_state, bit, high in children[s]:
             if next_id > node_cap:
                 raise NetError(f"unfolding exceeds {node_cap} nodes; "
                                "raise node_cap to continue")
-            child = nodes[next_id] = UbrgNode(next_id, successor)
-            arcs.append((nid, event, next_id))
-            bit = 1 << child_state
+            state.append(child_state)
+            parent.append(nid)
+            events.append(event)
+            first_child.append(0)
             child_consumed = consumed or high
             if path & bit:
-                child.duplicated = True
-                duplicate_markings.add(successor)
+                duplicated.add(next_id)
+                duplicate_states.add(child_state)
+                if child_consumed:
+                    tag = tags[next_id] = Tag("beta", len(beta) + 1)
+                    beta.append(tag)
+                    tag_leaves[tag] = next_id
             elif children[child_state]:
                 queue.append((next_id, child_state, path | bit, child_consumed))
-            if child_consumed and (child.duplicated or not children[child_state]):
-                if child.duplicated:
-                    tag = Tag("beta", len(beta) + 1)
-                    beta.append(tag)
-                else:
-                    tag = Tag("alpha", len(alpha) + 1)
-                    alpha.append(tag)
-                child.tag = tag
+            elif child_consumed:
+                tag = tags[next_id] = Tag("alpha", len(alpha) + 1)
+                alpha.append(tag)
                 tag_leaves[tag] = next_id
             next_id += 1
 
-    tree = Nfa._from_unique(tuple(nodes), tuple(arcs), (0,), brg.nfa.labeling)
-    return UbrgResult(tree=tree, root=0, nodes=nodes,
+    return UbrgResult(brg=brg, state=state, parent=parent, event=events,
+                      first_child=first_child, tags=tags, duplicated=frozenset(duplicated),
                       alpha_tags=frozenset(alpha), beta_tags=frozenset(beta),
-                      duplicate_markings=frozenset(duplicate_markings),
+                      duplicate_markings=frozenset(markings[s] for s in duplicate_states),
                       tag_leaves=tag_leaves)

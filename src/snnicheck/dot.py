@@ -62,37 +62,55 @@ def _nfa_dot(nfa: Nfa, name: str, state_text, event_text) -> str:
 
 
 def _ubrg_dot(ubrg: UbrgResult) -> str:
+    """Rendered from the unfolding's columns; each BRG marking and event is formatted once."""
     lines = ["digraph ubrg {", "  rankdir=LR;", "  node [shape=box];"]
-    for nid, node in ubrg.nodes.items():
-        text = format_marking(node.marking)
-        if node.tag is not None:
-            text += f" {node.tag}"
-        attrs = [f"label={_quote(text)}"]
+    markings = [format_marking(m) for m in ubrg.brg.nfa.states]
+    plain = [f"label={_quote(text)}" for text in markings]
+    tags, duplicated = ubrg.tags, ubrg.duplicated
+    for nid, state in enumerate(ubrg.state):
+        tag = tags.get(nid)
+        attrs = [plain[state] if tag is None else f"label={_quote(f'{markings[state]} {tag}')}"]
         if nid == ubrg.root:
             attrs.append("peripheries=2")
-        if node.duplicated:
+        if nid in duplicated:
             attrs.append("style=dashed")
         lines.append(f"  n{nid} [{', '.join(attrs)}];")
-    for src, event, dst in ubrg.tree.arcs:
-        lines.append(f"  n{src} -> n{dst} [label={_quote(format_event(event))}];")
+    lines += _tree_arc_lines(ubrg.parent, ubrg.event, format_event)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def _sv_dot(sv: SvResult) -> str:
+    """Rendered from the verifier's columns; each marking and event is formatted once."""
     lines = ["digraph verifier {", "  rankdir=LR;", "  node [shape=box];"]
-    for nid, node in sv.nodes.items():
-        unode = sv.ubrg.nodes[node.ubrg_node]
-        text = f"{format_marking(unode.marking)} ; {format_marking(node.low_marking)}"
-        if unode.tag is not None:
-            text += f" {unode.tag}"
+    ubrg = sv.ubrg
+    markings = [format_marking(m) for m in ubrg.brg.nfa.states]
+    low_markings = {m: format_marking(m) for m in sv.low.states}
+    tags = ubrg.tags
+    dashed = sv.duplicate_pair_nodes | sv.plain_duplicate_nodes
+    for nid, (u, low) in enumerate(zip(sv.ubrg_node, sv.low_marking)):
+        text = f"{markings[ubrg.state[u]]} ; {low_markings[low]}"
+        tag = tags.get(u)
+        if tag is not None:
+            text += f" {tag}"
         attrs = [f"label={_quote(text)}"]
         if nid == sv.root:
             attrs.append("peripheries=2")
-        if nid in sv.duplicate_pair_nodes or nid in sv.plain_duplicate_nodes:
+        if nid in dashed:
             attrs.append("style=dashed")
         lines.append(f"  n{nid} [{', '.join(attrs)}];")
-    for src, (t1, t2), dst in sv.tree.arcs:
-        lines.append(f"  n{src} -> n{dst} [label={_quote(f'({t1},{t2})')}];")
+    lines += _tree_arc_lines(sv.parent, sv.event, lambda pair: f"({pair[0]},{pair[1]})")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _tree_arc_lines(parent: list[int], event: list, event_text) -> list[str]:
+    """One line per parent link, from a tree's columns; each distinct event is quoted once."""
+    labels: dict = {}
+    lines = []
+    for dst in range(1, len(parent)):
+        label = labels.get(event[dst])
+        if label is None:
+            label = labels[event[dst]] = _quote(event_text(event[dst]))
+        lines.append(f"  n{parent[dst]} -> n{dst} [label={label}];")
+    return lines

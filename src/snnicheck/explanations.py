@@ -140,7 +140,8 @@ def high_run_answers(lpn: LabeledPetriNet, marking: Marking,
 
     When ``reachable`` is given, the run markings are added to it level by
     level, and :class:`~snnicheck.petri.AssumptionError` is raised as soon as
-    it holds more than ``cap`` markings, so the cap bounds the search itself.
+    it holds more than ``cap`` markings, or the search more than ``cap`` count
+    vectors, so the cap bounds the search itself.
     """
     cached = lpn._explanation_cache.get(marking)
     if cached is not None:
@@ -187,7 +188,10 @@ def _high_runs(lpn: LabeledPetriNet, marking: Marking,
     change no token are left out: they cannot help enable anything, so they
     occur in no minimal vector, and counting their firings would never end.
     Each level's markings are counted into ``reachable``, when given, before
-    the next level is generated.
+    the next level is generated.  The cap then also bounds the count vectors,
+    which high transitions with equal effects make far more numerous than
+    the markings: once more than ``cap`` have been listed, the search stops
+    before it generates the next level.
     """
     net = lpn.net
     moves = [(i, h, net.pre[h], net.delta[h]) for i, h in enumerate(lpn.high_transitions)
@@ -200,6 +204,9 @@ def _high_runs(lpn: LabeledPetriNet, marking: Marking,
         runs.extend(level)
         if reachable is not None:
             _count(reachable, [r[1] for r in level], cap)
+            if len(visited) > cap:
+                raise AssumptionError(f"boundedness unknown: exploration cap of {cap} "
+                                      "count vectors exhausted by one high-run search")
         next_level = []
         for vector, current, seq in level:
             for i, h, pre, delta in moves:

@@ -33,10 +33,11 @@ class Nfa:
 
     ``Nfa(...)`` drops repeated states, arcs and initial states and checks
     that every arc and initial state uses a declared state.  The graphs this
-    package builds (reachability graphs, the basis reachability graph, the
-    unfolding and the verifier tree) are unique by construction: their states
-    are discovered once each and their arcs come straight from that one
-    discovery.  They go through :meth:`_from_unique`, which skips both steps.
+    package builds (reachability graphs, the basis reachability graph, and
+    the ``tree`` views of the unfolding and the verifier) are unique by
+    construction: their states are discovered once each and their arcs come
+    straight from that one discovery.  They go through :meth:`_from_unique`,
+    which skips both steps.
     """
 
     def __init__(self, states: Iterable[Hashable],
@@ -78,8 +79,10 @@ class Nfa:
         # Arcs usually arrive grouped by source, so each state's tuple is
         # built from its run of arcs in one go (a source that comes back
         # later has its tuple extended).  A list per state, converted
-        # afterwards, would leave twice the survivors and set off extra full
-        # garbage collections while a large unfolding is alive.
+        # afterwards, would leave twice the survivors for the garbage
+        # collector.  The largest automata on the decision path are
+        # reachability graphs; the trees keep their own columns and become
+        # automata only when a caller asks for their ``tree`` view.
         self._out: dict[Hashable, tuple[tuple, ...]] = dict.fromkeys(states, ())
         for s, group in groupby(arcs, key=itemgetter(0)):
             self._out[s] += tuple((e, d) for _, e, d in group)

@@ -17,7 +17,7 @@ from .explanations import minimality_filter
 from .language import language_equal
 from .petri import (DEFAULT_EXPLORATION_CAP, InvalidNetError, LabeledPetriNet,
                     LabelWord, Marking, NetError, ParikhVector,
-                    TransitionSequence, explore_markings)
+                    TransitionSequence)
 from .reach import low_label_language, projected_label_language
 from .verifier import Verdict
 
@@ -59,14 +59,18 @@ def justifications(lpn: LabeledPetriNet, word: Sequence[str] | str,
     low sequence, high counts); ``cap`` bounds the total interleaving length
     and trips the ``complete`` flag when exceeded.  The default cap is derived
     from the reachable-marking count, which bounds every high run, so the
-    default search is exhaustive.  High firings after the word is fully
-    matched are never minimal and are not explored.
+    default search is exhaustive; a net whose assumptions cannot be
+    established within :data:`~snnicheck.petri.DEFAULT_EXPLORATION_CAP`
+    markings (unbounded, too large, or with a high cycle) has no such count
+    and is refused with :class:`~snnicheck.petri.AssumptionError`.  High
+    firings after the word is fully matched are never minimal and are not
+    explored.
     """
     atoms = _word_atoms(lpn, word)
     net = lpn.net
     high = lpn.high_transitions
     if cap is None:
-        x = len(explore_markings(net, DEFAULT_EXPLORATION_CAP).markings)
+        x = lpn.require_assumptions(DEFAULT_EXPLORATION_CAP).reachable_count
         cap = len(atoms) + (len(atoms) + 1) * x
     zero = (0,) * len(high)
     raw: dict[TransitionSequence, set[ParikhVector]] = {}

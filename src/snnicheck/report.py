@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .basis import Tag, build_brg, build_ubrg
+from .basis import Tag, build_brg, build_ubrg, sorted_tags
 from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionReport, LabeledPetriNet,
                     LabelWord, format_word)
 from .verifier import Verdict, build_sv, sv_verdict
@@ -35,16 +35,18 @@ class AnalysisReport:
 
     def to_dict(self) -> dict:
         """JSON-ready view; tag sets and words are rendered deterministically."""
+        witnessed = sorted_tags(self.witness_words)
         return {
             "snni": self.snni,
-            "alpha_tags": [str(t) for t in sorted(self.alpha_tags)],
-            "beta_tags": [str(t) for t in sorted(self.beta_tags)],
-            "alpha_matched": [str(t) for t in sorted(self.alpha_matched)],
-            "beta_matched": [str(t) for t in sorted(self.beta_matched)],
-            "missing_alpha": [str(t) for t in sorted(self.verdict.missing_alpha)],
-            "missing_beta": [str(t) for t in sorted(self.verdict.missing_beta)],
-            "spurious_tags": [str(t) for t in sorted(self.verdict.spurious_tags)],
-            "witness_words": {str(t): list(w) for t, w in sorted(self.witness_words.items())},
+            "alpha_tags": _names(self.alpha_tags),
+            "beta_tags": _names(self.beta_tags),
+            "alpha_matched": _names(self.alpha_matched),
+            "beta_matched": _names(self.beta_matched),
+            "missing_alpha": _names(self.verdict.missing_alpha),
+            "missing_beta": _names(self.verdict.missing_beta),
+            "spurious_tags": _names(self.verdict.spurious_tags),
+            "witness_words": {name: list(self.witness_words[tag])
+                              for tag, name in zip(witnessed, _names(witnessed))},
             "leaked_word": list(self.leaked_word) if self.leaked_word is not None else None,
             "sizes": {
                 "brg_states": self.brg_states,
@@ -65,7 +67,7 @@ class AnalysisReport:
         lines = [f"verdict: {'SNNI' if self.snni else 'NOT SNNI'}"]
         lines.append(f"unfolding tags: alpha={_tags(self.alpha_tags)} beta={_tags(self.beta_tags)}")
         lines.append(f"matched tags:   alpha={_tags(self.alpha_matched)} beta={_tags(self.beta_matched)}")
-        for tag in sorted(self.verdict.missing_alpha | self.verdict.missing_beta):
+        for tag in sorted_tags(self.verdict.missing_alpha | self.verdict.missing_beta):
             word = self.witness_words.get(tag)
             lines.append(f"unmatched {tag}: low observation {format_word(word)} "
                          "has no low-only counterpart")
@@ -82,8 +84,13 @@ class AnalysisReport:
         return "\n".join(lines) + "\n"
 
 
+def _names(tags: Iterable[Tag]) -> list[str]:
+    """``str`` of each tag in sorted order, without a ``Tag.__str__`` call per tag."""
+    return [f"{kind}_{number}" for kind, number in sorted_tags(tags)]
+
+
 def _tags(tags: frozenset[Tag]) -> str:
-    return "{" + ", ".join(str(t) for t in sorted(tags)) + "}"
+    return "{" + ", ".join(_names(tags)) + "}"
 
 
 def analyze(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> AnalysisReport:

@@ -94,6 +94,21 @@ def test_brg_cap_stops_a_large_high_run_search():
     assert str(refused.value) == check_assumptions(lpn, cap=1000).describe_failure()
 
 
+def test_brg_cap_bounds_the_count_vectors_of_a_high_run_search():
+    # Four high transitions with the same effect: 61 reachable markings but
+    # 635,376 count vectors.  The cap bounds the vectors the search lists, so
+    # the net is refused at once instead of listing them all.
+    highs = ("h1", "h2", "h3", "h4")
+    net = PetriNet(("p", "q"), highs, [a for h in highs for a in (("p", h), (h, "q"))],
+                   (60, 0))
+    lpn = LabeledPetriNet(net, {h: "f" for h in highs}, high_labels={"f"})
+    assert check_assumptions(lpn, cap=1000).reachable_count == 61
+    with pytest.raises(AssumptionError) as refused:
+        build_brg(lpn, cap=1000)
+    assert str(refused.value) == ("boundedness unknown: exploration cap of 1000 count vectors "
+                                  "exhausted by one high-run search")
+
+
 def test_brg_with_a_high_transition_that_changes_nothing():
     # An isolated high transition fires forever without changing a token; the
     # high-run search leaves it out instead of counting its firings.

@@ -3,8 +3,9 @@
 The scripts under ``bench/`` import package names directly, so deleting or
 renaming one of them breaks the benchmark; the first test makes that fail
 here.  The traced routes call the package layer by layer, so a change to
-one layer's API breaks them; the second test runs each route on the demo
-nets and compares it with the operation it decomposes.
+one layer's API breaks them; the other tests run each route on the demo
+nets, and the check route on a big net whose trees have thousands of nodes,
+and compare it with the operation it decomposes.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from pathlib import Path
 import pytest
 
 from snnicheck.fixtures import fixture_document
+from snnicheck.netdoc import serialize_net
+from snnicheck.randnets import GeneratorConfig, random_lpn
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -34,13 +37,25 @@ def test_bench_package_imports_resolve(script):
             f"bench/{script} imports {name} from {module}, which has no such name"
 
 
+def _traced_and_plain(monkeypatch, op: str, net_seed: int, document: str):
+    monkeypatch.syspath_prepend(str(BENCH))
+    suite = importlib.import_module("suite")
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer([(net_seed, document)], time.perf_counter)
+    return tracer.traced_call(op, net_seed, document), suite.OPERATIONS[op](document)
+
+
 @pytest.mark.parametrize("op", ["check", "oracle", "brg"])
 @pytest.mark.parametrize("demo", ["secure", "leaky", "sync-period-two"])
 def test_traced_routes_return_the_operations_outputs(monkeypatch, op, demo):
     """Each traced route, call by call, gives what its operation gives."""
-    monkeypatch.syspath_prepend(str(BENCH))
-    suite = importlib.import_module("suite")
-    tracing = importlib.import_module("tracing")
-    document = fixture_document(demo)
-    tracer = tracing.Tracer([(1, document)], time.perf_counter)
-    assert tracer.traced_call(op, 1, document) == suite.OPERATIONS[op](document)
+    traced, plain = _traced_and_plain(monkeypatch, op, 1, fixture_document(demo))
+    assert traced == plain
+
+
+def test_traced_check_route_on_a_big_net(monkeypatch):
+    """Big net 24 of the benchmark's deep-unfold suite: a 7,838-node unfolding."""
+    big = GeneratorConfig(max_places=14, max_transitions=20, max_tokens=6, bound_cap=100_000)
+    traced, plain = _traced_and_plain(monkeypatch, "check", 24,
+                                      serialize_net(random_lpn(24, big)))
+    assert traced == plain

@@ -110,6 +110,25 @@ def test_justifications_cap_flag(secure):
     assert not truncated.complete
 
 
+def test_justifications_default_cap_refuses_what_cannot_be_explored():
+    # The default cap comes from the reachable-marking count, so a net with
+    # no such count within the exploration cap is refused, not searched short.
+    with pytest.raises(AssumptionError, match="net is unbounded"):
+        justifications(demo_unbounded(), ())
+    # 40 tokens spread over four places by high firings: 135,751 markings.
+    places = ("p", "q1", "q2", "q3", "q4")
+    highs = ("h1", "h2", "h3", "h4")
+    arcs = [a for i, h in enumerate(highs, 1) for a in (("p", h), (h, f"q{i}"))]
+    lpn = LabeledPetriNet(PetriNet(places, highs, arcs, (40, 0, 0, 0, 0)),
+                          {h: "f" for h in highs}, high_labels={"f"})
+    with pytest.raises(AssumptionError) as refused:
+        justifications(lpn, ())
+    assert str(refused.value) == ("boundedness unknown: exploration cap of 100000 "
+                                  "markings exhausted")
+    # An explicit cap needs no count and still searches.
+    assert justifications(lpn, (), cap=5).pairs == {((), (0, 0, 0, 0))}
+
+
 def test_justification_vectors_form_antichains(secure, leaky):
     for lpn in (secure, leaky):
         for word in bounded_language(projected_label_language(lpn), 3):

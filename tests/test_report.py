@@ -4,12 +4,15 @@ import pytest
 
 import snnicheck.petri as petri
 import snnicheck.reach as reach
-from snnicheck.basis import build_brg, build_ubrg
+from snnicheck.basis import UbrgNode, build_brg, build_ubrg
+from snnicheck.dot import export_dot
 from snnicheck.fixtures import demo_leaky, demo_secure, demo_sync_period_two
+from snnicheck.nfa import Nfa
 from snnicheck.oracle import snni_oracle
 from snnicheck.petri import LabeledPetriNet, PetriNet, check_assumptions
+from snnicheck.randnets import GeneratorConfig, random_lpn
 from snnicheck.report import analyze
-from snnicheck.verifier import build_sv, sv_verdict
+from snnicheck.verifier import SvNode, build_sv, sv_verdict
 
 
 def _record_explorations(monkeypatch) -> list:
@@ -99,3 +102,28 @@ def test_sv_verdict_explores_nothing(monkeypatch, demo):
     explored = _record_explorations(monkeypatch)
     sv_verdict(lpn, sv, brg=brg)
     assert explored == []
+
+
+def _big_net_24() -> LabeledPetriNet:
+    return random_lpn(24, GeneratorConfig(max_places=14, max_transitions=20, max_tokens=6,
+                                          bound_cap=100_000))
+
+
+@pytest.mark.parametrize("make", [demo_secure, demo_leaky, demo_sync_period_two, _big_net_24])
+def test_analyze_and_tree_exports_keep_the_trees_columnar(monkeypatch, make):
+    lpn = make()
+    automata = _record_calls(monkeypatch, Nfa, ("_index",))
+    ubrg_nodes = _record_calls(monkeypatch, UbrgNode, ("__init__",))
+    sv_nodes = _record_calls(monkeypatch, SvNode, ("__init__",))
+    report = analyze(lpn)
+    # The basis graph and the low label language are the only automata built.
+    assert automata == ["_index", "_index"]
+    assert report.ubrg_nodes > 1 and report.sv_nodes > 1
+    ubrg = build_ubrg(lpn)
+    sv = build_sv(lpn, ubrg=ubrg)
+    automata.clear()
+    export_dot(ubrg)
+    export_dot(sv)
+    assert automata == []
+    assert ubrg_nodes == []
+    assert sv_nodes == []

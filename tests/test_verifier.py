@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import pytest
 
-from snnicheck.basis import Tag, build_ubrg
-from snnicheck.fixtures import demo_sync_period_two, demo_unbounded
+from snnicheck.basis import Tag, build_brg, build_ubrg
+from snnicheck.fixtures import demo_leaky, demo_secure, demo_sync_period_two, demo_unbounded
 from snnicheck.language import word_in_language
 from snnicheck.petri import AssumptionError, NetError
+from snnicheck.randnets import GeneratorConfig, random_lpn
 from snnicheck.reach import low_label_language
 from snnicheck.verifier import Verdict, build_sv, decide_snni, sv_verdict
 
@@ -137,3 +138,59 @@ def test_verdict_iff_invariant_on_tag_grounded_fixtures(secure, leaky):
         verdict = decide_snni(lpn)
         assert verdict.snni is expected
         assert verdict.snni == (not verdict.missing_alpha and not verdict.missing_beta)
+
+
+def test_tree_node_views_are_read_only(secure):
+    sv = build_sv(secure)
+    for view in (sv.ubrg.nodes, sv.nodes):
+        assert list(view) == list(range(len(view)))
+        with pytest.raises(TypeError):
+            view[0] = view[1]
+        with pytest.raises(TypeError):
+            del view[0]
+        with pytest.raises(KeyError):
+            view[len(view)]
+        with pytest.raises(KeyError):
+            view[-1]
+        # Each access builds a fresh node; changing one changes no tree.
+        view[0].node_id = 7
+        assert view[0].node_id == 0
+
+
+@pytest.mark.parametrize("make", [
+    demo_secure, demo_leaky, demo_sync_period_two,
+    lambda: random_lpn(24, GeneratorConfig(max_places=14, max_transitions=20, max_tokens=6,
+                                           bound_cap=100_000))])
+def test_tree_views_agree_with_the_tree_data(make):
+    lpn = make()
+    brg = build_brg(lpn)
+    ubrg = build_ubrg(lpn, brg=brg)
+    sv = build_sv(lpn, ubrg=ubrg)
+    unodes, snodes = ubrg.nodes, sv.nodes
+    assert {node.tag: nid for nid, node in unodes.items() if node.tag is not None} \
+        == ubrg.tag_leaves
+    assert {node.marking for node in unodes.values() if node.duplicated} \
+        == ubrg.duplicate_markings
+    assert {nid for nid, node in unodes.items() if node.duplicated} == ubrg.duplicated
+    # Every tree arc copies a BRG arc between the markings of its two nodes.
+    tree = ubrg.tree
+    assert tree.states == tuple(unodes)
+    brg_arcs = set(brg.nfa.arcs)
+    for src, event, dst in tree.arcs:
+        assert (unodes[src].marking, event, unodes[dst].marking) in brg_arcs
+    assert ubrg.leaf_ids() == tuple(nid for nid in unodes if not tree.arcs_from(nid))
+    # Every verifier arc pairs an unfolding arc with an equally labeled low arc.
+    unfolding_arcs = {(src, dst): event.transition for src, event, dst in tree.arcs}
+    low_arcs = set(sv.low.arcs)
+    sv_tree = sv.tree
+    assert sv_tree.states == tuple(snodes)
+    for src, (t, t_low), dst in sv_tree.arcs:
+        a, b = snodes[src], snodes[dst]
+        assert unfolding_arcs[(a.ubrg_node, b.ubrg_node)] == t
+        assert (a.low_marking, t_low, b.low_marking) in low_arcs
+        assert sv_tree.label_of((t, t_low)) == lpn.label(t)
+    # Exactly the duplicate beta pairings match beta tags.
+    duplicate_tags = {unodes[snodes[nid].ubrg_node].tag for nid in sv.duplicate_pair_nodes}
+    assert all(tag is not None and tag.kind == "beta" for tag in duplicate_tags)
+    assert duplicate_tags == sv.beta_matched
+    assert {unodes[node.ubrg_node].tag for node in snodes.values()} >= sv.alpha_matched
