@@ -111,11 +111,14 @@ def minimal_e_vectors(lpn: LabeledPetriNet, m: Sequence[int], t: str,
     module docstring): exactly the minimal set, each vector paired with its
     first witness sequence in breadth-first order.  The search terminates
     because of both standing assumptions, which are verified (and the report
-    cached) before it runs.
+    cached) before it runs.  ``cap`` also bounds the search itself, as in
+    :func:`~snnicheck.basis.build_brg`: it is refused once it has listed more
+    than ``cap`` count vectors, or its runs more than ``cap`` markings.
     """
     marking = _check_low_query(lpn, m, t)
     lpn.require_assumptions(cap)
-    return _explanation_set(marking, t, dict(high_run_answers(lpn, marking)[0]).get(t, ()))
+    answers = high_run_answers(lpn, marking, set(), cap)[0]
+    return _explanation_set(marking, t, dict(answers).get(t, ()))
 
 
 def _explanation_set(marking: Marking, t: str,

@@ -2,16 +2,23 @@
 
 A document lists places with initial tokens, transitions with a label and a
 visibility level ("low" or "high"), and weighted place/transition arcs.
-Parsing validates the document shape with field-path diagnostics, then hands
-off to the core constructors so every structural invariant is enforced at
-load time.
+Parsing validates the document shape, then hands off to the core
+constructors so every structural invariant is enforced at load time.
+
+Each place, transition and arc entry is first checked directly: an exact
+``dict`` whose keys are all allowed and whose values have the exact types and
+values required, which builds nothing but the spec.  An entry that fails any
+of those checks is checked again field by field, in a fixed order, and
+raises a :class:`NetDocumentError` naming the first offending field, so an
+entry gets the same spec or the same diagnostic as it would from the field
+checks alone.  The specs are named tuples: immutable, one tuple each.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .petri import LabeledPetriNet, NetError, PetriNet
 
@@ -27,21 +34,18 @@ class NetDocumentError(NetError):
         self.path = path
 
 
-@dataclass(frozen=True)
-class PlaceSpec:
+class PlaceSpec(NamedTuple):
     id: str
     initial_tokens: int = 0
 
 
-@dataclass(frozen=True)
-class TransitionSpec:
+class TransitionSpec(NamedTuple):
     id: str
     label: str
     level: str
 
 
-@dataclass(frozen=True)
-class ArcSpec:
+class ArcSpec(NamedTuple):
     source: str
     target: str
     weight: int = 1
@@ -57,7 +61,7 @@ class NetDocument:
     def to_lpn(self) -> LabeledPetriNet:
         """Build the validated labeled net this document describes."""
         levels_by_label: dict[str, set[str]] = {}
-        for i, t in enumerate(self.transitions):
+        for t in self.transitions:
             levels_by_label.setdefault(t.label, set()).add(t.level)
         for label, levels in sorted(levels_by_label.items()):
             if len(levels) > 1:
@@ -66,7 +70,7 @@ class NetDocument:
                     "the low and high alphabets must be disjoint", "transitions")
         net = PetriNet(places=[p.id for p in self.places],
                        transitions=[t.id for t in self.transitions],
-                       arcs=[(a.source, a.target, a.weight) for a in self.arcs],
+                       arcs=self.arcs,
                        initial_marking=[p.initial_tokens for p in self.places])
         labeling = {t.id: t.label for t in self.transitions}
         high = {t.label for t in self.transitions if t.level == "high"}
@@ -155,7 +159,23 @@ def _fields(path: str, entry: Any, required: dict[str, type], optional: dict[str
     return out
 
 
+# Each entry is checked directly first; one that fails is checked again by
+# its ``_*_by_fields`` function, which names the first offending field.
+_PLACE_KEYS = frozenset({"id", "initial_tokens"})
+_TRANSITION_KEYS = frozenset({"id", "label", "level"})
+_ARC_KEYS = frozenset({"from", "to", "weight"})
+
+
 def _place(i: int, entry: Any) -> PlaceSpec:
+    if type(entry) is dict and entry.keys() <= _PLACE_KEYS:
+        place = entry.get("id")
+        tokens = entry.get("initial_tokens", 0)
+        if type(place) is str and type(tokens) is int and tokens >= 0:
+            return PlaceSpec(place, tokens)
+    return _place_by_fields(i, entry)
+
+
+def _place_by_fields(i: int, entry: Any) -> PlaceSpec:
     f = _fields(f"places[{i}]", entry, {"id": str}, {"initial_tokens": 0})
     if f["initial_tokens"] < 0:
         raise NetDocumentError("must be non-negative", f"places[{i}].initial_tokens")
@@ -163,6 +183,17 @@ def _place(i: int, entry: Any) -> PlaceSpec:
 
 
 def _transition(i: int, entry: Any) -> TransitionSpec:
+    if type(entry) is dict and entry.keys() <= _TRANSITION_KEYS:
+        transition = entry.get("id")
+        label = entry.get("label")
+        level = entry.get("level")
+        if (type(transition) is str and type(label) is str and label
+                and type(level) is str and level in _LEVELS):
+            return TransitionSpec(transition, label, level)
+    return _transition_by_fields(i, entry)
+
+
+def _transition_by_fields(i: int, entry: Any) -> TransitionSpec:
     f = _fields(f"transitions[{i}]", entry, {"id": str, "label": str, "level": str}, {})
     if f["level"] not in _LEVELS:
         raise NetDocumentError(f"must be one of {_LEVELS}, got {f['level']!r}",
@@ -173,6 +204,16 @@ def _transition(i: int, entry: Any) -> TransitionSpec:
 
 
 def _arc(i: int, entry: Any) -> ArcSpec:
+    if type(entry) is dict and entry.keys() <= _ARC_KEYS:
+        source = entry.get("from")
+        target = entry.get("to")
+        weight = entry.get("weight", 1)
+        if type(source) is str and type(target) is str and type(weight) is int and weight >= 1:
+            return ArcSpec(source, target, weight)
+    return _arc_by_fields(i, entry)
+
+
+def _arc_by_fields(i: int, entry: Any) -> ArcSpec:
     f = _fields(f"arcs[{i}]", entry, {"from": str, "to": str}, {"weight": 1})
     if f["weight"] < 1:
         raise NetDocumentError("must be at least 1", f"arcs[{i}].weight")

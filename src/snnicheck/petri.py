@@ -198,15 +198,30 @@ class PetriNet:
                 yield t
 
     def induced_subnet(self, keep: Iterable[str]) -> PetriNet:
-        """Subnet over the same places, keeping only the transitions in ``keep``."""
+        """Subnet over the same places, keeping only the transitions in ``keep``.
+
+        Only the selection is validated.  The subnet is cut from this net's
+        validated tables rather than built by the constructor: it shares the
+        places, their index and the initial marking, keeps the arcs of the
+        kept transitions in their order and their ``pre``/``delta`` entries,
+        and indexes the kept transitions afresh in declaration order.
+        """
         keep_set = set(keep)
-        unknown = keep_set - set(self.transitions)
+        unknown = keep_set - self._transition_index.keys()
         if unknown:
             raise InvalidNetError(f"unknown transitions in subnet selection: {sorted(unknown)}")
         kept = tuple(t for t in self.transitions if t in keep_set)
-        arcs = {(s, d): w for (s, d), w in self.weight.items()
-                if s in keep_set or d in keep_set}
-        return PetriNet(self.places, kept, arcs, self.initial_marking)
+        sub = PetriNet.__new__(PetriNet)
+        sub.places = self.places
+        sub.transitions = kept
+        sub._place_index = self._place_index
+        sub._transition_index = {t: i for i, t in enumerate(kept)}
+        sub.weight = {arc: w for arc, w in self.weight.items()
+                      if arc[0] in keep_set or arc[1] in keep_set}
+        sub.initial_marking = self.initial_marking
+        sub.pre = {t: self.pre[t] for t in kept}
+        sub.delta = {t: self.delta[t] for t in kept}
+        return sub
 
     def __repr__(self) -> str:
         return (f"PetriNet(|P|={len(self.places)}, |T|={len(self.transitions)}, "
@@ -293,10 +308,22 @@ class LabeledPetriNet:
         return self.labeling[self.net.check_transition(t)] in self.low_labels
 
     def low_subnet(self) -> LabeledPetriNet:
-        """Low-transition-induced subnet with the restricted labeling."""
-        sub = self.net.induced_subnet(self.low_transitions)
-        sub_labels = {t: self.labeling[t] for t in self.low_transitions}
-        return LabeledPetriNet(sub, sub_labels, high_labels=())
+        """Low-transition-induced subnet with the restricted labeling.
+
+        Cut from this net's validated tables without the constructor's
+        checks: its alphabet is the low labels, it has no high labels, and
+        its assumption report and explanation cache start empty.
+        """
+        sub = LabeledPetriNet.__new__(LabeledPetriNet)
+        sub.net = self.net.induced_subnet(self.low_transitions)
+        sub.labeling = {t: self.labeling[t] for t in self.low_transitions}
+        sub.alphabet = sub.low_labels = self.low_labels
+        sub.high_labels = frozenset()
+        sub.low_transitions = self.low_transitions
+        sub.high_transitions = ()
+        sub._assumption_report = None
+        sub._explanation_cache = {}
+        return sub
 
     def high_subnet(self) -> PetriNet:
         return self.net.induced_subnet(self.high_transitions)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .nfa import EPSILON, Nfa
-from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionError, LabeledPetriNet,
-                    PetriNet, explore_markings)
+from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionError, InvalidNetError,
+                    LabeledPetriNet, PetriNet, explore_markings)
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,8 @@ class ReachGraph:
 def _reachability_nfa(net: PetriNet, cap: int,
                       labeling: Mapping[str, str] | None = None) -> Nfa:
     """Explore every reachable marking once and build its automaton once."""
+    if cap <= 0:
+        raise InvalidNetError(f"exploration cap must be positive, got {cap}")
     exploration = explore_markings(net, cap)
     if exploration.domination_witness is not None:
         w = exploration.domination_witness

@@ -159,3 +159,12 @@ def test_malformed_document_exit_two(tmp_path, capsys):
     path.write_text("{", encoding="utf-8")
     assert run_cli(["check", "--net", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "oracle", "brg", "reach", "info", "explain"])
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_non_positive_cap_is_rejected(net_file, capsys, command, cap):
+    assert run_cli([command, "--net", net_file("secure"), "--cap", cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: exploration cap must be positive, got {cap}\n"
+    assert captured.out == ""

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
 from snnicheck.explanations import (Explanation, explanations_bounded,
                                     minimal_e_vectors, minimality_filter)
 from snnicheck.fixtures import demo_unbounded
-from snnicheck.petri import AssumptionError, InvalidNetError, explore_markings
+from snnicheck.petri import (AssumptionError, InvalidNetError, LabeledPetriNet, PetriNet,
+                             check_assumptions, explore_markings)
 
 
 def test_explanation_sets_at_initial(secure):
@@ -112,3 +115,23 @@ def test_antichain_and_soundness_on_leaky(leaky):
                 witness = result.witnesses[vector]
                 after = high_net.fire_sequence(m, witness)
                 assert leaky.net.enabled(after, t)
+
+
+def test_minimal_e_vectors_cap_bounds_the_high_run_search():
+    # Four high transitions p -> q with the same effect and a low l: q -> r.
+    # With 20 tokens the net has 231 reachable markings, but the search from
+    # the initial marking has 10,626 count vectors; the cap bounds those too,
+    # so the query is refused as the basis graph refuses it.
+    highs = ("h1", "h2", "h3", "h4")
+    arcs = [a for h in highs for a in (("p", h), (h, "q"))] + [("q", "l"), ("l", "r")]
+    net = PetriNet(("p", "q", "r"), highs + ("l",), arcs, (20, 0, 0))
+    lpn = LabeledPetriNet(net, {**{h: "f" for h in highs}, "l": "a"}, high_labels={"f"})
+    assert check_assumptions(lpn, cap=1000).reachable_count == 231
+    start = time.perf_counter()
+    with pytest.raises(AssumptionError) as refused:
+        minimal_e_vectors(lpn, (20, 0, 0), "l", cap=1000)
+    assert time.perf_counter() - start < 1.0
+    assert str(refused.value) == ("boundedness unknown: exploration cap of 1000 count vectors "
+                                  "exhausted by one high-run search")
+    assert minimal_e_vectors(lpn, (20, 0, 0), "l", cap=20_000).evectors == {
+        (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)}

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from snnicheck.fixtures import demo_secure, fixture_document
+from snnicheck import netdoc
+from snnicheck.fixtures import DEMOS, demo_secure, fixture_document
 from snnicheck.netdoc import (NetDocument, NetDocumentError, parse_net,
                               serialize_net)
+from snnicheck.petri import InvalidNetError, LabeledPetriNet, NetError
+from snnicheck.randnets import random_lpn
+
+from conftest import demo_and_suite_nets
 
 
 def test_parse_fixture_document():
@@ -125,3 +132,208 @@ def test_zero_weight_rejected():
     bad = _doc(arcs=[{"from": "p1", "to": "t1", "weight": 0}])
     with pytest.raises(NetDocumentError, match="at least 1"):
         parse_net(bad)
+
+
+_T1 = {"id": "t1", "label": "a", "level": "low"}
+
+#: One row per diagnostic: (case, document text or bytes, full message, path).
+#: Each document holds one fault, or several where the row pins which of them
+#: is reported first.
+_DIAGNOSTICS = [
+    ("root not an object", "[]", "document root must be an object", ""),
+    ("unknown root field", _doc(extra=1), "unknown fields: ['extra']", ""),
+    ("bad schema version", _doc(schema_version="7"),
+     "schema_version: expected '1', got '7'", "schema_version"),
+    ("schema version not a string", _doc(schema_version=1),
+     "schema_version: expected '1', got 1", "schema_version"),
+    ("missing schema version", json.dumps({"places": [], "transitions": [], "arcs": []}),
+     "schema_version: expected '1', got None", "schema_version"),
+    ("missing array", json.dumps({"schema_version": "1", "places": [], "arcs": []}),
+     "transitions: must be an array", "transitions"),
+    ("array not a list", _doc(places={"id": "p1"}), "places: must be an array", "places"),
+    ("array checked after the entries before it",
+     _doc(places=[3], transitions=None), "places[0]: must be an object", "places[0]"),
+    ("place not an object", _doc(places=[{"id": "p1"}, 3]),
+     "places[1]: must be an object", "places[1]"),
+    ("transition is a list", _doc(transitions=[["t1", "a", "low"]]),
+     "transitions[0]: must be an object", "transitions[0]"),
+    ("arc is null", _doc(arcs=[None]), "arcs[0]: must be an object", "arcs[0]"),
+    ("unknown place field", _doc(places=[{"id": "p1", "tokens": 1}, {"id": "p2"}]),
+     "places[0]: unknown fields: ['tokens']", "places[0]"),
+    ("unknown fields are sorted and come before missing ones",
+     _doc(arcs=[{"to": "t1", "z": 1, "b": 2}]),
+     "arcs[0]: unknown fields: ['b', 'z']", "arcs[0]"),
+    ("missing place id", _doc(places=[{"initial_tokens": 1}]),
+     "places[0]: missing field 'id'", "places[0]"),
+    ("missing transition label", _doc(transitions=[{"id": "t1", "level": "low"}]),
+     "transitions[0]: missing field 'label'", "transitions[0]"),
+    ("missing fields in declaration order", _doc(transitions=[{"label": "a"}]),
+     "transitions[0]: missing field 'id'", "transitions[0]"),
+    ("missing arc end", _doc(arcs=[{"from": "p1"}]), "arcs[0]: missing field 'to'", "arcs[0]"),
+    ("id not a string", _doc(places=[{"id": 1}]),
+     "places[0].id: must be of type str", "places[0].id"),
+    ("label is null", _doc(transitions=[{"id": "t1", "label": None, "level": "low"}]),
+     "transitions[0].label: must be of type str", "transitions[0].label"),
+    ("level not a string", _doc(transitions=[{"id": "t1", "label": "a", "level": 0}]),
+     "transitions[0].level: must be of type str", "transitions[0].level"),
+    ("arc end not a string", _doc(arcs=[{"from": "p1", "to": ["t1"]}]),
+     "arcs[0].to: must be of type str", "arcs[0].to"),
+    ("true for tokens", _doc(places=[{"id": "p1", "initial_tokens": True}]),
+     "places[0].initial_tokens: must be of type int", "places[0].initial_tokens"),
+    ("float for tokens", _doc(places=[{"id": "p1", "initial_tokens": 1.0}]),
+     "places[0].initial_tokens: must be of type int", "places[0].initial_tokens"),
+    ("null for tokens", _doc(places=[{"id": "p1", "initial_tokens": None}]),
+     "places[0].initial_tokens: must be of type int", "places[0].initial_tokens"),
+    ("true for a weight", _doc(arcs=[{"from": "p1", "to": "t1", "weight": True}]),
+     "arcs[0].weight: must be of type int", "arcs[0].weight"),
+    ("string for a weight", _doc(arcs=[{"from": "p1", "to": "t1", "weight": "2"}]),
+     "arcs[0].weight: must be of type int", "arcs[0].weight"),
+    ("a type error before a value error",
+     _doc(places=[{"id": 7, "initial_tokens": -1}]),
+     "places[0].id: must be of type str", "places[0].id"),
+    ("negative tokens", _doc(places=[{"id": "p1", "initial_tokens": -1}, {"id": "p2"}]),
+     "places[0].initial_tokens: must be non-negative", "places[0].initial_tokens"),
+    ("bad level", _doc(transitions=[{"id": "t1", "label": "a", "level": "medium"}]),
+     "transitions[0].level: must be one of ('low', 'high'), got 'medium'",
+     "transitions[0].level"),
+    ("level checked before label", _doc(transitions=[{"id": "t1", "label": "", "level": "Low"}]),
+     "transitions[0].level: must be one of ('low', 'high'), got 'Low'", "transitions[0].level"),
+    ("empty label", _doc(transitions=[_T1, {"id": "t2", "label": "", "level": "high"}]),
+     "transitions[1].label: must be a non-empty label", "transitions[1].label"),
+    ("weight 0", _doc(arcs=[{"from": "p1", "to": "t1", "weight": 0}]),
+     "arcs[0].weight: must be at least 1", "arcs[0].weight"),
+    ("negative weight", _doc(arcs=[{"from": "p1", "to": "t1"}, {"from": "t1", "to": "p2",
+                                                                   "weight": -2}]),
+     "arcs[1].weight: must be at least 1", "arcs[1].weight"),
+    ("entries checked before identifiers",
+     _doc(places=[{"id": "p1"}, {"id": "p1"}], arcs=[{"from": "p1", "to": "t1", "weight": 0}]),
+     "arcs[0].weight: must be at least 1", "arcs[0].weight"),
+    ("duplicate place ids", _doc(places=[{"id": "p2"}, {"id": "p1"}, {"id": "p2"},
+                                         {"id": "p1"}]),
+     "places: duplicate identifiers: ['p1', 'p2']", "places"),
+    ("duplicate transition ids", _doc(transitions=[_T1, {"id": "t1", "label": "b",
+                                                         "level": "low"}]),
+     "transitions: duplicate identifiers: ['t1']", "transitions"),
+    ("undeclared arc target", _doc(arcs=[{"from": "p1", "to": "t9"}]),
+     "arcs[0].to: undeclared identifier 't9'", "arcs[0].to"),
+    ("undeclared arc source", _doc(arcs=[{"from": "t1", "to": "p2"}, {"from": "q", "to": "t1"}]),
+     "arcs[1].from: undeclared identifier 'q'", "arcs[1].from"),
+    ("place to place arc", _doc(arcs=[{"from": "p1", "to": "p2"}]),
+     "arcs[0]: connects two places; arcs must join a place and a transition", "arcs[0]"),
+    ("transition to transition arc", _doc(arcs=[{"from": "t1", "to": "t2"}]),
+     "arcs[0]: connects two transitions; arcs must join a place and a transition", "arcs[0]"),
+    ("label on both levels", _doc(transitions=[{"id": "t1", "label": "b", "level": "high"},
+                                               {"id": "t2", "label": "b", "level": "low"},
+                                               {"id": "t3", "label": "a", "level": "low"},
+                                               {"id": "t4", "label": "a", "level": "high"}]),
+     "transitions: label 'a' is declared both low and high; "
+     "the low and high alphabets must be disjoint", "transitions"),
+    ("invalid UTF-8", b'{"schema_version": "\xff"}',
+     "document is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 20: "
+     "invalid start byte", ""),
+    ("invalid JSON", "{not json",
+     "invalid JSON at line 1, column 2: Expecting property name enclosed in double quotes", ""),
+    ("invalid JSON on a later line", '{\n  "places": [1,]\n}',
+     "invalid JSON at line 2, column 16: Expecting value", ""),
+]
+
+
+@pytest.mark.parametrize("text, message, path",
+                         [row[1:] for row in _DIAGNOSTICS], ids=[row[0] for row in _DIAGNOSTICS])
+def test_document_diagnostics_are_pinned(text, message, path):
+    with pytest.raises(NetDocumentError) as caught:
+        parse_net(text)
+    assert type(caught.value) is NetDocumentError
+    assert str(caught.value) == message
+    assert caught.value.path == path
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"places": [{"id": "p1"}, {"id": "p2"}, {"id": ""}]},
+     "place identifier must be a non-empty string, got ''"),
+    ({"places": [{"id": "p1"}, {"id": "p2"}, {"id": "x"}],
+      "transitions": [_T1, {"id": "t2", "label": "f", "level": "high"},
+                      {"id": "x", "label": "b", "level": "low"}]},
+     "identifiers used as both place and transition: ['x']"),
+    ({"arcs": [{"from": "p1", "to": "t1"}, {"from": "p1", "to": "t1", "weight": 2}]},
+     "arc (p1, t1) declared twice"),
+], ids=["empty place id", "place and transition share an id", "repeated arc"])
+def test_net_diagnostics_after_the_document_checks(overrides, message):
+    with pytest.raises(InvalidNetError) as caught:
+        parse_net(_doc(**overrides))
+    assert type(caught.value) is InvalidNetError
+    assert str(caught.value) == message
+
+
+def test_parsed_suite_nets_match_the_generated_nets():
+    for name, lpn in demo_and_suite_nets():
+        net = lpn.net
+        again = parse_net(serialize_net(lpn))
+        assert again.net.places == net.places, name
+        assert again.net.transitions == net.transitions, name
+        assert list(again.net.weight.items()) == list(net.weight.items()), name
+        assert list(again.net.pre.items()) == list(net.pre.items()), name
+        assert list(again.net.delta.items()) == list(net.delta.items()), name
+        assert again.net.initial_marking == net.initial_marking, name
+        assert list(again.labeling.items()) == list(lpn.labeling.items()), name
+        assert again.high_labels == lpn.high_labels, name
+        assert again.low_labels == lpn.low_labels, name
+        assert again.high_transitions == lpn.high_transitions, name
+        assert again.low_transitions == lpn.low_transitions, name
+
+
+_VALID = [json.loads(fixture_document(name)) for name in DEMOS]
+_VALID += [json.loads(serialize_net(random_lpn(seed))) for seed in (1, 2, 3)]
+_ARRAYS = {"places": (netdoc._place, netdoc._place_by_fields),
+           "transitions": (netdoc._transition, netdoc._transition_by_fields),
+           "arcs": (netdoc._arc, netdoc._arc_by_fields)}
+_KEYS = ("id", "initial_tokens", "label", "level", "from", "to", "weight", "extra")
+_ODD_VALUES = (None, True, False, 0, -1, 1, 2, 2.5, 1.0, "", "low", "high", "p1", "t1",
+               [], ["p1"], {}, {"id": "p1"})
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A valid document with one to three entries dropped a key, given a key,
+    had a value swapped for one of another type, or been replaced."""
+    doc = copy.deepcopy(draw(st.sampled_from(_VALID)))
+    for _ in range(draw(st.integers(1, 3))):
+        entries = doc[draw(st.sampled_from(sorted(_ARRAYS)))]
+        if not entries:
+            continue
+        i = draw(st.integers(0, len(entries) - 1))
+        entry = entries[i]
+        kind = draw(st.sampled_from(("drop", "add", "swap", "replace")))
+        if kind == "replace" or not isinstance(entry, dict):
+            entries[i] = draw(st.sampled_from(([], ["p1", "t1"], 3, 1.5, None, "p1")))
+        elif kind == "add":
+            entry[draw(st.sampled_from(_KEYS))] = draw(st.sampled_from(_ODD_VALUES))
+        elif entry:
+            key = draw(st.sampled_from(sorted(entry)))
+            if kind == "drop":
+                del entry[key]
+            else:
+                entry[key] = draw(st.sampled_from(_ODD_VALUES))
+    return doc
+
+
+def _outcome(check, i, entry):
+    try:
+        return check(i, entry)
+    except NetDocumentError as exc:
+        return str(exc), exc.path
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_documents())
+def test_mutated_documents_give_a_net_or_a_net_error(doc):
+    # Each entry's direct check accepts exactly what its field-by-field
+    # check accepts, and fails with the same diagnostic.
+    for key, (direct, by_fields) in _ARRAYS.items():
+        for i, entry in enumerate(doc[key]):
+            assert _outcome(direct, i, entry) == _outcome(by_fields, i, entry)
+    try:
+        lpn = parse_net(json.dumps(doc))
+    except NetError:
+        return
+    assert isinstance(lpn, LabeledPetriNet)

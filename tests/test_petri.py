@@ -10,9 +10,8 @@ from snnicheck.fixtures import (_DEMO_ARCS, DEMOS, demo_cyclic_high, demo_secure
 from snnicheck.petri import (AssumptionError, FiringError, InvalidNetError,
                              LabeledPetriNet, PetriNet, check_assumptions,
                              explore_markings, parikh, project)
-from snnicheck.randnets import GeneratorConfig, random_lpn
 
-from conftest import BASIS_M2, BASIS_M4, marking_of
+from conftest import BASIS_M2, BASIS_M4, demo_and_suite_nets, marking_of, record_calls
 
 
 def test_enabled_at_initial(secure):
@@ -217,20 +216,9 @@ def test_exploration_result_is_frozen_and_holds_tuples():
         assert result.arc_sources == result.arc_transitions == result.arc_targets == ()
 
 
-#: The nets of the three benchmark suites: default nets 1-400, big 1-40, huge 1-12.
-BENCH_SUITES = (
-    (GeneratorConfig(), range(1, 401)),
-    (GeneratorConfig(max_places=14, max_transitions=20, max_tokens=6, bound_cap=100_000),
-     range(1, 41)),
-    (GeneratorConfig(max_places=20, max_transitions=30, max_tokens=10, bound_cap=300_000),
-     range(1, 13)),
-)
-
-
 def test_sparse_tables_match_dense_definition():
-    nets = [make().net for make in DEMOS.values()]
-    nets += [random_lpn(seed, config).net for config, seeds in BENCH_SUITES for seed in seeds]
-    for net in nets:
+    for _, lpn in demo_and_suite_nets():
+        net = lpn.net
         for t in net.transitions:
             pre = tuple((i, net.weight[(p, t)]) for i, p in enumerate(net.places)
                         if (p, t) in net.weight)
@@ -313,6 +301,37 @@ def test_labeling_validation(secure):
         LabeledPetriNet(net, labels)
     with pytest.raises(InvalidNetError):
         LabeledPetriNet(net, secure.labeling, high_labels={"zz"})
+
+
+def _items(net: PetriNet | LabeledPetriNet) -> dict:
+    """Every attribute of ``net``, each dict as a list of its items in order."""
+    return {name: list(table.items()) if isinstance(table, dict) else table
+            for name, table in vars(net).items()}
+
+
+def test_subnets_are_cut_from_the_validated_tables(monkeypatch):
+    for name, lpn in demo_and_suite_nets():
+        net = lpn.net
+        validated = {}
+        for keep in (lpn.low_transitions, lpn.high_transitions):
+            arcs = [(s, d, w) for (s, d), w in net.weight.items() if s in keep or d in keep]
+            validated[keep] = PetriNet(net.places, keep, arcs, net.initial_marking)
+            assert _items(net.induced_subnet(keep)) == _items(validated[keep]), name
+        low = lpn.low_subnet()
+        low_validated = LabeledPetriNet(validated[lpn.low_transitions],
+                                        {t: lpn.labeling[t] for t in lpn.low_transitions})
+        low_items, validated_items = _items(low), _items(low_validated)
+        assert _items(low_items.pop("net")) == _items(validated_items.pop("net")), name
+        assert low_items == validated_items, name
+    lpn = DEMOS["secure"]()
+    nets = record_calls(monkeypatch, PetriNet, ("__init__",))
+    labeled = record_calls(monkeypatch, LabeledPetriNet, ("__init__",))
+    low = lpn.low_subnet()
+    assert nets == labeled == []
+    # The subnet's caches are its own.
+    assert low._explanation_cache is not lpn._explanation_cache
+    low.require_assumptions()
+    assert lpn._assumption_report is None
 
 
 def test_low_subnet_partition(secure):

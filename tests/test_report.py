@@ -14,6 +14,8 @@ from snnicheck.randnets import GeneratorConfig, random_lpn
 from snnicheck.report import analyze
 from snnicheck.verifier import SvNode, build_sv, sv_verdict
 
+from conftest import record_calls
+
 
 def _record_explorations(monkeypatch) -> list:
     """Transitions of every net ``explore_markings`` is called on, in order."""
@@ -27,23 +29,6 @@ def _record_explorations(monkeypatch) -> list:
     monkeypatch.setattr(petri, "explore_markings", counting_explore)
     monkeypatch.setattr(reach, "explore_markings", counting_explore)
     return explored
-
-
-def _record_calls(monkeypatch, cls, names: tuple[str, ...]) -> list:
-    """Names of the methods of ``cls`` among ``names`` as they are called."""
-    calls = []
-
-    def recording(name):
-        original = getattr(cls, name)
-
-        def record(self, *args, **kwargs):
-            calls.append(name)
-            return original(self, *args, **kwargs)
-        return record
-
-    for name in names:
-        monkeypatch.setattr(cls, name, recording(name))
-    return calls
 
 
 @pytest.mark.parametrize("demo", [demo_secure, demo_leaky])
@@ -87,8 +72,8 @@ def test_oracle_explores_the_full_net_after_analyze(monkeypatch, demo):
 @pytest.mark.parametrize("demo", [demo_secure, demo_leaky])
 def test_analyze_builds_one_low_subnet_and_fires_nothing(monkeypatch, demo):
     lpn = demo()
-    subnets = _record_calls(monkeypatch, LabeledPetriNet, ("low_subnet",))
-    fired = _record_calls(monkeypatch, PetriNet, ("fire", "enabled"))
+    subnets = record_calls(monkeypatch, LabeledPetriNet, ("low_subnet",))
+    fired = record_calls(monkeypatch, PetriNet, ("fire", "enabled"))
     analyze(lpn)
     assert subnets == ["low_subnet"]
     assert fired == []
@@ -112,9 +97,9 @@ def _big_net_24() -> LabeledPetriNet:
 @pytest.mark.parametrize("make", [demo_secure, demo_leaky, demo_sync_period_two, _big_net_24])
 def test_analyze_and_tree_exports_keep_the_trees_columnar(monkeypatch, make):
     lpn = make()
-    automata = _record_calls(monkeypatch, Nfa, ("_index",))
-    ubrg_nodes = _record_calls(monkeypatch, UbrgNode, ("__init__",))
-    sv_nodes = _record_calls(monkeypatch, SvNode, ("__init__",))
+    automata = record_calls(monkeypatch, Nfa, ("_index",))
+    ubrg_nodes = record_calls(monkeypatch, UbrgNode, ("__init__",))
+    sv_nodes = record_calls(monkeypatch, SvNode, ("__init__",))
     report = analyze(lpn)
     # The basis graph and the low label language are the only automata built.
     assert automata == ["_index", "_index"]
