@@ -129,7 +129,7 @@ def _explanation_set(marking: Marking, t: str,
 
 
 def high_run_answers(lpn: LabeledPetriNet, marking: Marking,
-                     reachable: set[Marking] | None = None, cap: int = 0) -> HighRunAnswers:
+                     reachable: set[Marking], cap: int) -> HighRunAnswers:
     """Minimal explanations of every low transition at ``marking``, and the run markings.
 
     The first part lists, for each low transition that has any, in
@@ -139,18 +139,21 @@ def high_run_answers(lpn: LabeledPetriNet, marking: Marking,
     marking reachable from it by high firings alone.  Nothing is validated;
     the search ends only when the high subnet is acyclic and every high
     transition has an input place or changes no token.  Both parts are cached
-    on the net, keyed by marking.
+    on the net, keyed by marking, with the number of count vectors listed.
 
-    When ``reachable`` is given, the run markings are added to it level by
-    level, and :class:`~snnicheck.petri.AssumptionError` is raised as soon as
-    it holds more than ``cap`` markings, or the search more than ``cap`` count
-    vectors, so the cap bounds the search itself.
+    The run markings are added to ``reachable`` level by level, and
+    :class:`~snnicheck.petri.AssumptionError` is raised as soon as it holds
+    more than ``cap`` markings, or the search more than ``cap`` count
+    vectors, so the cap bounds the search itself.  A cached answer is used
+    only when its count vectors are within ``cap``; otherwise the search
+    runs again and is refused exactly as a first search would be.
     """
     cached = lpn._explanation_cache.get(marking)
     if cached is not None:
-        if reachable is not None:
-            _count(reachable, cached[1], cap)
-        return cached
+        result, vectors = cached
+        if vectors <= cap:
+            _count(reachable, result[1], cap)
+            return result
     runs = _high_runs(lpn, marking, reachable, cap)
     answers = []
     for t in lpn.low_transitions:
@@ -170,8 +173,9 @@ def high_run_answers(lpn: LabeledPetriNet, marking: Marking,
         if found:
             found.sort()
             answers.append((t, tuple(found)))
-    cached = lpn._explanation_cache[marking] = (tuple(answers), tuple(r[1] for r in runs))
-    return cached
+    result = (tuple(answers), tuple(r[1] for r in runs))
+    lpn._explanation_cache[marking] = (result, len(runs))
+    return result
 
 
 def _count(reachable: set[Marking], markings: Iterable[Marking], cap: int) -> None:
@@ -183,15 +187,15 @@ def _count(reachable: set[Marking], markings: Iterable[Marking], cap: int) -> No
 
 
 def _high_runs(lpn: LabeledPetriNet, marking: Marking,
-               reachable: set[Marking] | None, cap: int) -> list[Answer]:
+               reachable: set[Marking], cap: int) -> list[Answer]:
     """Every count vector of a high run from ``marking``, with its marking and first run.
 
     Listed level by level over the total firing count; within a level, in
     the order the vectors were first generated.  High transitions that
     change no token are left out: they cannot help enable anything, so they
     occur in no minimal vector, and counting their firings would never end.
-    Each level's markings are counted into ``reachable``, when given, before
-    the next level is generated.  The cap then also bounds the count vectors,
+    Each level's markings are counted into ``reachable`` before the next
+    level is generated.  The cap then also bounds the count vectors,
     which high transitions with equal effects make far more numerous than
     the markings: once more than ``cap`` have been listed, the search stops
     before it generates the next level.
@@ -205,11 +209,10 @@ def _high_runs(lpn: LabeledPetriNet, marking: Marking,
     visited = {zero}
     while level:
         runs.extend(level)
-        if reachable is not None:
-            _count(reachable, [r[1] for r in level], cap)
-            if len(visited) > cap:
-                raise AssumptionError(f"boundedness unknown: exploration cap of {cap} "
-                                      "count vectors exhausted by one high-run search")
+        _count(reachable, [r[1] for r in level], cap)
+        if len(visited) > cap:
+            raise AssumptionError(f"boundedness unknown: exploration cap of {cap} "
+                                  "count vectors exhausted by one high-run search")
         next_level = []
         for vector, current, seq in level:
             for i, h, pre, delta in moves:

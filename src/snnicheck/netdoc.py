@@ -61,7 +61,9 @@ class NetDocument:
     def to_lpn(self) -> LabeledPetriNet:
         """Build the validated labeled net this document describes."""
         levels_by_label: dict[str, set[str]] = {}
-        for t in self.transitions:
+        for i, t in enumerate(self.transitions):
+            if t.level not in _LEVELS:
+                raise _level_error(i, t.level)
             levels_by_label.setdefault(t.label, set()).add(t.level)
         for label, levels in sorted(levels_by_label.items()):
             if len(levels) > 1:
@@ -196,11 +198,14 @@ def _transition(i: int, entry: Any) -> TransitionSpec:
 def _transition_by_fields(i: int, entry: Any) -> TransitionSpec:
     f = _fields(f"transitions[{i}]", entry, {"id": str, "label": str, "level": str}, {})
     if f["level"] not in _LEVELS:
-        raise NetDocumentError(f"must be one of {_LEVELS}, got {f['level']!r}",
-                               f"transitions[{i}].level")
+        raise _level_error(i, f["level"])
     if not f["label"]:
         raise NetDocumentError("must be a non-empty label", f"transitions[{i}].label")
     return TransitionSpec(f["id"], f["label"], f["level"])
+
+
+def _level_error(i: int, level: Any) -> NetDocumentError:
+    return NetDocumentError(f"must be one of {_LEVELS}, got {level!r}", f"transitions[{i}].level")
 
 
 def _arc(i: int, entry: Any) -> ArcSpec:

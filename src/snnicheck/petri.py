@@ -433,20 +433,24 @@ class ExplorationResult:
 
 
 def explore_markings(net: PetriNet, cap: int) -> ExplorationResult:
-    """Breadth-first marking exploration with strict-domination detection.
+    """Breadth-first marking exploration that proves boundedness by finishing.
 
     Expands each distinct marking once (coverability-style tree with exact
-    duplicates pruned) and compares every fresh marking against the markings
-    on its own discovery path.  A strict domination proves unboundedness by
-    firing monotonicity; frontier exhaustion without one proves boundedness
-    with an exact reachable-marking count.  Exploration stops as soon as more
-    than ``cap`` markings are known, so an incomplete result holds at most
-    ``cap + 1`` of them.
+    duplicates pruned).  Frontier exhaustion within ``cap`` markings proves
+    boundedness with an exact reachable-marking count.  A successor that
+    strictly dominates a marking on its own discovery path proves
+    unboundedness by firing monotonicity; such a domination cannot occur on
+    a bounded net, so a search that finishes has met none.  Exploration
+    stops as soon as more than ``cap`` markings are known, so an incomplete
+    result holds at most ``cap + 1`` of them.
 
-    A strictly dominated marking holds strictly fewer tokens, so each node
-    carries its token count and the fewest tokens on its path from the root:
-    the path walk only compares ancestors with fewer tokens than the new
-    marking, and stops where no ancestor further up has fewer.
+    The first pass walks the discovery path only when a firing yields a new
+    marking, which is enough to stop early on an unbounded net.  If it
+    finishes, its result is returned: walking at every firing would have
+    found nothing.  Only a search that does not finish (a witness, or more
+    than ``cap`` markings) runs again, walking at every firing, so the
+    witness path, its pump start and the marking count at which it stops
+    are those of the Karp-Miller test applied to every successor.
 
     Every firing is recorded as it is computed, so a complete result is the
     whole reachability graph and nothing needs to be fired again.  Repeated
@@ -456,6 +460,24 @@ def explore_markings(net: PetriNet, cap: int) -> ExplorationResult:
     root = net.initial_marking
     if cap < 1:
         return ExplorationResult((root,), None, complete=False)
+    first = _explore(net, cap, walk_every_firing=False)
+    if first.complete:
+        return first
+    del first  # its markings need not stay alive through the second pass
+    return _explore(net, cap, walk_every_firing=True)
+
+
+def _explore(net: PetriNet, cap: int, walk_every_firing: bool) -> ExplorationResult:
+    """One breadth-first pass of :func:`explore_markings`.
+
+    A strictly dominated marking holds strictly fewer tokens, so each node
+    carries its token count and the fewest tokens on its path from the root:
+    the path walk only compares ancestors with fewer tokens than the
+    successor, and stops where no ancestor further up has fewer.  The walk
+    runs at every firing when ``walk_every_firing`` is set, otherwise only at
+    firings that yield a new marking.
+    """
+    root = net.initial_marking
     # node = (marking, parent node or None, transition fired to reach it,
     #         token count, fewest tokens on the path from the root to it)
     root_node = (root, None, None, sum(root), sum(root))
@@ -476,25 +498,27 @@ def explore_markings(net: PetriNet, cap: int) -> ExplorationResult:
                     break
             else:
                 successor = shift(marking, delta)
+                known = seen.get(successor)
                 tokens = node_tokens + gain
-                # Walk the discovery path looking for a strictly dominated ancestor.
-                ancestor = node
-                depth_from_child = 1
-                while ancestor is not None and ancestor[4] < tokens:
-                    if ancestor[3] < tokens and all(map(le, ancestor[0], successor)):
-                        path: list[str] = [t]
-                        back = node
-                        while back[1] is not None:
-                            path.append(back[2])
-                            back = back[1]
-                        path.reverse()
-                        witness = DominationWitness(tuple(path), len(path) - depth_from_child)
-                        return ExplorationResult(tuple(order), witness, complete=False)
-                    ancestor = ancestor[1]
-                    depth_from_child += 1
+                if known is None or walk_every_firing:
+                    # Walk the discovery path looking for a strictly dominated ancestor.
+                    ancestor = node
+                    depth_from_child = 1
+                    while ancestor is not None and ancestor[4] < tokens:
+                        if ancestor[3] < tokens and all(map(le, ancestor[0], successor)):
+                            path: list[str] = [t]
+                            back = node
+                            while back[1] is not None:
+                                path.append(back[2])
+                                back = back[1]
+                            path.reverse()
+                            witness = DominationWitness(tuple(path),
+                                                        len(path) - depth_from_child)
+                            return ExplorationResult(tuple(order), witness, complete=False)
+                        ancestor = ancestor[1]
+                        depth_from_child += 1
                 sources.append(marking)
                 fired.append(t)
-                known = seen.get(successor)
                 if known is not None:
                     targets.append(known)
                     continue
@@ -549,7 +573,14 @@ def _high_subnet_cycle(lpn: LabeledPetriNet) -> tuple[str, ...] | None:
 
 
 def check_assumptions(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> AssumptionReport:
-    """Verify the two standing assumptions: boundedness and an acyclic high subnet."""
+    """Verify the two standing assumptions: boundedness and an acyclic high subnet.
+
+    The high subnet is checked structurally.  Boundedness comes from
+    :func:`explore_markings` on the full net: it is proved when the search
+    finishes within ``cap`` markings, which also gives the exact reachable
+    count; it is refuted by a strict-domination witness; and it is unknown
+    when more than ``cap`` markings are found first.
+    """
     if cap <= 0:
         raise InvalidNetError(f"exploration cap must be positive, got {cap}")
     cycle = _high_subnet_cycle(lpn)

@@ -109,6 +109,35 @@ def test_brg_cap_bounds_the_count_vectors_of_a_high_run_search():
                                   "exhausted by one high-run search")
 
 
+def _equal_effect_highs_then_low() -> LabeledPetriNet:
+    """Four high ``p -> q`` and a low ``l: q -> r``, with 20 tokens on ``p``."""
+    highs = ("h1", "h2", "h3", "h4")
+    arcs = [a for h in highs for a in (("p", h), (h, "q"))] + [("q", "l"), ("l", "r")]
+    net = PetriNet(("p", "q", "r"), highs + ("l",), arcs, (20, 0, 0))
+    return LabeledPetriNet(net, {**{h: "f" for h in highs}, "l": "a"}, high_labels={"f"})
+
+
+@pytest.mark.parametrize("query, expected", [
+    (lambda lpn, cap: len(build_brg(lpn, cap).nfa.states), 21),
+    (lambda lpn, cap: minimal_e_vectors(lpn, lpn.net.initial_marking, "l", cap=cap).evectors,
+     {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)}),
+], ids=["build_brg", "minimal_e_vectors"])
+def test_cached_explanations_do_not_answer_a_smaller_cap(query, expected):
+    # 10,626 count vectors from the initial marking: a search under a cap of
+    # 1,000 is refused, whether or not a wider search has answered before.
+    lpn = _equal_effect_highs_then_low()
+    refusal = ("boundedness unknown: exploration cap of 1000 count vectors "
+               "exhausted by one high-run search")
+    with pytest.raises(AssumptionError) as first:
+        query(lpn, 1000)
+    assert str(first.value) == refusal
+    assert query(lpn, 20_000) == expected
+    with pytest.raises(AssumptionError) as again:
+        query(lpn, 1000)
+    assert str(again.value) == refusal
+    assert query(lpn, 20_000) == expected
+
+
 def test_brg_with_a_high_transition_that_changes_nothing():
     # An isolated high transition fires forever without changing a token; the
     # high-run search leaves it out instead of counting its firings.

@@ -4,8 +4,10 @@ The scripts under ``bench/`` import package names directly, so deleting or
 renaming one of them breaks the benchmark; the first test makes that fail
 here.  The traced routes call the package layer by layer, so a change to
 one layer's API breaks them; the other tests run each route on the demo
-nets, and the check route on a big net whose trees have thousands of nodes,
-and compare it with the operation it decomposes.
+nets, the check route on a big net whose trees have thousands of nodes, and
+each route on the extreme nets of the big and huge suites, and compare it
+with the operation it decomposes; an operation that raises the package's
+own error gives that error as its outcome on both sides.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from snnicheck.netdoc import serialize_net
 from snnicheck.randnets import GeneratorConfig, random_lpn
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+BIG = GeneratorConfig(max_places=14, max_transitions=20, max_tokens=6, bound_cap=100_000)
+HUGE = GeneratorConfig(max_places=20, max_transitions=30, max_tokens=10, bound_cap=300_000)
 
 
 @pytest.mark.parametrize("script", ["suite.py", "test_reference.py", "tracing.py"])
@@ -42,7 +46,7 @@ def _traced_and_plain(monkeypatch, op: str, net_seed: int, document: str):
     suite = importlib.import_module("suite")
     tracing = importlib.import_module("tracing")
     tracer = tracing.Tracer([(net_seed, document)], time.perf_counter)
-    return tracer.traced_call(op, net_seed, document), suite.OPERATIONS[op](document)
+    return tracer.traced_call(op, net_seed, document), suite.plain_call(op, net_seed, document)
 
 
 @pytest.mark.parametrize("op", ["check", "oracle", "brg"])
@@ -55,7 +59,23 @@ def test_traced_routes_return_the_operations_outputs(monkeypatch, op, demo):
 
 def test_traced_check_route_on_a_big_net(monkeypatch):
     """Big net 24 of the benchmark's deep-unfold suite: a 7,838-node unfolding."""
-    big = GeneratorConfig(max_places=14, max_transitions=20, max_tokens=6, bound_cap=100_000)
     traced, plain = _traced_and_plain(monkeypatch, "check", 24,
-                                      serialize_net(random_lpn(24, big)))
+                                      serialize_net(random_lpn(24, BIG)))
+    assert traced == plain
+
+
+def test_traced_check_route_fails_as_check_fails_on_big_net_16(monkeypatch):
+    """Big net 16, the deep-unfold suite's one counted failure: the SV node cap."""
+    traced, plain = _traced_and_plain(monkeypatch, "check", 16,
+                                      serialize_net(random_lpn(16, BIG)))
+    assert type(traced).__name__ == "Failure"
+    assert traced == plain
+    assert plain.message == "verifier tree exceeds 200000 nodes; raise node_cap to continue"
+
+
+@pytest.mark.parametrize("op", ["oracle", "brg"])
+def test_traced_routes_on_huge_net_9(monkeypatch, op):
+    """Huge net 9, the state-space suite's largest: 6,587 reachable markings."""
+    traced, plain = _traced_and_plain(monkeypatch, op, 9, serialize_net(random_lpn(9, HUGE)))
+    assert type(traced).__name__ != "Failure"
     assert traced == plain

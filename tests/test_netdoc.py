@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from snnicheck import netdoc
 from snnicheck.fixtures import DEMOS, demo_secure, fixture_document
-from snnicheck.netdoc import (NetDocument, NetDocumentError, parse_net,
-                              serialize_net)
+from snnicheck.netdoc import (ArcSpec, NetDocument, NetDocumentError, PlaceSpec,
+                              TransitionSpec, parse_net, serialize_net)
 from snnicheck.petri import InvalidNetError, LabeledPetriNet, NetError
 from snnicheck.randnets import random_lpn
 
@@ -93,6 +93,20 @@ def test_bad_level_value():
     bad = _doc(transitions=[{"id": "t1", "label": "a", "level": "medium"}])
     with pytest.raises(NetDocumentError, match="level"):
         parse_net(bad)
+
+
+def test_built_document_with_a_bad_level_is_refused_as_parsing_refuses_it():
+    # A document built from the spec types skips the entry checks; ``to_lpn``
+    # still refuses a level other than low/high, with the parser's diagnostic.
+    doc = NetDocument("1", (PlaceSpec("p1", 1), PlaceSpec("p2")),
+                      (TransitionSpec("t1", "a", "low"), TransitionSpec("t2", "b", "medium")),
+                      (ArcSpec("p1", "t1"), ArcSpec("t1", "p2")))
+    expected = "transitions[1].level: must be one of ('low', 'high'), got 'medium'"
+    for build in (doc.to_lpn, lambda: parse_net(doc.to_json())):
+        with pytest.raises(NetDocumentError) as refused:
+            build()
+        assert str(refused.value) == expected
+        assert refused.value.path == "transitions[1].level"
 
 
 def test_missing_field_diagnostics():

@@ -1,17 +1,23 @@
 from __future__ import annotations
 
 import dataclasses
+import random
+from collections import deque
+from operator import le
 
 import pytest
 from hypothesis import given, strategies as st
 
 from snnicheck.fixtures import (_DEMO_ARCS, DEMOS, demo_cyclic_high, demo_secure,
                                 demo_unbounded)
-from snnicheck.petri import (AssumptionError, FiringError, InvalidNetError,
-                             LabeledPetriNet, PetriNet, check_assumptions,
-                             explore_markings, parikh, project)
+import snnicheck.petri as petri
+from snnicheck.petri import (AssumptionError, DominationWitness, ExplorationResult,
+                             FiringError, InvalidNetError, LabeledPetriNet, PetriNet,
+                             check_assumptions, explore_markings, parikh, project, shift)
+from snnicheck.randnets import GeneratorConfig, _candidate, random_lpn
 
-from conftest import BASIS_M2, BASIS_M4, demo_and_suite_nets, marking_of, record_calls
+from conftest import (BASIS_M2, BASIS_M4, BENCH_SUITES, demo_and_suite_nets, marking_of,
+                      record_calls)
 
 
 def test_enabled_at_initial(secure):
@@ -214,6 +220,117 @@ def test_exploration_result_is_frozen_and_holds_tuples():
             result.arc_targets = ()
     for result in (incomplete, unbounded):
         assert result.arc_sources == result.arc_transitions == result.arc_targets == ()
+
+
+def _explore_walking_every_firing(net: PetriNet, cap: int) -> ExplorationResult:
+    """Reference exploration, kept on purpose: the Karp-Miller walk at every firing.
+
+    Each successor, new or already known, is compared with the markings on
+    its discovery path before the firing is recorded.
+    """
+    root = net.initial_marking
+    if cap < 1:
+        return ExplorationResult((root,), None, complete=False)
+    root_node = (root, None, None, sum(root), sum(root))
+    seen = {root: root}
+    order = [root]
+    sources, fired, targets = [], [], []
+    queue = deque([root_node])
+    moves = [(t, net.pre[t], net.delta[t], sum(d for _, d in net.delta[t]))
+             for t in net.transitions]
+    while queue:
+        node = queue.popleft()
+        marking, _, _, node_tokens, path_min = node
+        for t, pre, delta, gain in moves:
+            if not all(marking[i] >= need for i, need in pre):
+                continue
+            successor = shift(marking, delta)
+            tokens = node_tokens + gain
+            ancestor, depth_from_child = node, 1
+            while ancestor is not None and ancestor[4] < tokens:
+                if ancestor[3] < tokens and all(map(le, ancestor[0], successor)):
+                    path = [t]
+                    back = node
+                    while back[1] is not None:
+                        path.append(back[2])
+                        back = back[1]
+                    path.reverse()
+                    witness = DominationWitness(tuple(path), len(path) - depth_from_child)
+                    return ExplorationResult(tuple(order), witness, complete=False)
+                ancestor = ancestor[1]
+                depth_from_child += 1
+            sources.append(marking)
+            fired.append(t)
+            known = seen.get(successor)
+            if known is not None:
+                targets.append(known)
+                continue
+            targets.append(successor)
+            seen[successor] = successor
+            order.append(successor)
+            if len(order) > cap:
+                return ExplorationResult(tuple(order), None, complete=False)
+            queue.append((successor, node, t, tokens, min(tokens, path_min)))
+    return ExplorationResult(tuple(order), None, True,
+                             tuple(sources), tuple(fired), tuple(targets))
+
+
+def _assert_explores_as_the_reference(net: PetriNet, bound_cap: int) -> ExplorationResult:
+    """Compare at caps 1, n - 1, n, 3,000 and ``bound_cap``; n markings are found under it."""
+    widest = _explore_walking_every_firing(net, bound_cap)
+    n = len(widest.markings)
+    for cap in sorted({1, n - 1, n, 3000, bound_cap}):
+        reference = widest if cap == bound_cap else _explore_walking_every_firing(net, cap)
+        assert explore_markings(net, cap) == reference, cap
+    return widest
+
+
+def test_exploration_matches_the_walk_at_every_firing_on_demos_and_suites():
+    for make in DEMOS.values():
+        _assert_explores_as_the_reference(make().net, GeneratorConfig().bound_cap)
+    for config, seeds in BENCH_SUITES:
+        for seed in seeds:
+            _assert_explores_as_the_reference(random_lpn(seed, config).net, config.bound_cap)
+
+
+def test_exploration_matches_the_walk_at_every_firing_on_raw_candidates():
+    # Raw acyclic generator candidates, unbounded ones included.  A few huge
+    # candidates have over 100,000 reachable markings, so those are compared
+    # up to a cap of 3,000.
+    unbounded = 0
+    for config, _ in BENCH_SUITES:
+        bound_cap = 3000 if config.max_places == 20 else config.bound_cap
+        rng = random.Random(7)
+        tried = 0
+        while tried < 150:
+            lpn = _candidate(rng, config)
+            if petri._high_subnet_cycle(lpn) is not None:
+                continue
+            tried += 1
+            widest = _assert_explores_as_the_reference(lpn.net, bound_cap)
+            unbounded += widest.domination_witness is not None
+    assert unbounded
+
+
+def test_exploration_runs_a_second_pass_only_when_the_first_does_not_finish(monkeypatch):
+    passes = []
+    explore = petri._explore
+
+    def counting_explore(net, cap, walk_every_firing):
+        passes.append(walk_every_firing)
+        return explore(net, cap, walk_every_firing)
+
+    monkeypatch.setattr(petri, "_explore", counting_explore)
+    for name, make in DEMOS.items():
+        passes.clear()
+        result = explore_markings(make().net, 2000)
+        assert passes == ([False] if result.complete else [False, True]), name
+    passes.clear()
+    assert explore_markings(demo_unbounded().net, 100).domination_witness is not None
+    assert passes == [False, True]
+    passes.clear()
+    assert not explore_markings(_fan_out(5), 5).complete
+    assert passes == [False, True]
 
 
 def test_sparse_tables_match_dense_definition():
