@@ -447,10 +447,13 @@ def explore_markings(net: PetriNet, cap: int) -> ExplorationResult:
     The first pass walks the discovery path only when a firing yields a new
     marking, which is enough to stop early on an unbounded net.  If it
     finishes, its result is returned: walking at every firing would have
-    found nothing.  Only a search that does not finish (a witness, or more
-    than ``cap`` markings) runs again, walking at every firing, so the
-    witness path, its pump start and the marking count at which it stops
-    are those of the Karp-Miller test applied to every successor.
+    found nothing.  A search that does not finish (a witness, or more than
+    ``cap`` markings) is returned as well when none of the walks it skipped
+    could have met an ancestor with fewer tokens, as on a net whose firings
+    never add tokens.  Only otherwise does it run again, walking at every
+    firing, so the witness path, its pump start and the marking count at
+    which it stops are those of the Karp-Miller test applied to every
+    successor.
 
     Every firing is recorded as it is computed, so a complete result is the
     whole reachability graph and nothing needs to be fired again.  Repeated
@@ -460,14 +463,15 @@ def explore_markings(net: PetriNet, cap: int) -> ExplorationResult:
     root = net.initial_marking
     if cap < 1:
         return ExplorationResult((root,), None, complete=False)
-    first = _explore(net, cap, walk_every_firing=False)
-    if first.complete:
+    first, skipped_a_walk = _explore(net, cap, walk_every_firing=False)
+    if first.complete or not skipped_a_walk:
         return first
     del first  # its markings need not stay alive through the second pass
-    return _explore(net, cap, walk_every_firing=True)
+    return _explore(net, cap, walk_every_firing=True)[0]
 
 
-def _explore(net: PetriNet, cap: int, walk_every_firing: bool) -> ExplorationResult:
+def _explore(net: PetriNet, cap: int,
+             walk_every_firing: bool) -> tuple[ExplorationResult, bool]:
     """One breadth-first pass of :func:`explore_markings`.
 
     A strictly dominated marking holds strictly fewer tokens, so each node
@@ -475,7 +479,8 @@ def _explore(net: PetriNet, cap: int, walk_every_firing: bool) -> ExplorationRes
     the path walk only compares ancestors with fewer tokens than the
     successor, and stops where no ancestor further up has fewer.  The walk
     runs at every firing when ``walk_every_firing`` is set, otherwise only at
-    firings that yield a new marking.
+    firings that yield a new marking.  The flag returned with the result
+    says whether a skipped walk would have compared any ancestor at all.
     """
     root = net.initial_marking
     # node = (marking, parent node or None, transition fired to reach it,
@@ -489,6 +494,7 @@ def _explore(net: PetriNet, cap: int, walk_every_firing: bool) -> ExplorationRes
     queue: deque = deque([root_node])
     moves = [(t, net.pre[t], net.delta[t], sum(d for _, d in net.delta[t]))
              for t in net.transitions]
+    skipped_a_walk = False
     while queue:
         node = queue.popleft()
         marking, _, _, node_tokens, path_min = node
@@ -514,9 +520,12 @@ def _explore(net: PetriNet, cap: int, walk_every_firing: bool) -> ExplorationRes
                             path.reverse()
                             witness = DominationWitness(tuple(path),
                                                         len(path) - depth_from_child)
-                            return ExplorationResult(tuple(order), witness, complete=False)
+                            return (ExplorationResult(tuple(order), witness, complete=False),
+                                    skipped_a_walk)
                         ancestor = ancestor[1]
                         depth_from_child += 1
+                elif path_min < tokens:
+                    skipped_a_walk = True
                 sources.append(marking)
                 fired.append(t)
                 if known is not None:
@@ -526,10 +535,11 @@ def _explore(net: PetriNet, cap: int, walk_every_firing: bool) -> ExplorationRes
                 seen[successor] = successor
                 order.append(successor)
                 if len(order) > cap:
-                    return ExplorationResult(tuple(order), None, complete=False)
+                    return ExplorationResult(tuple(order), None, complete=False), skipped_a_walk
                 queue.append((successor, node, t, tokens, min(tokens, path_min)))
-    return ExplorationResult(tuple(order), None, True,
-                             tuple(sources), tuple(fired), tuple(targets))
+    return (ExplorationResult(tuple(order), None, True,
+                              tuple(sources), tuple(fired), tuple(targets)),
+            skipped_a_walk)
 
 
 def _high_subnet_cycle(lpn: LabeledPetriNet) -> tuple[str, ...] | None:

@@ -288,6 +288,7 @@ def _assert_explores_as_the_reference(net: PetriNet, bound_cap: int) -> Explorat
 def test_exploration_matches_the_walk_at_every_firing_on_demos_and_suites():
     for make in DEMOS.values():
         _assert_explores_as_the_reference(make().net, GeneratorConfig().bound_cap)
+    _assert_explores_as_the_reference(_pump_met_again(), GeneratorConfig().bound_cap)
     for config, seeds in BENCH_SUITES:
         for seed in seeds:
             _assert_explores_as_the_reference(random_lpn(seed, config).net, config.bound_cap)
@@ -312,7 +313,21 @@ def test_exploration_matches_the_walk_at_every_firing_on_raw_candidates():
     assert unbounded
 
 
-def test_exploration_runs_a_second_pass_only_when_the_first_does_not_finish(monkeypatch):
+def _pump_met_again() -> PetriNet:
+    """An unbounded net whose first domination is met at an already known marking.
+
+    ``t1`` and ``t2`` lead from the root to y and to y + z; from y, ``t3``
+    reaches the known y + z, which strictly dominates y.  The walk at every
+    firing stops there, before ``t4`` adds a fourth marking and before y + z
+    is expanded to y + 2z, where a walk at new markings only first finds a
+    domination.
+    """
+    arcs = [("x", "t1"), ("t1", "y"), ("x", "t2"), ("t2", "y"), ("t2", "z"),
+            ("y", "t3"), ("t3", "y"), ("t3", "z"), ("y", "t4"), ("t4", "v")]
+    return PetriNet(("x", "y", "z", "v"), ("t1", "t2", "t3", "t4"), arcs, (1, 0, 0, 0))
+
+
+def test_exploration_runs_a_second_pass_only_when_a_skipped_walk_could_matter(monkeypatch):
     passes = []
     explore = petri._explore
 
@@ -323,14 +338,23 @@ def test_exploration_runs_a_second_pass_only_when_the_first_does_not_finish(monk
     monkeypatch.setattr(petri, "_explore", counting_explore)
     for name, make in DEMOS.items():
         passes.clear()
-        result = explore_markings(make().net, 2000)
-        assert passes == ([False] if result.complete else [False, True]), name
+        explore_markings(make().net, 2000)
+        assert passes == [False], name
     passes.clear()
+    # Its first firing yields a new marking that dominates the root: no walk is skipped.
     assert explore_markings(demo_unbounded().net, 100).domination_witness is not None
-    assert passes == [False, True]
+    assert passes == [False]
     passes.clear()
+    # No firing adds a token, so no skipped walk compares an ancestor.
     assert not explore_markings(_fan_out(5), 5).complete
-    assert passes == [False, True]
+    assert passes == [False]
+    for cap in (3, 100):
+        passes.clear()
+        result = explore_markings(_pump_met_again(), cap)
+        assert passes == [False, True], cap
+        assert result.domination_witness == DominationWitness(("t1", "t3"), 1)
+        assert result == _explore_walking_every_firing(_pump_met_again(), cap)
+        assert explore(_pump_met_again(), cap, walk_every_firing=False)[0] != result
 
 
 def test_sparse_tables_match_dense_definition():
