@@ -25,17 +25,18 @@ from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionError, AssumptionReport,
                     TransitionSequence, check_assumptions, format_word, parikh,
                     project)
 from .report import AnalysisReport, analyze
-from .verifier import SvNode, SvResult, Verdict, build_sv, decide_snni, sv_verdict
+from .verifier import (LanguageDecision, SvNode, SvResult, Verdict, build_sv,
+                       decide_languages, decide_snni, sv_verdict)
 
 __all__ = [
     "AnalysisReport", "AssumptionError", "AssumptionReport", "Brg", "BrgEvent",
     "DEFAULT_EXPLORATION_CAP", "DominationWitness", "EPSILON", "Explanation",
     "FiringError", "InvalidNetError", "JustificationSet", "LabeledPetriNet",
-    "LanguageCheckResult", "Marking", "MinimalExplanationSet", "NetDocument",
+    "LanguageCheckResult", "LanguageDecision", "Marking", "MinimalExplanationSet", "NetDocument",
     "NetDocumentError", "NetError", "Nfa", "ParikhVector", "PetriNet",
     "ReachGraph", "SvNode", "SvResult", "Tag", "TransitionSequence", "UbrgNode",
     "UbrgResult", "Verdict", "analyze", "bounded_language", "build_brg",
-    "build_sv", "build_ubrg", "check_assumptions", "decide_snni",
+    "build_sv", "build_ubrg", "check_assumptions", "decide_languages", "decide_snni",
     "explanations_bounded", "export_dot", "format_word", "justifications",
     "language_equal", "low_label_language", "minimal_e_vectors",
     "minimality_filter", "parikh", "parse_net",

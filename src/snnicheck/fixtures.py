@@ -3,8 +3,9 @@
 ``demo_secure`` is a small routing net where every low observation that high
 firings can enable also has a purely low explanation, so it is
 interference-free.  ``demo_leaky`` relabels one transition of the same net,
-breaking exactly one of those covers.  The remaining nets violate one
-standing assumption each.
+breaking exactly one of those covers.  The remaining demos violate one
+standing assumption each.  ``hidden_choice`` and ``equal_effect`` are
+parametric families with closed-form sizes and verdicts.
 """
 
 from __future__ import annotations
@@ -80,6 +81,43 @@ def demo_cyclic_high() -> LabeledPetriNet:
                     ("q", "la"), ("la", "q")],
                    (1, 0))
     return LabeledPetriNet(net, {"ha": "f", "hb": "g", "la": "a"}, high_labels={"f", "g"})
+
+
+def hidden_choice(k: int, leaky: bool = False) -> LabeledPetriNet:
+    """``k`` independent hidden choices: SNNI, with 3^k reachable and 2^k basis markings.
+
+    For each ``i < k``: places ``a_i`` (one token), ``b_i`` and ``c_i``; high
+    ``h_i: a_i -> b_i``; low ``l_i: b_i -> c_i`` and ``m_i: a_i -> c_i``, both
+    labeled ``x_i``, so ``m_i`` is the low-only twin of ``h_i l_i``.  With
+    ``leaky`` there is no ``m_0``, and the low word ``x0`` leaks.
+    """
+    places, transitions, arcs, labels = [], [], [], {}
+    for i in range(k):
+        a, b, c, h, l, m = (f"{name}{i}" for name in "abchlm")
+        places += [a, b, c]
+        transitions += [h, l]
+        arcs += [(a, h), (h, b), (b, l), (l, c)]
+        labels.update({h: h, l: f"x{i}"})
+        if not (leaky and i == 0):
+            transitions.append(m)
+            arcs += [(a, m), (m, c)]
+            labels[m] = f"x{i}"
+    net = PetriNet(places, transitions, arcs, [1, 0, 0] * k)
+    return LabeledPetriNet(net, labels, high_labels={f"h{i}" for i in range(k)})
+
+
+def equal_effect(n: int, c: int) -> LabeledPetriNet:
+    """``n`` high transitions with equal effect: NOT SNNI, with leak ``a``.
+
+    Places ``p, q, r`` with ``c`` tokens on ``p``; high ``h0..h{n-1}: p -> q``
+    and low ``l: q -> r``, labeled ``a``.  C(c+2, 2) markings are reachable and
+    c+1 of them are basis markings.
+    """
+    highs = [f"h{i}" for i in range(n)]
+    net = PetriNet(("p", "q", "r"), (*highs, "l"),
+                   [arc for h in highs for arc in (("p", h), (h, "q"))] + [("q", "l"), ("l", "r")],
+                   (c, 0, 0))
+    return LabeledPetriNet(net, {**{h: h for h in highs}, "l": "a"}, high_labels=set(highs))
 
 
 DEMOS = {

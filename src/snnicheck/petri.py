@@ -56,13 +56,14 @@ def _check_identifiers(kind: str, ids: Sequence[str]) -> tuple[str, ...]:
     return out
 
 
-def _arc_entry(a: tuple) -> tuple:
-    """``(source, target, weight)`` of an arc entry; a pair has weight 1."""
-    if len(a) == 2:
-        return (*a, 1)
-    if len(a) != 3:
-        raise InvalidNetError(f"arc entry {a!r} must be (source, target[, weight])")
-    return a
+def _arc_entry(a) -> Sequence:
+    """``(source, target, weight)`` of an arc entry, a tuple or list; a pair has weight 1."""
+    if isinstance(a, (tuple, list)):
+        if len(a) == 3:
+            return a
+        if len(a) == 2:
+            return (*a, 1)
+    raise InvalidNetError(f"arc entry {a!r} must be a tuple (source, target[, weight])")
 
 
 class PetriNet:
@@ -93,9 +94,12 @@ class PetriNet:
         self._transition_index = {t: i for i, t in enumerate(self.transitions)}
 
         if isinstance(arcs, Mapping):
+            for key in arcs:
+                if not isinstance(key, tuple) or len(key) != 2:
+                    raise InvalidNetError(f"arc key {key!r} must be a tuple (source, target)")
             arc_items = [(s, d, w) for (s, d), w in arcs.items()]
         else:
-            arc_items = [_arc_entry(a) for a in map(tuple, arcs)]
+            arc_items = [_arc_entry(a) for a in arcs]
 
         self.weight: dict[tuple[str, str], int] = {}
         for source, target, w in arc_items:

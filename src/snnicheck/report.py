@@ -6,10 +6,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .basis import Tag, build_brg, build_ubrg, sorted_tags
+from .basis import Tag, build_ubrg, sorted_tags
 from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionReport, LabeledPetriNet,
                     LabelWord, format_word)
-from .verifier import Verdict, build_sv, sv_verdict
+from .verifier import Verdict, build_sv, decide_languages, sv_verdict
 
 
 @dataclass
@@ -94,41 +94,28 @@ def _tags(tags: frozenset[Tag]) -> str:
 
 
 def analyze(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> AnalysisReport:
-    """Run the whole pipeline and collect the report.
+    """Decide first, then build the trees as evidence, and collect the report.
 
-    The full net's state space is never enumerated: :func:`build_brg` proves
-    boundedness and counts the reachable markings while it saturates the
-    basis graph, and caches the passing report that "assumptions" then
-    reads.  The low subnet's state space is explored once, by ``build_sv``
-    (timed under "sv").  The verdict and the shortest leaked low word come
-    from :func:`sv_verdict`'s one comparison of the basis graph's language
-    with the low subnet's (under "languages"); the tags are evidence on top
-    of it.
+    The verdict and the shortest leaked low word come from :func:`decide_languages`
+    alone; the full net's state space is never enumerated.  The unfolding and
+    verifier, built on its basis graph and low language, only add the tags,
+    but a tree past its node cap still raises and loses the verdict.
     """
+    decision = decide_languages(lpn, cap)
     t0 = time.perf_counter()
-    brg = build_brg(lpn, cap)
+    ubrg = build_ubrg(lpn, cap, brg=decision.brg)
     t1 = time.perf_counter()
-    assumptions = lpn.require_assumptions(cap)
-    timings = {"assumptions": time.perf_counter() - t1, "brg": t1 - t0}
-
-    t0 = time.perf_counter()
-    ubrg = build_ubrg(lpn, cap, brg=brg)
-    timings["ubrg"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    sv = build_sv(lpn, cap, ubrg=ubrg)
-    timings["sv"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    verdict = sv_verdict(lpn, sv, brg=brg, cap=cap)
-    timings["languages"] = time.perf_counter() - t0
-
+    sv = build_sv(lpn, cap, ubrg=ubrg, low=decision.low)
+    verdict = sv_verdict(lpn, sv, check=decision.check)
+    timings = {"assumptions": decision.timings["assumptions"], "brg": decision.timings["brg"],
+               "ubrg": t1 - t0, "sv": time.perf_counter() - t1,
+               "languages": decision.timings["languages"]}
     return AnalysisReport(
         snni=verdict.snni, verdict=verdict,
-        alpha_tags=sv.ubrg.alpha_tags, beta_tags=sv.ubrg.beta_tags,
+        alpha_tags=ubrg.alpha_tags, beta_tags=ubrg.beta_tags,
         alpha_matched=sv.alpha_matched, beta_matched=sv.beta_matched,
         witness_words=verdict.witness_words, leaked_word=verdict.counterexample,
-        brg_states=len(brg.nfa.states), ubrg_nodes=len(sv.ubrg.nodes),
-        sv_nodes=len(sv.nodes), reachable_markings=assumptions.reachable_count,
-        low_reachable_markings=len(sv.low.states),
-        assumptions=assumptions, cap=cap, timings=timings)
+        brg_states=len(decision.brg.nfa.states), ubrg_nodes=len(ubrg.nodes),
+        sv_nodes=len(sv.nodes), reachable_markings=decision.assumptions.reachable_count,
+        low_reachable_markings=len(decision.low.states),
+        assumptions=decision.assumptions, cap=cap, timings=timings)

@@ -1,19 +1,16 @@
-"""Interference verifier: label-synchronized product of the unfolding with
-the low-subnet behavior, and the resulting yes/no verdict.
+"""The SNNI decision, and the verifier tree as evidence on top of it.
 
-Every tagged leaf of the unfolding stands for a low observation whose
-enabling may depend on hidden high firings.  The verifier is the product of
-the unfolding with the low subnet's reachability graph under equal labels; a
-tag that the product can still reach has an indistinguishable low-only
-counterpart.  The system is interference-free exactly when every tag is matched.
-
-Like the unfolding, the verifier tree is stored as columns indexed by node
-id (unfolding node, low marking, parent, incoming event); its node objects
-and automaton are views built on access.
+:func:`decide_languages` decides without any tree: the net is SNNI exactly
+when the basis graph's label language, the low projection of the net's, equals
+the low subnet's.  The verifier pairs the unfolding with the low subnet's
+reachability graph under equal labels; a tag the pairing reaches has a
+low-only counterpart.  Like the unfolding, the verifier is stored as columns
+indexed by node id; its node objects and automaton are views built on access.
 """
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
@@ -21,11 +18,51 @@ from typing import Mapping
 
 from .basis import (DEFAULT_TREE_NODE_CAP, Brg, Tag, TreeNodes, UbrgResult, build_brg,
                     build_ubrg, sorted_tags)
-from .language import language_equal
+from .language import LanguageCheckResult, language_equal
 from .nfa import Nfa
-from .petri import (DEFAULT_EXPLORATION_CAP, LabeledPetriNet, LabelWord,
-                    Marking, NetError)
+from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionReport, LabeledPetriNet,
+                    LabelWord, Marking, NetError)
 from .reach import low_label_language
+
+
+@dataclass(frozen=True)
+class LanguageDecision:
+    """The tree-free decision: SNNI exactly when ``check.equal``.
+
+    ``check`` compares the basis graph's label language with the low
+    subnet's, ``low``; its counterexample is the shortest (and least) leaked
+    low word.  ``timings`` holds the seconds spent on "assumptions", "brg"
+    and "languages" (the low subnet's exploration and the comparison).
+    """
+
+    brg: Brg
+    low: Nfa
+    check: LanguageCheckResult
+    assumptions: AssumptionReport
+    timings: Mapping[str, float]
+
+
+def decide_languages(lpn: LabeledPetriNet,
+                     cap: int = DEFAULT_EXPLORATION_CAP) -> LanguageDecision:
+    """Decide SNNI from the basis graph and the low subnet alone, building no tree."""
+    t0 = time.perf_counter()
+    brg = build_brg(lpn, cap)
+    t1 = time.perf_counter()
+    assumptions = lpn.require_assumptions(cap)
+    t2 = time.perf_counter()
+    low = low_label_language(lpn, cap)
+    check = _compare(brg, low)
+    return LanguageDecision(brg, low, check, assumptions, {
+        "assumptions": t2 - t1, "brg": t1 - t0, "languages": time.perf_counter() - t2})
+
+
+def _compare(brg: Brg, low: Nfa) -> LanguageCheckResult:
+    """The basis graph's language against the low subnet's, which it must contain."""
+    check = language_equal(brg.nfa, low)
+    if not check.equal and check.counterexample_side == "right":
+        raise NetError("internal error: low-subnet word missing from the basis-graph "
+                       f"language: {check.counterexample}")
+    return check
 
 
 @dataclass
@@ -42,10 +79,9 @@ class SvResult:
     """Verifier tree as parallel columns indexed by node id, plus the matched tags.
 
     The root is node 0 and pairs the unfolding root with the low initial
-    marking.  Nothing is allocated per node beyond the column entries: the
-    low markings are the states of ``low`` and each ``(t, t_low)`` event is
-    one object per distinct pair.  :attr:`nodes` and :attr:`tree` are views
-    built from the columns on access.
+    marking.  Nothing is allocated per node beyond the column entries: the low
+    markings are the states of ``low``, and there is one ``(t, t_low)`` event
+    object per distinct pair.
     """
 
     ubrg: UbrgResult
@@ -93,10 +129,9 @@ class SvResult:
 
 def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
              ubrg: UbrgResult | None = None,
-             node_cap: int = DEFAULT_TREE_NODE_CAP) -> SvResult:
+             node_cap: int = DEFAULT_TREE_NODE_CAP, low: Nfa | None = None) -> SvResult:
     """Pair each unfolding arc with every equally-labeled arc of the low RG.
 
-    The low subnet's label language is built once and kept as ``low``.
     Breadth-first from (unfolding root, low initial marking); a node expands
     through every unfolding arc of its unfolding node, in arc order, times
     every low arc with the same label, in the low graph's (declaration) order,
@@ -105,15 +140,14 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
     is already on its parent's path is recorded as a duplicate and left
     unexpanded; other repeats are only recorded.  Alpha tags are matched by
     mere reachability of their leaf; beta tags only by a recorded duplicate
-    pairing.  Pass a prebuilt ``ubrg`` to avoid unfolding twice.
-
-    The breadth-first order is the id order, so the builder walks the ids
-    and keeps only each pending node's parent path in a queue.  An unfolding
-    node's children are read off its first-child id and its BRG state's arcs.
+    pairing.  The unfolding and the low label language (kept as ``low``) are
+    built here unless passed.  The breadth-first order is the id order, so
+    the builder walks the ids and keeps only each pending node's parent path.
     """
     if ubrg is None:
         ubrg = build_ubrg(lpn, cap, node_cap)
-    low = low_label_language(lpn, cap)
+    if low is None:
+        low = low_label_language(lpn, cap)
     brg = ubrg.brg.nfa
     # Per BRG state: (offset of the child, its transition) per arc, in arc order.
     child_moves = [tuple(enumerate(event.transition for event, _ in brg.arcs_from(m)))
@@ -187,8 +221,7 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
     alpha_matched = frozenset(tag for u, tag in utags.items()
                               if tag.kind == "alpha" and u in reached)
     beta_matched = frozenset(utags[ubrg_node[k]] for k in duplicate_pair_nodes)
-    return SvResult(ubrg=ubrg, low=low, ubrg_node=ubrg_node, low_marking=low_marking,
-                    parent=parent, event=event,
+    return SvResult(ubrg, low, ubrg_node, low_marking, parent, event,
                     alpha_matched=alpha_matched, beta_matched=beta_matched,
                     duplicate_pair_nodes=frozenset(duplicate_pair_nodes),
                     plain_duplicate_nodes=frozenset(plain_duplicate_nodes))
@@ -196,14 +229,12 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
 
 @dataclass(frozen=True)
 class Verdict:
-    """Interference decision with the evidence that produced it.
+    """A language comparison's verdict, with the verifier's tags as evidence.
 
-    ``witness_words`` carries, per unmatched tag, the label word of that
-    tag's unfolding path: a low observation with no low-only counterpart.
-    ``counterexample`` is a shortest leaked low word found by a language
-    difference search.  ``spurious_tags`` holds tags the per-path matching
-    rule failed on even though the language comparison proved their
-    observations covered; see the note in :func:`sv_verdict`.
+    ``snni`` and ``counterexample``, a shortest leaked low word, come from the
+    comparison alone.  ``witness_words`` gives each unmatched tag's path word,
+    a low observation with no low-only counterpart; ``spurious_tags`` holds
+    tags the per-path rule missed although the languages are equal.
     """
 
     snni: bool
@@ -220,49 +251,35 @@ class Verdict:
 
 
 def sv_verdict(lpn: LabeledPetriNet, sv: SvResult, brg: Brg | None = None,
-               cap: int = DEFAULT_EXPLORATION_CAP) -> Verdict:
-    """Derive the verdict from an already-built verifier.
+               check: LanguageCheckResult | None = None) -> Verdict:
+    """The verdict of a language comparison, with the tags of a built verifier.
 
-    The per-tag matching is the primary evidence, but on its own it is an
-    incomplete decision rule: a beta pairing may need several traversals of
-    its basis cycle before the low side returns to a repeated pair, and the
-    path-local repeat check cannot see that far.  The verdict is therefore
-    grounded in the exact criterion: the basis graph's label language, which
-    is the low projection of the net's language, must coincide with the low
-    subnet's.  That one comparison also yields the shortest (and
-    lexicographically least) leaked word.  Tags the matching missed while the
-    languages are equal are reported as spurious rather than treated as leaks.
-
-    On a negative verdict each unmatched tag gets the label word of its
-    leaf's unfolding path, read off the unfolding's parent column.
-
-    The basis graph is built when none is passed; the low side is ``sv.low``.
+    The per-tag matching is evidence, not a decision rule: a beta pairing
+    may need several traversals of its basis cycle before the low side
+    returns to a repeated pair, which the path-local repeat check cannot
+    see.  So the verdict is the comparison's: pass ``check`` from
+    :func:`decide_languages`, or ``brg`` (by default ``sv.ubrg.brg``) is
+    compared with ``sv.low`` here.  Tags missed while the languages are
+    equal are spurious, not leaks.  Nothing is explored.  On a negative
+    verdict each unmatched tag gets its leaf's unfolding path word.
     """
-    if brg is None:
-        brg = build_brg(lpn, cap)
+    if check is None:
+        check = _compare(sv.ubrg.brg if brg is None else brg, sv.low)
     missing_alpha = sv.ubrg.alpha_tags - sv.alpha_matched
     missing_beta = sv.ubrg.beta_tags - sv.beta_matched
-    check = language_equal(brg.nfa, sv.low)
-    if not check.equal and check.counterexample_side == "right":
-        raise NetError("internal error: low-subnet word missing from the basis-graph "
-                       f"language: {check.counterexample}")
     if check.equal:
-        return Verdict(snni=True,
-                       spurious_tags=frozenset(missing_alpha | missing_beta))
+        return Verdict(True, spurious_tags=missing_alpha | missing_beta)
     missing = sorted_tags(chain(missing_alpha, missing_beta))
     words = _path_words(lpn, sv.ubrg, [sv.ubrg.tag_leaves[tag] for tag in missing])
-    return Verdict(snni=False,
-                   missing_alpha=frozenset(missing_alpha),
-                   missing_beta=frozenset(missing_beta),
-                   witness_words=dict(zip(missing, words)),
-                   counterexample=check.counterexample)
+    return Verdict(False, missing_alpha, missing_beta, dict(zip(missing, words)),
+                   check.counterexample)
 
 
 def _path_words(lpn: LabeledPetriNet, ubrg: UbrgResult, leaves: list[int]) -> list[LabelWord]:
     """Label words of the unfolding paths to ``leaves``, read off the parent column.
 
-    A parent's id is below its children's, so one pass in id order gives each
-    expanded node its word from its parent's, up to the last parent needed;
+    A parent's id is below its children's, so one pass in id order, up to the
+    last parent needed, gives each expanded node its word from its parent's;
     each leaf then adds its own label.  Leaves share their common prefixes.
     """
     labeling, parent, event, first_child = lpn.labeling, ubrg.parent, ubrg.event, ubrg.first_child
@@ -274,12 +291,7 @@ def _path_words(lpn: LabeledPetriNet, ubrg: UbrgResult, leaves: list[int]) -> li
 
 
 def decide_snni(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Verdict:
-    """Decide non-interference along the basis route.
-
-    Builds the basis graph once, unfolds it, builds the verifier, matches
-    tags, and grounds the boolean in the basis-graph/low-subnet language
-    comparison.
-    """
-    brg = build_brg(lpn, cap)
-    sv = build_sv(lpn, cap, ubrg=build_ubrg(lpn, cap, brg=brg))
-    return sv_verdict(lpn, sv, brg=brg, cap=cap)
+    """:func:`decide_languages`'s verdict, with the unfolding and verifier tags as evidence."""
+    decision = decide_languages(lpn, cap)
+    sv = build_sv(lpn, cap, ubrg=build_ubrg(lpn, cap, brg=decision.brg), low=decision.low)
+    return sv_verdict(lpn, sv, check=decision.check)

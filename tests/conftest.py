@@ -73,9 +73,14 @@ def assert_pumps(net: PetriNet, path: tuple[str, ...], pump_start: int) -> None:
     assert start != end and all(a <= b for a, b in zip(start, end)), (path, pump_start)
 
 
-def record_calls(monkeypatch, cls, names: tuple[str, ...]) -> list:
-    """Names of the methods of ``cls`` among ``names`` as they are called."""
-    calls = []
+def record_calls(monkeypatch, cls, names: tuple[str, ...], calls: list | None = None) -> list:
+    """Names of the methods of ``cls`` among ``names`` as they are called.
+
+    ``cls`` may also be a module, whose functions among ``names`` are then
+    recorded when called with a positional argument.  Pass ``calls`` to
+    record into a list shared with another call.
+    """
+    calls = [] if calls is None else calls
 
     def recording(name):
         original = getattr(cls, name)

@@ -2,12 +2,21 @@
 
 The secure demo was reconstructed from a known set of behavioral constraints;
 this module pins each of them so any rewiring of the fixture fails loudly.
+The parametric families are pinned by their closed-form sizes and verdicts.
 """
 
 from __future__ import annotations
 
+from math import comb
+
+import pytest
+
+from snnicheck.basis import build_brg
 from snnicheck.explanations import explanations_bounded
+from snnicheck.fixtures import equal_effect, hidden_choice
 from snnicheck.language import word_in_language
+from snnicheck.oracle import snni_oracle
+from snnicheck.petri import check_assumptions
 from snnicheck.reach import low_label_language, projected_label_language
 
 
@@ -59,3 +68,25 @@ def test_explanation_sets_of_the_two_branches(secure):
     m0 = secure.net.initial_marking
     assert {e.sequence for e in explanations_bounded(secure, m0, "l3", 4)} == {("h2",)}
     assert {e.sequence for e in explanations_bounded(secure, m0, "l5", 4)} == {()}
+
+
+def _sizes(lpn) -> tuple[int, int]:
+    """(reachable markings, basis markings)."""
+    return check_assumptions(lpn).reachable_count, len(build_brg(lpn).nfa.states)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_hidden_choice_sizes_and_verdicts(k):
+    assert _sizes(hidden_choice(k)) == (3 ** k, 2 ** k)
+    assert _sizes(hidden_choice(k, leaky=True)) == (3 ** k, 2 ** k)
+    plain, twin = snni_oracle(hidden_choice(k)), snni_oracle(hidden_choice(k, leaky=True))
+    assert (plain.snni, plain.counterexample) == (True, None)
+    assert (twin.snni, twin.counterexample) == (False, ("x0",))
+
+
+@pytest.mark.parametrize("n, c", [(1, 1), (2, 5), (3, 7), (4, 20)])
+def test_equal_effect_sizes_and_verdict(n, c):
+    lpn = equal_effect(n, c)
+    assert _sizes(lpn) == (comb(c + 2, 2), c + 1)
+    verdict = snni_oracle(lpn)
+    assert (verdict.snni, verdict.counterexample) == (False, ("a",))

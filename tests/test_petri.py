@@ -421,15 +421,25 @@ def test_net_construction_validation():
 
 
 @pytest.mark.parametrize("arcs, marking", [
-    ([("p1", "t1", 2, 5)], [1]),  # an entry of four fields
-    ([("p1",)], [1]),             # an entry of one field
-    ([("p1", "t1", True)], [1]),  # a bool weight, in an entry
-    ({("p1", "t1"): True}, [1]),  # a bool weight, in a mapping
-    ([("p1", "t1")], [True]),     # a bool token count
+    ([("p", "t", 2, 5)], [1, 0]),  # an entry of four fields
+    ([("p",)], [1, 0]),            # an entry of one field
+    ([("p", "t", True)], [1, 0]),  # a bool weight, in an entry
+    ({("p", "t"): True}, [1, 0]),  # a bool weight, in a mapping
+    ([("p", "t")], [True, 0]),     # a bool token count
+    (["pt"], [1, 0]),              # a bare string entry, which unpacks into p and t
+    ({"pt": 1}, [1, 0]),           # a bare string key
+    ({("p", "t", "x"): 1}, [1, 0]),  # a key of three fields
 ])
 def test_net_rejects_malformed_arc_entries_and_bool_counts(arcs, marking):
     with pytest.raises(InvalidNetError):
-        PetriNet(["p1"], ["t1"], arcs, marking)
+        PetriNet(["p", "x"], ["t"], arcs, marking)
+
+
+def test_net_accepts_arc_entries_as_tuples_or_lists():
+    nets = [PetriNet(["p", "x"], ["t"], arcs, [1, 0])
+            for arcs in ([("p", "t"), ("t", "x", 2)], [["p", "t"], ["t", "x", 2]],
+                         {("p", "t"): 1, ("t", "x"): 2})]
+    assert all(net.weight == {("p", "t"): 1, ("t", "x"): 2} for net in nets)
 
 
 def test_labeling_validation(secure):

@@ -4,6 +4,8 @@ import pytest
 
 import snnicheck.petri as petri
 import snnicheck.reach as reach
+import snnicheck.report as report_module
+import snnicheck.verifier as verifier
 from snnicheck.basis import UbrgNode, build_brg, build_ubrg
 from snnicheck.dot import export_dot
 from snnicheck.fixtures import demo_leaky, demo_secure, demo_sync_period_two
@@ -12,7 +14,7 @@ from snnicheck.oracle import snni_oracle
 from snnicheck.petri import LabeledPetriNet, PetriNet, check_assumptions
 from snnicheck.randnets import GeneratorConfig, random_lpn
 from snnicheck.report import analyze
-from snnicheck.verifier import SvNode, build_sv, sv_verdict
+from snnicheck.verifier import SvNode, build_sv, decide_snni, sv_verdict
 
 from conftest import record_calls
 
@@ -77,6 +79,19 @@ def test_analyze_builds_one_low_subnet_and_fires_nothing(monkeypatch, demo):
     analyze(lpn)
     assert subnets == ["low_subnet"]
     assert fired == []
+
+
+@pytest.mark.parametrize("run", [analyze, decide_snni])
+@pytest.mark.parametrize("demo", [demo_secure, demo_leaky, demo_sync_period_two])
+def test_the_verdict_is_decided_before_any_tree_is_built(monkeypatch, run, demo):
+    lpn = demo()
+    calls = record_calls(monkeypatch, verifier,
+                         ("low_label_language", "language_equal", "build_ubrg"))
+    record_calls(monkeypatch, report_module, ("build_ubrg",), calls)
+    run(lpn)
+    # One low exploration and one comparison, both before the unfolding; the
+    # verifier reuses the low language and the verdict reuses the comparison.
+    assert calls == ["low_label_language", "language_equal", "build_ubrg"]
 
 
 @pytest.mark.parametrize("demo", [demo_secure, demo_leaky])
