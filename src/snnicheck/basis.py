@@ -268,8 +268,7 @@ def build_brg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Brg:
     while queue:
         node = queue.popleft()
         m, path_min = node[0], node[5]
-        answers = high_run_answers(lpn, m, reachable, cap)[0]
-        for t, found in answers:
+        for t, found in high_run_answers(lpn, m, reachable, cap):
             delta = net.delta[t]
             label = lpn.labeling[t]
             for y, run_marking, run in found:
@@ -282,11 +281,8 @@ def build_brg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Brg:
                     ancestor = node
                     while ancestor is not None and ancestor[5] < tokens:
                         if ancestor[4] < tokens and all(map(le, ancestor[0], successor)):
-                            raise AssumptionError(AssumptionReport(
-                                bounded=False, reachable_count=None,
-                                domination_witness=_domination_witness(node, ancestor, run, t),
-                                high_subnet_acyclic=True, high_cycle=None,
-                                cap=cap).describe_failure())
+                            raise AssumptionError(
+                                _domination_witness(node, ancestor, run, t).describe())
                         ancestor = ancestor[1]
                     known = seen[successor] = successor
                     states.append(successor)

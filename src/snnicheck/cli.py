@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .basis import build_brg, build_ubrg
 from .dot import export_dot, format_marking
-from .explanations import minimal_e_vectors
+from .explanations import minimal_e_vector_sets
 from .fixtures import DEMOS, fixture_document
 from .netdoc import NetDocument, parse_net
 from .oracle import snni_oracle
@@ -177,8 +177,8 @@ def _cmd_explain(args) -> int:
         except ValueError as exc:
             raise NetError(f"malformed marking {args.marking!r}: {exc}") from exc
     targets = [args.transition] if args.transition else list(lpn.low_transitions)
-    results = {t: sorted(minimal_e_vectors(lpn, marking, t, args.cap).evectors)
-               for t in targets}
+    results = {t: sorted(found.evectors) for t, found
+               in minimal_e_vector_sets(lpn, marking, targets, args.cap).items()}
     if args.format == "machine-readable":
         payload = {"marking": list(marking),
                    "high_transitions": list(lpn.high_transitions),

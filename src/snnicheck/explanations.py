@@ -17,10 +17,12 @@ earlier, so what is kept is exactly the minimal set; a transition enabled at
 
 The answers are kept lean: per marking, only the low transitions that have
 vectors, each vector with its run's marking and the run.  The basis graph
-reads its successors off those run markings, and the markings of all runs
-are every marking reachable from ``m`` by high firings, which is what its
-boundedness proof counts.  Both are cached together on the net;
-:class:`MinimalExplanationSet` is built only for the public queries.
+reads its successors off those run markings, and counts the markings of all
+runs, every marking reachable from ``m`` by high firings, for its
+boundedness proof.  The search is a pure function of the net, the marking
+and the cap: nothing is stored on the net, whose one memo is its assumption
+report.  :class:`MinimalExplanationSet` is built only for the public
+queries, which answer several low transitions from one search.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from dataclasses import dataclass
 from operator import le
 from typing import Iterable, Mapping, Sequence
 
-from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionError, AssumptionReport,
-                    InvalidNetError, LabeledPetriNet, Marking, ParikhVector,
-                    TransitionSequence, parikh, shift)
+from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionError, InvalidNetError,
+                    LabeledPetriNet, Marking, ParikhVector, TransitionSequence, parikh,
+                    shift)
 
 
 @dataclass(frozen=True)
@@ -54,9 +56,8 @@ class MinimalExplanationSet:
 
 #: A minimal explanation: its vector, the marking its witness run reaches, the run.
 Answer = tuple[ParikhVector, Marking, TransitionSequence]
-#: Per marking: ``(t, minimal answers)`` for each low transition with any,
-#: and the marking of every high run.
-HighRunAnswers = tuple[tuple[tuple[str, tuple[Answer, ...]], ...], tuple[Marking, ...]]
+#: Per marking: ``(t, minimal answers)`` for each low transition with any.
+HighRunAnswers = tuple[tuple[str, tuple[Answer, ...]], ...]
 
 
 def _strictly_below(a: ParikhVector, b: ParikhVector) -> bool:
@@ -69,11 +70,13 @@ def minimality_filter(candidates: Iterable[ParikhVector]) -> set[ParikhVector]:
     return {v for v in pool if not any(_strictly_below(w, v) for w in pool)}
 
 
-def _check_low_query(lpn: LabeledPetriNet, m: Sequence[int], t: str) -> Marking:
+def _check_low_query(lpn: LabeledPetriNet, m: Sequence[int],
+                     transitions: Sequence[str]) -> Marking:
     marking = lpn.net.check_marking(m)
-    lpn.net.check_transition(t)
-    if not lpn.is_low(t):
-        raise InvalidNetError(f"explanations are defined for low transitions only, {t} is high")
+    for t in transitions:
+        lpn.net.check_transition(t)
+        if not lpn.is_low(t):
+            raise InvalidNetError(f"explanations are defined for low transitions only, {t} is high")
     return marking
 
 
@@ -84,7 +87,7 @@ def explanations_bounded(lpn: LabeledPetriNet, m: Sequence[int], t: str,
     Exhaustive (hence oracle-grade) whenever ``len_cap`` covers the longest
     firable high sequence, which exists under the standing assumptions.
     """
-    marking = _check_low_query(lpn, m, t)
+    marking = _check_low_query(lpn, m, (t,))
     if len_cap <= 0:
         raise InvalidNetError(f"length cap must be positive, got {len_cap}")
     net = lpn.net
@@ -107,53 +110,55 @@ def minimal_e_vectors(lpn: LabeledPetriNet, m: Sequence[int], t: str,
                       cap: int = DEFAULT_EXPLORATION_CAP) -> MinimalExplanationSet:
     """Compute the Parikh-minimal explanation vectors of ``t`` at ``m``.
 
-    The answer is read off the shared high-run search from ``m`` (see the
-    module docstring): exactly the minimal set, each vector paired with its
-    first witness sequence in breadth-first order.  The search terminates
-    because of both standing assumptions, which are verified (and the report
-    cached) before it runs.  ``cap`` also bounds the search itself, as in
-    :func:`~snnicheck.basis.build_brg`: it is refused once it has listed more
-    than ``cap`` count vectors, or its runs more than ``cap`` markings.
+    One query of :func:`minimal_e_vector_sets`: exactly the minimal set,
+    each vector paired with its first witness sequence in breadth-first
+    order.  Each call runs its own search.
     """
-    marking = _check_low_query(lpn, m, t)
+    return minimal_e_vector_sets(lpn, m, (t,), cap)[t]
+
+
+def minimal_e_vector_sets(lpn: LabeledPetriNet, m: Sequence[int], transitions: Sequence[str],
+                          cap: int = DEFAULT_EXPLORATION_CAP) -> dict[str, MinimalExplanationSet]:
+    """The minimal explanation set of each low transition in ``transitions`` at ``m``.
+
+    All of them are read off one high-run search from ``m`` (see the module
+    docstring).  The search terminates because of both standing
+    assumptions, which are verified (and the report cached) before it runs.
+    ``cap`` also bounds the search itself, as in
+    :func:`~snnicheck.basis.build_brg`: it is refused once it has listed
+    more than ``cap`` count vectors, or its runs more than ``cap`` markings.
+    An empty ``transitions`` checks only the marking.
+    """
+    marking = _check_low_query(lpn, m, transitions)
+    if not transitions:
+        return {}
     lpn.require_assumptions(cap)
-    answers = high_run_answers(lpn, marking, set(), cap)[0]
-    return _explanation_set(marking, t, dict(answers).get(t, ()))
-
-
-def _explanation_set(marking: Marking, t: str,
-                     found: tuple[Answer, ...]) -> MinimalExplanationSet:
-    witnesses = {vector: run for vector, _, run in found}
-    return MinimalExplanationSet(marking=marking, transition=t,
-                                 evectors=frozenset(witnesses), witnesses=witnesses)
+    answers = dict(high_run_answers(lpn, marking, set(), cap))
+    sets = {}
+    for t in transitions:
+        witnesses = {vector: run for vector, _, run in answers.get(t, ())}
+        sets[t] = MinimalExplanationSet(marking=marking, transition=t,
+                                        evectors=frozenset(witnesses), witnesses=witnesses)
+    return sets
 
 
 def high_run_answers(lpn: LabeledPetriNet, marking: Marking,
                      reachable: set[Marking], cap: int) -> HighRunAnswers:
-    """Minimal explanations of every low transition at ``marking``, and the run markings.
+    """Minimal explanations of every low transition at ``marking``, from one search.
 
-    The first part lists, for each low transition that has any, in
-    declaration order, its minimal vectors in lexicographic order, each with
-    the marking its witness run reaches and the run itself.  The second part
-    holds the marking of every high run from ``marking``, which is every
-    marking reachable from it by high firings alone.  Nothing is validated;
-    the search ends only when the high subnet is acyclic and every high
-    transition has an input place or changes no token.  Both parts are cached
-    on the net, keyed by marking, with the number of count vectors listed.
+    Lists, for each low transition that has any, in declaration order, its
+    minimal vectors in lexicographic order, each with the marking its
+    witness run reaches and the run itself.  Nothing is validated; the
+    search ends only when the high subnet is acyclic and every high
+    transition has an input place or changes no token.  Each call searches
+    afresh.
 
-    The run markings are added to ``reachable`` level by level, and
-    :class:`~snnicheck.petri.AssumptionError` is raised as soon as it holds
-    more than ``cap`` markings, or the search more than ``cap`` count
-    vectors, so the cap bounds the search itself.  A cached answer is used
-    only when its count vectors are within ``cap``; otherwise the search
-    runs again and is refused exactly as a first search would be.
+    The marking of every high run from ``marking``, which is every marking
+    reachable from it by high firings alone, is added to ``reachable``
+    level by level, and :class:`~snnicheck.petri.AssumptionError` is raised
+    as soon as it holds more than ``cap`` markings, or the search more than
+    ``cap`` count vectors, so the cap bounds the search itself.
     """
-    cached = lpn._explanation_cache.get(marking)
-    if cached is not None:
-        result, vectors = cached
-        if vectors <= cap:
-            _count(reachable, result[1], cap)
-            return result
     runs = _high_runs(lpn, marking, reachable, cap)
     answers = []
     for t in lpn.low_transitions:
@@ -173,17 +178,7 @@ def high_run_answers(lpn: LabeledPetriNet, marking: Marking,
         if found:
             found.sort()
             answers.append((t, tuple(found)))
-    result = (tuple(answers), tuple(r[1] for r in runs))
-    lpn._explanation_cache[marking] = (result, len(runs))
-    return result
-
-
-def _count(reachable: set[Marking], markings: Iterable[Marking], cap: int) -> None:
-    reachable.update(markings)
-    if len(reachable) > cap:
-        raise AssumptionError(AssumptionReport(
-            bounded=None, reachable_count=None, domination_witness=None,
-            high_subnet_acyclic=True, high_cycle=None, cap=cap).describe_failure())
+    return tuple(answers)
 
 
 def _high_runs(lpn: LabeledPetriNet, marking: Marking,
@@ -209,7 +204,10 @@ def _high_runs(lpn: LabeledPetriNet, marking: Marking,
     visited = {zero}
     while level:
         runs.extend(level)
-        _count(reachable, [r[1] for r in level], cap)
+        reachable.update(r[1] for r in level)
+        if len(reachable) > cap:
+            raise AssumptionError(f"boundedness unknown: exploration cap of {cap} "
+                                  "markings exhausted")
         if len(visited) > cap:
             raise AssumptionError(f"boundedness unknown: exploration cap of {cap} "
                                   "count vectors exhausted by one high-run search")

@@ -11,7 +11,7 @@ parametric families with closed-form sizes and verdicts.
 from __future__ import annotations
 
 from .netdoc import NetDocument
-from .petri import LabeledPetriNet, PetriNet
+from .petri import InvalidNetError, LabeledPetriNet, PetriNet
 
 _DEMO_PLACES = ("p1", "p2", "p3", "p4", "p5", "p6", "p7", "p8", "p9")
 _DEMO_ARCS = [
@@ -89,8 +89,11 @@ def hidden_choice(k: int, leaky: bool = False) -> LabeledPetriNet:
     For each ``i < k``: places ``a_i`` (one token), ``b_i`` and ``c_i``; high
     ``h_i: a_i -> b_i``; low ``l_i: b_i -> c_i`` and ``m_i: a_i -> c_i``, both
     labeled ``x_i``, so ``m_i`` is the low-only twin of ``h_i l_i``.  With
-    ``leaky`` there is no ``m_0``, and the low word ``x0`` leaks.
+    ``leaky`` there is no ``m_0``, and the low word ``x0`` leaks.  ``k``
+    must be at least 1.
     """
+    if k < 1:
+        raise InvalidNetError(f"hidden_choice needs k >= 1, got {k}")
     places, transitions, arcs, labels = [], [], [], {}
     for i in range(k):
         a, b, c, h, l, m = (f"{name}{i}" for name in "abchlm")
@@ -111,8 +114,10 @@ def equal_effect(n: int, c: int) -> LabeledPetriNet:
 
     Places ``p, q, r`` with ``c`` tokens on ``p``; high ``h0..h{n-1}: p -> q``
     and low ``l: q -> r``, labeled ``a``.  C(c+2, 2) markings are reachable and
-    c+1 of them are basis markings.
+    c+1 of them are basis markings.  ``n`` and ``c`` must be at least 1.
     """
+    if n < 1 or c < 1:
+        raise InvalidNetError(f"equal_effect needs n >= 1 and c >= 1, got n={n}, c={c}")
     highs = [f"h{i}" for i in range(n)]
     net = PetriNet(("p", "q", "r"), (*highs, "l"),
                    [arc for h in highs for arc in (("p", h), (h, "q"))] + [("q", "l"), ("l", "r")],

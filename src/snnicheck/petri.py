@@ -1,8 +1,10 @@
 """Core Petri-net and labeled-net semantics.
 
 Markings and Parikh vectors are plain tuples of non-negative integers,
-indexed by the declaration order of places and transitions.  All types are
-immutable after construction; operations are pure functions of their inputs.
+indexed by the declaration order of places and transitions.  Nets are not
+changed after construction, and operations are pure functions of their
+inputs.  The one memo is a labeled net's passing assumption report, which
+answers only caps that cover its marking count.
 """
 
 from __future__ import annotations
@@ -298,7 +300,6 @@ class LabeledPetriNet:
         self.high_transitions = tuple(t for t in net.transitions
                                       if self.labeling[t] in self.high_labels)
         self._assumption_report: AssumptionReport | None = None
-        self._explanation_cache: dict = {}
 
     def label(self, t: str) -> str:
         self.net.check_transition(t)
@@ -316,7 +317,7 @@ class LabeledPetriNet:
 
         Cut from this net's validated tables without the constructor's
         checks: its alphabet is the low labels, it has no high labels, and
-        its assumption report and explanation cache start empty.
+        its assumption report starts empty.
         """
         sub = LabeledPetriNet.__new__(LabeledPetriNet)
         sub.net = self.net.induced_subnet(self.low_transitions)
@@ -326,7 +327,6 @@ class LabeledPetriNet:
         sub.low_transitions = self.low_transitions
         sub.high_transitions = ()
         sub._assumption_report = None
-        sub._explanation_cache = {}
         return sub
 
     def high_subnet(self) -> PetriNet:
@@ -381,6 +381,11 @@ class DominationWitness:
     path: TransitionSequence
     pump_start: int
 
+    def describe(self) -> str:
+        """The refusal text naming this witness."""
+        return (f"net is unbounded: firing {' '.join(self.path)} strictly dominates the marking "
+                f"reached after step {self.pump_start}")
+
 
 @dataclass(frozen=True)
 class AssumptionReport:
@@ -400,10 +405,7 @@ class AssumptionReport:
     def describe_failure(self) -> str:
         problems = []
         if self.bounded is False:
-            w = self.domination_witness
-            problems.append(
-                f"net is unbounded: firing {' '.join(w.path)} strictly dominates the marking "
-                f"reached after step {w.pump_start}")
+            problems.append(self.domination_witness.describe())
         elif self.bounded is None:
             problems.append(f"boundedness unknown: exploration cap of {self.cap} markings exhausted")
         if not self.high_subnet_acyclic:

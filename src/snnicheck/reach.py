@@ -37,9 +37,7 @@ def _reachability_nfa(net: PetriNet, cap: int,
         raise InvalidNetError(f"exploration cap must be positive, got {cap}")
     exploration = explore_markings(net, cap)
     if exploration.domination_witness is not None:
-        w = exploration.domination_witness
-        raise AssumptionError(f"net is unbounded: firing {' '.join(w.path)} strictly dominates "
-                              f"the marking reached after step {w.pump_start}")
+        raise AssumptionError(exploration.domination_witness.describe())
     if not exploration.complete:
         raise AssumptionError(f"reachability exploration cap of {cap} markings exhausted")
     arcs = tuple(zip(exploration.arc_sources, exploration.arc_transitions,

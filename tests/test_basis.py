@@ -3,6 +3,7 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
+from snnicheck import explanations
 from snnicheck.basis import (BrgEvent, Tag, basis_successor, build_brg,
                              build_ubrg, path_evector_sum, path_transitions)
 from snnicheck.explanations import minimal_e_vectors
@@ -11,10 +12,10 @@ from snnicheck.fixtures import (demo_cyclic_high, demo_leaky, demo_secure,
                                 demo_sync_period_two, demo_unbounded)
 from snnicheck.petri import (AssumptionError, InvalidNetError, LabeledPetriNet, PetriNet,
                              check_assumptions)
-from snnicheck.randnets import random_lpn
+from snnicheck.randnets import GeneratorConfig, random_lpn
 
 from conftest import (ALL_BASIS_MARKINGS, BASIS_M0, BASIS_M1, BASIS_M2, assert_pumps,
-                      unbounded_witness)
+                      record_calls, unbounded_witness)
 
 
 def test_brg_states_match_expected_set(secure):
@@ -136,6 +137,22 @@ def test_cached_explanations_do_not_answer_a_smaller_cap(query, expected):
         query(lpn, 1000)
     assert str(again.value) == refusal
     assert query(lpn, 20_000) == expected
+
+
+@pytest.mark.parametrize("make", [
+    demo_secure, demo_sync_period_two,
+    lambda: random_lpn(24, GeneratorConfig(max_places=14, max_transitions=20, max_tokens=6,
+                                           bound_cap=100_000)),
+], ids=["secure", "sync-period-two", "big net 24"])
+def test_build_brg_searches_every_basis_state_on_every_build(monkeypatch, make):
+    # Nothing is kept on the net between builds: each one runs one high-run
+    # search per basis state.
+    lpn = make()
+    searches = record_calls(monkeypatch, explanations, ("_high_runs",))
+    for _ in range(2):
+        searches.clear()
+        states = build_brg(lpn).nfa.states
+        assert len(searches) == len(states)
 
 
 def test_brg_with_a_high_transition_that_changes_nothing():

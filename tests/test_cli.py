@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from snnicheck import explanations
 from snnicheck.cli import run_cli
 from snnicheck.fixtures import fixture_document
+
+from conftest import record_calls
 
 
 @pytest.fixture
@@ -118,6 +121,13 @@ def test_explain_all_low_transitions_at_marking(net_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["minimal_e_vectors"]["l5"] == [[0, 0]]
     assert payload["minimal_e_vectors"]["l2"] == []
+
+
+def test_explain_answers_every_low_transition_from_one_search(net_file, capsys, monkeypatch):
+    searches = record_calls(monkeypatch, explanations, ("_high_runs",))
+    assert run_cli(["explain", "--net", net_file("secure")]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 9
+    assert searches == ["_high_runs"]
 
 
 def test_explain_malformed_marking(net_file, capsys):

@@ -16,7 +16,7 @@ from snnicheck.explanations import explanations_bounded
 from snnicheck.fixtures import equal_effect, hidden_choice
 from snnicheck.language import word_in_language
 from snnicheck.oracle import snni_oracle
-from snnicheck.petri import check_assumptions
+from snnicheck.petri import InvalidNetError, check_assumptions
 from snnicheck.reach import low_label_language, projected_label_language
 
 
@@ -90,3 +90,14 @@ def test_equal_effect_sizes_and_verdict(n, c):
     assert _sizes(lpn) == (comb(c + 2, 2), c + 1)
     verdict = snni_oracle(lpn)
     assert (verdict.snni, verdict.counterexample) == (False, ("a",))
+
+
+@pytest.mark.parametrize("family, args", [
+    (equal_effect, (0, 3)),
+    (equal_effect, (2, 0)),
+    (hidden_choice, (0, True)),
+], ids=["equal_effect(0, 3)", "equal_effect(2, 0)", "hidden_choice(0, leaky)"])
+def test_families_reject_sizes_without_their_leak(family, args):
+    # Each of these sizes would build an SNNI net, not the leaky one promised.
+    with pytest.raises(InvalidNetError):
+        family(*args)

@@ -479,8 +479,7 @@ def test_subnets_are_cut_from_the_validated_tables(monkeypatch):
     labeled = record_calls(monkeypatch, LabeledPetriNet, ("__init__",))
     low = lpn.low_subnet()
     assert nets == labeled == []
-    # The subnet's caches are its own.
-    assert low._explanation_cache is not lpn._explanation_cache
+    # The subnet's assumption report is its own.
     low.require_assumptions()
     assert lpn._assumption_report is None
 
