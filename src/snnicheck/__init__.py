@@ -24,9 +24,9 @@ from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionError, AssumptionReport,
                     LabeledPetriNet, Marking, NetError, ParikhVector, PetriNet,
                     TransitionSequence, check_assumptions, format_word, parikh,
                     project)
-from .report import AnalysisReport, analyze
+from .report import AnalysisReport, analyze, decide_snni
 from .verifier import (LanguageDecision, SvNode, SvResult, Verdict, build_sv,
-                       decide_languages, decide_snni, sv_verdict)
+                       decide_languages, sv_verdict)
 
 __all__ = [
     "AnalysisReport", "AssumptionError", "AssumptionReport", "Brg", "BrgEvent",

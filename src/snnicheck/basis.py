@@ -25,14 +25,15 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from operator import itemgetter, le
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .explanations import high_run_answers
 from .nfa import Nfa
 from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionError, AssumptionReport,
-                    DominationWitness, InvalidNetError, LabeledPetriNet, Marking,
-                    NetError, ParikhVector, TransitionSequence, _high_subnet_cycle, shift)
+                    InvalidNetError, LabeledPetriNet, Marking, NetError, ParikhVector,
+                    TransitionSequence, _dominated_ancestor, _domination_witness,
+                    _high_subnet_cycle, shift)
 
 #: Hard ceiling on tree sizes (unfolding and verifier); exceeding it raises
 #: instead of thrashing.  Both trees never fuse repeated nodes, so adversarial
@@ -74,10 +75,15 @@ def sorted_tags(tags: Iterable[Tag]) -> list[Tag]:
 
 @dataclass(frozen=True)
 class Brg:
-    """Basis reachability graph; NFA states are the basis markings themselves."""
+    """Basis reachability graph; NFA states are the basis markings themselves.
+
+    Building it proves the standing assumptions: ``assumptions`` is that
+    passing report, with the net's reachable-marking count.
+    """
 
     nfa: Nfa
     initial: Marking
+    assumptions: AssumptionReport
 
     @property
     def basis_markings(self) -> frozenset[Marking]:
@@ -244,10 +250,12 @@ def build_brg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Brg:
     net is bounded iff the saturation ends:
     on an unbounded net, some new basis marking strictly dominates an
     ancestor on its discovery path (König's and Dickson's lemmas), and each
-    new basis marking is compared with those ancestors, pruned by token
-    count as in :func:`~snnicheck.petri.explore_markings`.  A domination or
-    an exhausted cap raises :class:`~snnicheck.petri.AssumptionError`; a
-    finished saturation caches the passing report on the net.
+    new basis marking is compared with those ancestors by the walk of
+    :func:`~snnicheck.petri.explore_markings`, each node holding the witness
+    run and low transition of the arc that found it.  A domination or an
+    exhausted cap raises :class:`~snnicheck.petri.AssumptionError`; a
+    finished saturation returns the passing report, with the reachable
+    count, as :attr:`Brg.assumptions`.  Nothing is stored on the net.
     """
     if cap <= 0:
         raise InvalidNetError(f"exploration cap must be positive, got {cap}")
@@ -257,9 +265,7 @@ def build_brg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Brg:
         lpn.require_assumptions(cap)
     root = net.initial_marking
     tokens = sum(root)
-    # node = (marking, parent node or None, witness run and low transition of
-    #         the arc that found it, token count, fewest tokens on its path)
-    queue: deque = deque([(root, None, (), None, tokens, tokens)])
+    queue: deque = deque([(root, None, (), tokens, tokens)])
     seen: dict[Marking, Marking] = {root: root}
     states: list[Marking] = [root]
     arcs: list[tuple[Marking, BrgEvent, Marking]] = []
@@ -267,7 +273,7 @@ def build_brg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Brg:
     reachable: set[Marking] = set()
     while queue:
         node = queue.popleft()
-        m, path_min = node[0], node[5]
+        m, path_min = node[0], node[4]
         for t, found in high_run_answers(lpn, m, reachable, cap):
             delta = net.delta[t]
             label = lpn.labeling[t]
@@ -278,45 +284,19 @@ def build_brg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Brg:
                 known = seen.get(successor)
                 if known is None:
                     tokens = sum(successor)
-                    ancestor = node
-                    while ancestor is not None and ancestor[5] < tokens:
-                        if ancestor[4] < tokens and all(map(le, ancestor[0], successor)):
-                            raise AssumptionError(
-                                _domination_witness(node, ancestor, run, t).describe())
-                        ancestor = ancestor[1]
+                    ancestor = _dominated_ancestor(node, successor, tokens)
+                    if ancestor is not None:
+                        raise AssumptionError(
+                            _domination_witness(node, ancestor, run + (t,)).describe())
                     known = seen[successor] = successor
                     states.append(successor)
-                    queue.append((successor, node, run, t, tokens, min(tokens, path_min)))
+                    queue.append((successor, node, run + (t,), tokens, min(tokens, path_min)))
                 arcs.append((m, event, known))
-    lpn._assumption_report = AssumptionReport(
+    assumptions = AssumptionReport(
         bounded=True, reachable_count=len(reachable), domination_witness=None,
         high_subnet_acyclic=True, high_cycle=None, cap=cap)
     return Brg(nfa=Nfa._from_unique(tuple(states), tuple(arcs), (root,), labeling),
-               initial=root)
-
-
-def _domination_witness(parent: tuple, ancestor: tuple, run: TransitionSequence,
-                        t: str) -> DominationWitness:
-    """The discovery path to ``parent`` and on by ``run`` and ``t`` as one firing path.
-
-    Each basis arc is expanded into its witness run followed by its low
-    transition; the pump starts where the path reaches ``ancestor``.
-    """
-    chain = []
-    node = parent
-    while node[1] is not None:
-        chain.append(node)
-        node = node[1]
-    path: list[str] = []
-    pump_start = 0
-    for node in reversed(chain):
-        path.extend(node[2])
-        path.append(node[3])
-        if node is ancestor:
-            pump_start = len(path)
-    path.extend(run)
-    path.append(t)
-    return DominationWitness(tuple(path), pump_start)
+               initial=root, assumptions=assumptions)
 
 
 def build_ubrg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
@@ -333,11 +313,11 @@ def build_ubrg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
     nonzero explanation vector, and exactly such leaves get a tag, numbered
     per kind in node order.  Nodes are stored as column entries, not
     objects (see :class:`UbrgResult`).  Pass a prebuilt ``brg`` to avoid
-    building the basis graph twice.
+    building the basis graph twice; ``cap`` then goes unused, since the
+    basis graph is itself the proof of the standing assumptions.
     """
     if brg is None:
         brg = build_brg(lpn, cap)
-    lpn.require_assumptions(cap)
     markings = brg.nfa.states
     index = {m: i for i, m in enumerate(markings)}
     # Per BRG state: (event, successor index, its path bit, arc consumes high firings).

@@ -20,9 +20,12 @@ vectors, each vector with its run's marking and the run.  The basis graph
 reads its successors off those run markings, and counts the markings of all
 runs, every marking reachable from ``m`` by high firings, for its
 boundedness proof.  The search is a pure function of the net, the marking
-and the cap: nothing is stored on the net, whose one memo is its assumption
-report.  :class:`MinimalExplanationSet` is built only for the public
-queries, which answer several low transitions from one search.
+and the cap: nothing is stored on the net.  :class:`MinimalExplanationSet`
+is built only for the public queries, which answer several low transitions
+from one search.  They check the standing assumptions first with
+:meth:`~snnicheck.petri.LabeledPetriNet.require_assumptions`, whose passing
+report is the net's one memo; the basis graph carries its own report and
+stores none, so the first query on a net explores the full net once.
 """
 
 from __future__ import annotations
@@ -123,7 +126,9 @@ def minimal_e_vector_sets(lpn: LabeledPetriNet, m: Sequence[int], transitions: S
 
     All of them are read off one high-run search from ``m`` (see the module
     docstring).  The search terminates because of both standing
-    assumptions, which are verified (and the report cached) before it runs.
+    assumptions, which :meth:`~snnicheck.petri.LabeledPetriNet.require_assumptions`
+    verifies before it runs: a full exploration the first time, after
+    which the net's memo answers every cap that covers its marking count.
     ``cap`` also bounds the search itself, as in
     :func:`~snnicheck.basis.build_brg`: it is refused once it has listed
     more than ``cap`` count vectors, or its runs more than ``cap`` markings.

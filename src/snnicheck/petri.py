@@ -3,8 +3,15 @@
 Markings and Parikh vectors are plain tuples of non-negative integers,
 indexed by the declaration order of places and transitions.  Nets are not
 changed after construction, and operations are pure functions of their
-inputs.  The one memo is a labeled net's passing assumption report, which
-answers only caps that cover its marking count.
+inputs.  The one memo is a labeled net's passing assumption report, written
+only by :meth:`LabeledPetriNet.verify_assumptions`; it answers only caps
+that cover its marking count.
+
+The strict-domination test that refutes boundedness is decided here once:
+the full exploration and the basis graph's saturation
+(:func:`~snnicheck.basis.build_brg`) both walk a node's discovery path
+with :func:`_dominated_ancestor` and build their witness with
+:func:`_domination_witness`.
 """
 
 from __future__ import annotations
@@ -49,12 +56,12 @@ class AssumptionError(NetError):
 
 def _check_identifiers(kind: str, ids: Sequence[str]) -> tuple[str, ...]:
     out = tuple(ids)
-    if len(set(out)) != len(out):
-        dupes = sorted({x for x in out if out.count(x) > 1})
-        raise InvalidNetError(f"duplicate {kind} identifiers: {dupes}")
     for x in out:
         if not isinstance(x, str) or not x:
             raise InvalidNetError(f"{kind} identifier must be a non-empty string, got {x!r}")
+    if len(set(out)) != len(out):
+        dupes = sorted({x for x in out if out.count(x) > 1})
+        raise InvalidNetError(f"duplicate {kind} identifiers: {dupes}")
     return out
 
 
@@ -107,11 +114,12 @@ class PetriNet:
         for source, target, w in arc_items:
             if type(w) is not int or w <= 0:
                 raise InvalidNetError(f"arc ({source}, {target}) must have a positive integer weight, got {w!r}")
-            if source in self._place_index and target in self._transition_index:
-                pass
-            elif source in self._transition_index and target in self._place_index:
-                pass
-            else:
+            try:
+                connects = (source in self._place_index and target in self._transition_index
+                            or source in self._transition_index and target in self._place_index)
+            except TypeError:  # an unhashable end
+                connects = False
+            if not connects:
                 raise InvalidNetError(
                     f"arc ({source}, {target}) must connect a declared place and a declared transition")
             if (source, target) in self.weight:
@@ -152,11 +160,6 @@ class PetriNet:
         if t not in self._transition_index:
             raise InvalidNetError(f"unknown transition {t!r}")
         return t
-
-    def place_index(self, p: str) -> int:
-        if p not in self._place_index:
-            raise InvalidNetError(f"unknown place {p!r}")
-        return self._place_index[p]
 
     def incidence_column(self, t: str) -> tuple[int, ...]:
         """Token change per place caused by firing ``t`` once."""
@@ -284,13 +287,17 @@ class LabeledPetriNet:
             raise InvalidNetError(f"labeling must be total; unlabeled transitions: {missing}")
         extra = [t for t in labeling if t not in net._transition_index]
         if extra:
-            raise InvalidNetError(f"labeling names unknown transitions: {sorted(extra)}")
+            raise InvalidNetError(f"labeling names unknown transitions: {sorted(extra, key=str)}")
         for t, a in labeling.items():
             if not isinstance(a, str) or not a:
                 raise InvalidNetError(f"transition {t} must carry a non-empty label, got {a!r}")
         self.labeling = {t: labeling[t] for t in net.transitions}
         self.alphabet = frozenset(self.labeling.values())
-        self.high_labels = frozenset(high_labels)
+        high = tuple(high_labels)
+        for a in high:
+            if not isinstance(a, str):
+                raise InvalidNetError(f"high label must be a string, got {a!r}")
+        self.high_labels = frozenset(high)
         unknown = self.high_labels - self.alphabet
         if unknown:
             raise InvalidNetError(f"high labels not used by any transition: {sorted(unknown)}")
@@ -480,31 +487,28 @@ def _explore(net: PetriNet, cap: int,
              walk_every_firing: bool) -> tuple[ExplorationResult, bool]:
     """One breadth-first pass of :func:`explore_markings`.
 
-    A strictly dominated marking holds strictly fewer tokens, so each node
-    carries its token count and the fewest tokens on its path from the root:
-    the path walk only compares ancestors with fewer tokens than the
-    successor, and stops where no ancestor further up has fewer.  The walk
-    runs at every firing when ``walk_every_firing`` is set, otherwise only at
-    firings that yield a new marking.  The flag returned with the result
-    says whether a skipped walk would have compared any ancestor at all.
+    Nodes have the layout of :func:`_dominated_ancestor`, each holding the
+    one-transition tuple interned for the transition fired to reach it.  The
+    path walk runs at every firing when ``walk_every_firing`` is set,
+    otherwise only at firings that yield a new marking.  The flag returned
+    with the result says whether a skipped walk would have compared any
+    ancestor at all.
     """
     root = net.initial_marking
-    # node = (marking, parent node or None, transition fired to reach it,
-    #         token count, fewest tokens on the path from the root to it)
-    root_node = (root, None, None, sum(root), sum(root))
+    root_node = (root, None, (), sum(root), sum(root))
     seen: dict[Marking, Marking] = {root: root}
     order: list[Marking] = [root]
     sources: list[Marking] = []
     fired: list[str] = []
     targets: list[Marking] = []
     queue: deque = deque([root_node])
-    moves = [(t, net.pre[t], net.delta[t], sum(d for _, d in net.delta[t]))
+    moves = [(t, (t,), net.pre[t], net.delta[t], sum(d for _, d in net.delta[t]))
              for t in net.transitions]
     skipped_a_walk = False
     while queue:
         node = queue.popleft()
         marking, _, _, node_tokens, path_min = node
-        for t, pre, delta, gain in moves:
+        for t, firing, pre, delta, gain in moves:
             for i, need in pre:  # covers(marking, pre), inlined
                 if marking[i] < need:
                     break
@@ -512,26 +516,15 @@ def _explore(net: PetriNet, cap: int,
                 successor = shift(marking, delta)
                 known = seen.get(successor)
                 tokens = node_tokens + gain
-                if known is None or walk_every_firing:
-                    # Walk the discovery path looking for a strictly dominated ancestor.
-                    ancestor = node
-                    depth_from_child = 1
-                    while ancestor is not None and ancestor[4] < tokens:
-                        if ancestor[3] < tokens and all(map(le, ancestor[0], successor)):
-                            path: list[str] = [t]
-                            back = node
-                            while back[1] is not None:
-                                path.append(back[2])
-                                back = back[1]
-                            path.reverse()
-                            witness = DominationWitness(tuple(path),
-                                                        len(path) - depth_from_child)
+                if path_min < tokens:
+                    if known is None or walk_every_firing:
+                        ancestor = _dominated_ancestor(node, successor, tokens)
+                        if ancestor is not None:
+                            witness = _domination_witness(node, ancestor, firing)
                             return (ExplorationResult(tuple(order), witness, complete=False),
                                     skipped_a_walk)
-                        ancestor = ancestor[1]
-                        depth_from_child += 1
-                elif path_min < tokens:
-                    skipped_a_walk = True
+                    else:
+                        skipped_a_walk = True
                 sources.append(marking)
                 fired.append(t)
                 if known is not None:
@@ -542,10 +535,51 @@ def _explore(net: PetriNet, cap: int,
                 order.append(successor)
                 if len(order) > cap:
                     return ExplorationResult(tuple(order), None, complete=False), skipped_a_walk
-                queue.append((successor, node, t, tokens, min(tokens, path_min)))
+                queue.append((successor, node, firing, tokens, min(tokens, path_min)))
     return (ExplorationResult(tuple(order), None, True,
                               tuple(sources), tuple(fired), tuple(targets)),
             skipped_a_walk)
+
+
+def _dominated_ancestor(node: tuple, successor: Marking, tokens: int) -> tuple | None:
+    """The first node on ``node``'s discovery path whose marking ``successor`` strictly dominates.
+
+    A discovery-path node is ``(marking, parent node or None, transitions
+    fired from the parent to reach it, token count, fewest tokens on the
+    path from the root to it)``; the root fired ``()``.  A strictly
+    dominated marking holds strictly fewer tokens than ``successor``'s
+    ``tokens``, so the walk compares only ancestors with fewer, and stops
+    where no ancestor further up has fewer.  Found on a successor's own
+    path, such an ancestor proves the net unbounded by firing monotonicity
+    (Karp and Miller, 1969).
+    """
+    ancestor = node
+    while ancestor is not None and ancestor[4] < tokens:
+        if ancestor[3] < tokens and all(map(le, ancestor[0], successor)):
+            return ancestor
+        ancestor = ancestor[1]
+    return None
+
+
+def _domination_witness(node: tuple, ancestor: tuple,
+                        firings: TransitionSequence) -> DominationWitness:
+    """The firings from the root to ``node`` and on by ``firings``, as one witness.
+
+    ``ancestor`` is the dominated node :func:`_dominated_ancestor` found on
+    ``node``'s path; the pump starts where the path reaches it.
+    """
+    chain = []
+    while node is not None:
+        chain.append(node)
+        node = node[1]
+    path: list[str] = []
+    pump_start = 0
+    for step in reversed(chain):
+        path.extend(step[2])
+        if step is ancestor:
+            pump_start = len(path)
+    path.extend(firings)
+    return DominationWitness(tuple(path), pump_start)
 
 
 def _high_subnet_cycle(lpn: LabeledPetriNet) -> tuple[str, ...] | None:

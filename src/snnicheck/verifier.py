@@ -20,8 +20,7 @@ from .basis import (DEFAULT_TREE_NODE_CAP, Brg, Tag, TreeNodes, UbrgResult, buil
                     build_ubrg, sorted_tags)
 from .language import LanguageCheckResult, language_equal
 from .nfa import Nfa
-from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionReport, LabeledPetriNet,
-                    LabelWord, Marking, NetError)
+from .petri import DEFAULT_EXPLORATION_CAP, LabeledPetriNet, LabelWord, Marking, NetError
 from .reach import low_label_language
 
 
@@ -31,14 +30,15 @@ class LanguageDecision:
 
     ``check`` compares the basis graph's label language with the low
     subnet's, ``low``; its counterexample is the shortest (and least) leaked
-    low word.  ``timings`` holds the seconds spent on "assumptions", "brg"
-    and "languages" (the low subnet's exploration and the comparison).
+    low word.  The standing assumptions are proved by building ``brg``, whose
+    ``assumptions`` holds the passing report.  ``timings`` holds the seconds
+    spent on "brg" (the proof included) and "languages" (the low subnet's
+    exploration and the comparison).
     """
 
     brg: Brg
     low: Nfa
     check: LanguageCheckResult
-    assumptions: AssumptionReport
     timings: Mapping[str, float]
 
 
@@ -48,19 +48,22 @@ def decide_languages(lpn: LabeledPetriNet,
     t0 = time.perf_counter()
     brg = build_brg(lpn, cap)
     t1 = time.perf_counter()
-    assumptions = lpn.require_assumptions(cap)
-    t2 = time.perf_counter()
     low = low_label_language(lpn, cap)
-    check = _compare(brg, low)
-    return LanguageDecision(brg, low, check, assumptions, {
-        "assumptions": t2 - t1, "brg": t1 - t0, "languages": time.perf_counter() - t2})
+    check = _compare(brg.nfa, low)
+    return LanguageDecision(brg, low, check,
+                            {"brg": t1 - t0, "languages": time.perf_counter() - t1})
 
 
-def _compare(brg: Brg, low: Nfa) -> LanguageCheckResult:
-    """The basis graph's language against the low subnet's, which it must contain."""
-    check = language_equal(brg.nfa, low)
+def _compare(projected: Nfa, low: Nfa) -> LanguageCheckResult:
+    """The low projection of the net's language against the low subnet's.
+
+    ``projected`` is the basis graph's automaton or the full net's projected
+    reachability graph.  Its language contains the low subnet's, so a word
+    only ``low`` accepts is an internal error.
+    """
+    check = language_equal(projected, low)
     if not check.equal and check.counterexample_side == "right":
-        raise NetError("internal error: low-subnet word missing from the basis-graph "
+        raise NetError("internal error: low-subnet word missing from the net's projected "
                        f"language: {check.counterexample}")
     return check
 
@@ -264,7 +267,7 @@ def sv_verdict(lpn: LabeledPetriNet, sv: SvResult, brg: Brg | None = None,
     verdict each unmatched tag gets its leaf's unfolding path word.
     """
     if check is None:
-        check = _compare(sv.ubrg.brg if brg is None else brg, sv.low)
+        check = _compare((sv.ubrg.brg if brg is None else brg).nfa, sv.low)
     missing_alpha = sv.ubrg.alpha_tags - sv.alpha_matched
     missing_beta = sv.ubrg.beta_tags - sv.beta_matched
     if check.equal:
@@ -288,10 +291,3 @@ def _path_words(lpn: LabeledPetriNet, ubrg: UbrgResult, leaves: list[int]) -> li
         if first_child[k]:
             words[k] = words[parent[k]] + (labeling[event[k].transition],)
     return [words[parent[leaf]] + (labeling[event[leaf].transition],) for leaf in leaves]
-
-
-def decide_snni(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Verdict:
-    """:func:`decide_languages`'s verdict, with the unfolding and verifier tags as evidence."""
-    decision = decide_languages(lpn, cap)
-    sv = build_sv(lpn, cap, ubrg=build_ubrg(lpn, cap, brg=decision.brg), low=decision.low)
-    return sv_verdict(lpn, sv, check=decision.check)

@@ -19,8 +19,8 @@ from snnicheck.netdoc import serialize_net
 from snnicheck.oracle import justifications, snni_oracle
 from snnicheck.randnets import random_lpn
 from snnicheck.reach import low_label_language
-from snnicheck.report import analyze
-from snnicheck.verifier import build_sv, decide_snni
+from snnicheck.report import analyze, decide_snni
+from snnicheck.verifier import build_sv
 
 from conftest import ALL_BASIS_MARKINGS, BASIS_M0, BASIS_M1
 

@@ -8,6 +8,7 @@ nets, the check route on a big net whose trees have thousands of nodes, and
 each route on the extreme nets of the big and huge suites, and compare it
 with the operation it decomposes.  Only big net 16 may fail, and there
 both sides must give the same package error; every other case must answer.
+The last test counts the full-net explorations of the traced ``brg`` route.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from pathlib import Path
 
 import pytest
 
+import snnicheck.petri as petri
 from snnicheck.fixtures import fixture_document
-from snnicheck.netdoc import serialize_net
+from snnicheck.netdoc import parse_net, serialize_net
 from snnicheck.randnets import GeneratorConfig, random_lpn
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -81,3 +83,30 @@ def test_traced_routes_on_huge_net_9(monkeypatch, op):
     traced, plain = _traced_and_plain(monkeypatch, op, 9, serialize_net(random_lpn(9, HUGE)))
     assert type(traced).__name__ != "Failure"
     assert traced == plain
+
+
+@pytest.mark.parametrize("document", [fixture_document("secure"),
+                                      serialize_net(random_lpn(24, BIG))],
+                         ids=["secure", "big net 24"])
+def test_traced_brg_route_explores_the_full_net_once(monkeypatch, document):
+    """The assumption report memo answers every e-vector query of the traced route.
+
+    Each query calls ``require_assumptions``; without the memo, every one of
+    them would explore the full net again.
+    """
+    explored = []
+    explore = petri.explore_markings
+
+    def counting_explore(net, cap):
+        explored.append(net.transitions)
+        return explore(net, cap)
+
+    monkeypatch.setattr(petri, "explore_markings", counting_explore)
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer([(1, document)], time.perf_counter)
+    traced = tracer.traced_call("brg", 1, document)
+    assert type(traced).__name__ != "Failure"
+    queries = sum(span.counts.get("explanations.queries", 0) for span in tracer.spans)
+    assert queries > 1
+    assert explored == [parse_net(document).net.transitions]

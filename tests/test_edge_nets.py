@@ -9,7 +9,8 @@ from snnicheck.explanations import minimal_e_vectors
 from snnicheck.oracle import snni_oracle
 from snnicheck.petri import LabeledPetriNet, NetError, PetriNet, format_word
 from snnicheck.randnets import GeneratorConfig, random_lpn
-from snnicheck.verifier import build_sv, decide_snni
+from snnicheck.report import decide_snni
+from snnicheck.verifier import build_sv
 
 
 def test_multi_character_labels_compare_as_atoms():

@@ -429,10 +429,23 @@ def test_net_construction_validation():
     (["pt"], [1, 0]),              # a bare string entry, which unpacks into p and t
     ({"pt": 1}, [1, 0]),           # a bare string key
     ({("p", "t", "x"): 1}, [1, 0]),  # a key of three fields
+    ([(["p"], "t")], [1, 0]),      # an unhashable arc end
 ])
 def test_net_rejects_malformed_arc_entries_and_bool_counts(arcs, marking):
     with pytest.raises(InvalidNetError):
         PetriNet(["p", "x"], ["t"], arcs, marking)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PetriNet([1, "a", 1, "a"], ["t"], [], [0, 0, 0, 0]),
+    lambda: PetriNet(["p", ["x"]], ["t"], [], [0, 0]),
+    lambda: LabeledPetriNet(PetriNet(["p"], ["t"], [], [0]), {"t": "a"}, [["a"]]),
+    lambda: LabeledPetriNet(PetriNet(["p"], ["t"], [], [0]), {"t": "a", 1: "b", "u": "c"}),
+], ids=["mixed-type duplicate places", "unhashable place", "unhashable high label",
+        "mixed-type unknown transitions"])
+def test_constructors_reject_non_string_identifiers(build):
+    with pytest.raises(InvalidNetError):
+        build()
 
 
 def test_net_accepts_arc_entries_as_tuples_or_lists():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import networkx as nx
@@ -17,8 +18,8 @@ from snnicheck.petri import (AssumptionError, _high_subnet_cycle, check_assumpti
 from snnicheck.randnets import GeneratorConfig, _candidate, random_lpn
 from snnicheck.reach import (low_label_language, projected_label_language,
                              reachability_graph)
-from snnicheck.report import analyze
-from snnicheck.verifier import build_sv, decide_snni
+from snnicheck.report import analyze, decide_snni
+from snnicheck.verifier import build_sv
 
 from conftest import assert_pumps, unbounded_witness
 
@@ -207,13 +208,11 @@ def test_basis_route_proof_agrees_with_full_exploration(monkeypatch):
 
     monkeypatch.setattr(petri, "explore_markings", no_exploration)
     for (config, lpn), expected in zip(nets, full):
-        build_brg(lpn, config.bound_cap)
-        assert _assumption_outcome(lpn.require_assumptions(config.bound_cap)) == expected
+        assert _assumption_outcome(build_brg(lpn, config.bound_cap).assumptions) == expected
 
 
-def test_basis_route_refuses_what_full_exploration_refuses():
-    # Raw acyclic generator candidates, unbounded ones included.
-    outcomes = {}
+def _raw_acyclic_candidates():
+    """150 raw generator candidates with an acyclic high subnet per config, unbounded ones included."""
     for config in (GeneratorConfig(), BIG):
         rng = random.Random(1018)
         tried = 0
@@ -222,21 +221,47 @@ def test_basis_route_refuses_what_full_exploration_refuses():
             if _high_subnet_cycle(lpn) is not None:
                 continue
             tried += 1
-            full = check_assumptions(lpn, 3000)
-            try:
-                build_brg(lpn, 3000)
-            except AssumptionError as exc:
-                basis = str(exc)
-            else:
-                basis = lpn.require_assumptions(3000).reachable_count
-            if full.ok:
-                assert basis == full.reachable_count, serialize_net(lpn)
-            else:
-                assert isinstance(basis, str), serialize_net(lpn)
-                if basis.startswith("net is unbounded"):
-                    assert_pumps(lpn.net, *unbounded_witness(basis))
-            outcomes[full.bounded] = outcomes.get(full.bounded, 0) + 1
+            yield lpn
+
+
+def test_basis_route_refuses_what_full_exploration_refuses():
+    outcomes = {}
+    for lpn in _raw_acyclic_candidates():
+        full = check_assumptions(lpn, 3000)
+        try:
+            basis = build_brg(lpn, 3000).assumptions.reachable_count
+        except AssumptionError as exc:
+            basis = str(exc)
+        if full.ok:
+            assert basis == full.reachable_count, serialize_net(lpn)
+        else:
+            assert isinstance(basis, str), serialize_net(lpn)
+            if basis.startswith("net is unbounded"):
+                assert_pumps(lpn.net, *unbounded_witness(basis))
+        outcomes[full.bounded] = outcomes.get(full.bounded, 0) + 1
     assert outcomes[True] and outcomes[False]
+
+
+#: sha256 over the refusal texts of both assumption proofs on the candidates
+#: above, at caps 50 and 3000: ``check_assumptions(...).describe_failure()``,
+#: then ``build_brg``'s refusal, or its state count and reachable count when
+#: it answers.  Recorded while ``build_brg`` still walked its own copy of the
+#: domination test.
+PINNED_REFUSALS_SHA256 = "6b7695bcbd1577f50789060ebb931082b1b12e925e0a6f9fc029e28964f83634"
+
+
+def test_assumption_refusals_are_pinned():
+    digest = hashlib.sha256()
+    for lpn in _raw_acyclic_candidates():
+        for cap in (50, 3000):
+            digest.update(check_assumptions(lpn, cap).describe_failure().encode())
+            try:
+                brg = build_brg(lpn, cap)
+            except AssumptionError as exc:
+                digest.update(str(exc).encode())
+            else:
+                digest.update(f"{len(brg.nfa.states)} {brg.assumptions.reachable_count}".encode())
+    assert digest.hexdigest() == PINNED_REFUSALS_SHA256
 
 
 def test_documents_round_trip_random_nets():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 import snnicheck.petri as petri
@@ -13,8 +15,8 @@ from snnicheck.nfa import Nfa
 from snnicheck.oracle import snni_oracle
 from snnicheck.petri import LabeledPetriNet, PetriNet, check_assumptions
 from snnicheck.randnets import GeneratorConfig, random_lpn
-from snnicheck.report import analyze
-from snnicheck.verifier import SvNode, build_sv, decide_snni, sv_verdict
+from snnicheck.report import analyze, decide_snni
+from snnicheck.verifier import SvNode, build_sv, decide_languages, sv_verdict
 
 from conftest import record_calls
 
@@ -50,12 +52,36 @@ def test_analyze_explores_each_state_space_once(monkeypatch, demo):
 @pytest.mark.parametrize("demo", [demo_secure, demo_leaky, demo_sync_period_two])
 def test_build_brg_explores_nothing(monkeypatch, demo):
     lpn = demo()
+    expected = check_assumptions(demo())
     explored = _record_explorations(monkeypatch)
-    build_brg(lpn)
-    # The passing report is cached, so later requirements explore nothing either.
-    lpn.require_assumptions()
+    brg = build_brg(lpn)
+    # The basis graph carries its own passing report, so the unfolding,
+    # built on it or afresh, explores nothing either.
+    assert brg.assumptions.ok
+    assert brg.assumptions.reachable_count == expected.reachable_count
+    build_ubrg(lpn, brg=brg)
     build_ubrg(lpn)
     assert explored == []
+
+
+def _attributes(lpn: LabeledPetriNet) -> tuple[dict, dict]:
+    """Deep copies of the attributes of ``lpn`` (its net aside) and of its net."""
+    return (copy.deepcopy({k: v for k, v in vars(lpn).items() if k != "net"}),
+            copy.deepcopy(vars(lpn.net)))
+
+
+@pytest.mark.parametrize("demo", [demo_secure, demo_leaky, demo_sync_period_two])
+def test_decision_and_evidence_leave_the_net_unchanged(demo):
+    lpn = demo()
+    net = lpn.net
+    before = _attributes(lpn)
+    brg = build_brg(lpn)
+    decide_languages(lpn)
+    analyze(lpn)
+    build_sv(lpn, ubrg=build_ubrg(lpn, brg=brg))
+    snni_oracle(lpn)
+    assert lpn.net is net
+    assert _attributes(lpn) == before
 
 
 @pytest.mark.parametrize("demo", [demo_secure, demo_leaky])

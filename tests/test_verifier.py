@@ -8,7 +8,8 @@ from snnicheck.language import word_in_language
 from snnicheck.petri import AssumptionError, NetError
 from snnicheck.randnets import GeneratorConfig, random_lpn
 from snnicheck.reach import low_label_language
-from snnicheck.verifier import Verdict, build_sv, decide_snni, sv_verdict
+from snnicheck.report import decide_snni
+from snnicheck.verifier import Verdict, build_sv, sv_verdict
 
 from conftest import BASIS_M0, BASIS_M1, marking_of
 
