@@ -6,8 +6,8 @@ language-equality oracle.  The test battery cross-checks them on every
 bundled and randomly generated net.
 """
 
-from .basis import (Brg, BrgEvent, Tag, UbrgNode, UbrgResult, build_brg,
-                    build_ubrg, path_evector_sum, path_transitions)
+from .basis import (Brg, BrgEvent, Tag, UbrgResult, build_brg, build_ubrg,
+                    path_evector_sum, path_transitions)
 from .explanations import (Explanation, MinimalExplanationSet,
                            explanations_bounded, minimal_e_vectors,
                            minimality_filter)
@@ -22,11 +22,10 @@ from .reach import (ReachGraph, low_label_language, projected_label_language,
 from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionError, AssumptionReport,
                     DominationWitness, FiringError, InvalidNetError,
                     LabeledPetriNet, Marking, NetError, ParikhVector, PetriNet,
-                    TransitionSequence, check_assumptions, format_word, parikh,
-                    project)
+                    TransitionSequence, check_assumptions, format_word, parikh)
 from .report import AnalysisReport, analyze, decide_snni
-from .verifier import (LanguageDecision, SvNode, SvResult, Verdict, build_sv,
-                       decide_languages, sv_verdict)
+from .verifier import (LanguageDecision, SvResult, Verdict, build_sv, decide_languages,
+                       sv_verdict)
 
 __all__ = [
     "AnalysisReport", "AssumptionError", "AssumptionReport", "Brg", "BrgEvent",
@@ -34,13 +33,13 @@ __all__ = [
     "FiringError", "InvalidNetError", "JustificationSet", "LabeledPetriNet",
     "LanguageCheckResult", "LanguageDecision", "Marking", "MinimalExplanationSet", "NetDocument",
     "NetDocumentError", "NetError", "Nfa", "ParikhVector", "PetriNet",
-    "ReachGraph", "SvNode", "SvResult", "Tag", "TransitionSequence", "UbrgNode",
-    "UbrgResult", "Verdict", "analyze", "bounded_language", "build_brg",
-    "build_sv", "build_ubrg", "check_assumptions", "decide_languages", "decide_snni",
+    "ReachGraph", "SvResult", "Tag", "TransitionSequence", "UbrgResult",
+    "Verdict", "analyze", "bounded_language", "build_brg", "build_sv",
+    "build_ubrg", "check_assumptions", "decide_languages", "decide_snni",
     "explanations_bounded", "export_dot", "format_word", "justifications",
     "language_equal", "low_label_language", "minimal_e_vectors",
     "minimality_filter", "parikh", "parse_net",
-    "path_evector_sum", "path_transitions", "project",
+    "path_evector_sum", "path_transitions",
     "projected_label_language", "reachability_graph", "serialize_net",
     "snni_oracle", "sv_verdict", "word_in_language",
 ]

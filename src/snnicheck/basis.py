@@ -15,18 +15,17 @@ inherited from the parent) receives an alpha tag (fresh marking) or beta tag
 The unfolding is stored as columns, parallel lists indexed by node id (BRG
 state, parent, incoming arc payload, first child), plus a sparse map of
 tags and the set of duplicated ids.  A large unfolding is then a handful of
-lists, not one object per node for the garbage collector to walk.  Node
-objects and the tree automaton are views built on access, for tests and
-callers that want them; nothing on the decision or export path builds them.
+lists, not one object per node for the garbage collector to walk.  The tree
+automaton is a view built on access, for tests and callers that want it;
+nothing on the decision or export path builds it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .explanations import high_run_answers
 from .nfa import Nfa
@@ -91,41 +90,6 @@ class Brg:
 
 
 @dataclass
-class UbrgNode:
-    """One unfolding node, built on access by :attr:`UbrgResult.nodes`."""
-
-    node_id: int
-    marking: Marking
-    tag: Tag | None = None
-    duplicated: bool = False
-
-
-class TreeNodes(Mapping):
-    """Read-only ``{node id: node}`` view over a tree's columns.
-
-    Ids run from 0 to ``len - 1``.  Each access builds a fresh node object
-    from the columns; nothing is stored per node.
-    """
-
-    __slots__ = ("_size", "_node")
-
-    def __init__(self, size: int, node: Callable[[int], object]):
-        self._size = size
-        self._node = node
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self._size))
-
-    def __getitem__(self, node_id: int):
-        if isinstance(node_id, int) and 0 <= node_id < self._size:
-            return self._node(node_id)
-        raise KeyError(node_id)
-
-
-@dataclass
 class UbrgResult:
     """Unfolded graph as parallel columns indexed by node id, plus the tags.
 
@@ -133,8 +97,8 @@ class UbrgResult:
     children consecutive ids, in the order of its BRG state's arcs: child
     ``first_child[k] + j`` copies arc ``j`` of state ``state[k]``.  Nothing
     is allocated per node beyond the column entries; the arc payloads are
-    the BRG's own ``BrgEvent`` objects.  :attr:`nodes` and :attr:`tree` are
-    views built from the columns on access.
+    the BRG's own ``BrgEvent`` objects.  :attr:`tree` is a view built from
+    the columns on access.
     """
 
     brg: Brg
@@ -160,10 +124,9 @@ class UbrgResult:
         return self.brg.nfa.states[self.state[node_id]]
 
     @property
-    def nodes(self) -> TreeNodes:
-        """Read-only ``{node id: UbrgNode}`` view; each access builds the node."""
-        return TreeNodes(len(self.state), lambda k: UbrgNode(
-            k, self.marking(k), self.tags.get(k), k in self.duplicated))
+    def nodes(self) -> range:
+        """The node ids."""
+        return range(len(self.state))
 
     @property
     def tree(self) -> Nfa:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .nfa import EPSILON, Nfa
 from .petri import InvalidNetError, LabelWord
@@ -24,59 +24,53 @@ class LanguageCheckResult:
     counterexample_side: str | None = None
 
 
-def _labeler(nfa: Nfa, label_of: Callable[[Hashable], str] | None) -> Callable[[Hashable], str]:
-    if label_of is not None:
-        return label_of
+def _labeling(nfa: Nfa) -> Mapping[Hashable, str]:
     if nfa.labeling is None:
-        raise InvalidNetError("automaton carries no labeling; pass label_of explicitly")
-    return nfa.label_of
+        raise InvalidNetError("automaton carries no labeling")
+    return nfa.labeling
 
 
-def epsilon_closure(nfa: Nfa, states: Iterable[Hashable],
-                    label_of: Callable[[Hashable], str] | None = None) -> frozenset:
-    lab = _labeler(nfa, label_of)
+def epsilon_closure(nfa: Nfa, states: Iterable[Hashable]) -> frozenset:
+    labeling = _labeling(nfa)
     closure = set(states)
     stack = list(closure)
     while stack:
         s = stack.pop()
         for e, d in nfa.arcs_from(s):
-            if lab(e) == EPSILON and d not in closure:
+            if labeling[e] == EPSILON and d not in closure:
                 closure.add(d)
                 stack.append(d)
     return frozenset(closure)
 
 
-def label_step(nfa: Nfa, states: Iterable[Hashable], symbol: str,
-               label_of: Callable[[Hashable], str] | None = None) -> frozenset:
+def label_step(nfa: Nfa, states: Iterable[Hashable], symbol: str) -> frozenset:
     """ε-closed successor set after reading one label symbol."""
-    lab = _labeler(nfa, label_of)
-    targets = {d for s in states for e, d in nfa.arcs_from(s) if lab(e) == symbol}
-    return epsilon_closure(nfa, targets, label_of) if targets else frozenset()
+    labeling = _labeling(nfa)
+    targets = {d for s in states for e, d in nfa.arcs_from(s) if labeling[e] == symbol}
+    return epsilon_closure(nfa, targets) if targets else frozenset()
 
 
-def _alphabet(nfa: Nfa, label_of: Callable[[Hashable], str] | None) -> list[str]:
-    lab = _labeler(nfa, label_of)
-    return sorted({lab(e) for e in nfa.events} - {EPSILON})
+def _alphabet(nfa: Nfa) -> list[str]:
+    labeling = _labeling(nfa)
+    return sorted({labeling[e] for e in nfa.events} - {EPSILON})
 
 
-def word_in_language(nfa: Nfa, word: Sequence[str],
-                     label_of: Callable[[Hashable], str] | None = None) -> bool:
+def word_in_language(nfa: Nfa, word: Sequence[str]) -> bool:
     """Membership in the prefix-closed, all-states-accepting label language."""
-    current = epsilon_closure(nfa, nfa.initial, label_of)
+    current = epsilon_closure(nfa, nfa.initial)
     if not current:
         return False  # no initial state: empty language, not even ε
     for symbol in word:
-        current = label_step(nfa, current, symbol, label_of)
+        current = label_step(nfa, current, symbol)
         if not current:
             return False
     return True
 
 
-def bounded_language(nfa: Nfa, max_len: int,
-                     label_of: Callable[[Hashable], str] | None = None) -> set[LabelWord]:
+def bounded_language(nfa: Nfa, max_len: int) -> set[LabelWord]:
     """All label words of length <= ``max_len``, as tuples of symbols."""
-    alphabet = _alphabet(nfa, label_of)
-    start = epsilon_closure(nfa, nfa.initial, label_of)
+    alphabet = _alphabet(nfa)
+    start = epsilon_closure(nfa, nfa.initial)
     if not start:
         return set()
     frontier: dict[LabelWord, frozenset] = {(): start}
@@ -85,7 +79,7 @@ def bounded_language(nfa: Nfa, max_len: int,
         next_frontier: dict[LabelWord, frozenset] = {}
         for word, states in frontier.items():
             for symbol in alphabet:
-                successors = label_step(nfa, states, symbol, label_of)
+                successors = label_step(nfa, states, symbol)
                 if successors:
                     next_frontier[word + (symbol,)] = successors
         words.update(next_frontier)
@@ -102,7 +96,7 @@ def language_equal(left: Nfa, right: Nfa) -> LanguageCheckResult:
     side dies yields the shortest (and lexicographically least among equals)
     counterexample word.
     """
-    alphabet = sorted(set(_alphabet(left, None)) | set(_alphabet(right, None)))
+    alphabet = sorted(set(_alphabet(left)) | set(_alphabet(right)))
     start = (epsilon_closure(left, left.initial), epsilon_closure(right, right.initial))
     if bool(start[0]) != bool(start[1]):
         return LanguageCheckResult(False, (), "left" if start[0] else "right")

@@ -94,10 +94,5 @@ class Nfa:
         except KeyError:
             raise InvalidNetError(f"unknown state {state!r}") from None
 
-    def label_of(self, event: Hashable) -> str:
-        if self.labeling is None:
-            raise InvalidNetError("automaton carries no labeling")
-        return self.labeling[event]
-
     def __repr__(self) -> str:
         return f"Nfa(states={len(self.states)}, arcs={len(self.arcs)})"

@@ -4,7 +4,7 @@ Markings and Parikh vectors are plain tuples of non-negative integers,
 indexed by the declaration order of places and transitions.  Nets are not
 changed after construction, and operations are pure functions of their
 inputs.  The one memo is a labeled net's passing assumption report, written
-only by :meth:`LabeledPetriNet.verify_assumptions`; it answers only caps
+only by :meth:`LabeledPetriNet.require_assumptions`; it answers only caps
 that cover its marking count.
 
 The strict-domination test that refutes boundedness is decided here once:
@@ -157,16 +157,12 @@ class PetriNet:
         return m
 
     def check_transition(self, t: str) -> str:
-        if t not in self._transition_index:
-            raise InvalidNetError(f"unknown transition {t!r}")
-        return t
-
-    def incidence_column(self, t: str) -> tuple[int, ...]:
-        """Token change per place caused by firing ``t`` once."""
-        column = [0] * len(self.places)
-        for i, d in self.delta[self.check_transition(t)]:
-            column[i] = d
-        return tuple(column)
+        try:
+            if t in self._transition_index:
+                return t
+        except TypeError:  # an unhashable name
+            pass
+        raise InvalidNetError(f"unknown transition {t!r}")
 
     def enabled(self, marking: Sequence[int], t: str) -> bool:
         """True iff every input place of ``t`` holds at least the arc weight."""
@@ -199,13 +195,6 @@ class PetriNet:
             m = shift(m, self.delta[t])
         return m
 
-    def enabled_transitions(self, marking: Sequence[int],
-                            among: Sequence[str] | None = None) -> Iterator[str]:
-        """Transitions enabled at ``marking``, in declaration order."""
-        for t in (self.transitions if among is None else among):
-            if self.enabled(marking, t):
-                yield t
-
     def induced_subnet(self, keep: Iterable[str]) -> PetriNet:
         """Subnet over the same places, keeping only the transitions in ``keep``.
 
@@ -215,10 +204,14 @@ class PetriNet:
         kept transitions in their order and their ``pre``/``delta`` entries,
         and indexes the kept transitions afresh in declaration order.
         """
-        keep_set = set(keep)
+        try:
+            keep_set = set(keep)
+        except TypeError:  # an unhashable name
+            raise InvalidNetError(f"unhashable transition in subnet selection: {keep!r}") from None
         unknown = keep_set - self._transition_index.keys()
         if unknown:
-            raise InvalidNetError(f"unknown transitions in subnet selection: {sorted(unknown)}")
+            raise InvalidNetError(
+                f"unknown transitions in subnet selection: {sorted(unknown, key=str)}")
         kept = tuple(t for t in self.transitions if t in keep_set)
         sub = PetriNet.__new__(PetriNet)
         sub.places = self.places
@@ -262,12 +255,6 @@ def parikh(sequence: Sequence[str], index_set: Sequence[str]) -> ParikhVector:
             raise InvalidNetError(f"sequence item {item!r} outside the index set")
         counts[order[item]] += 1
     return tuple(counts)
-
-
-def project(sequence: Sequence[str], keep: Iterable[str]) -> TransitionSequence:
-    """Order-preserving erasure of items outside ``keep``."""
-    keep_set = set(keep)
-    return tuple(t for t in sequence if t in keep_set)
 
 
 class LabeledPetriNet:
@@ -339,26 +326,20 @@ class LabeledPetriNet:
     def high_subnet(self) -> PetriNet:
         return self.net.induced_subnet(self.high_transitions)
 
-    def verify_assumptions(self, cap: int = DEFAULT_EXPLORATION_CAP) -> AssumptionReport:
-        """Check boundedness and high-subnet acyclicity; cache a passing report.
-
-        A cached report answers only caps that cover its marking count; a
-        smaller cap is checked afresh, so the answer never depends on what
-        was asked before.
-        """
-        cached = self._assumption_report
-        if cached is not None and cached.ok and cached.reachable_count <= cap:
-            return cached
-        report = check_assumptions(self, cap)
-        if report.ok:
-            self._assumption_report = report
-        return report
-
     def require_assumptions(self, cap: int = DEFAULT_EXPLORATION_CAP) -> AssumptionReport:
-        """Raise :class:`AssumptionError` unless both standing checks pass."""
-        report = self.verify_assumptions(cap)
+        """Raise :class:`AssumptionError` unless both standing checks pass.
+
+        A passing report is cached.  It answers only caps that cover its
+        marking count; a smaller cap is checked afresh, so the answer never
+        depends on what was asked before.
+        """
+        report = self._assumption_report
+        if report is not None and report.reachable_count <= cap:
+            return report
+        report = check_assumptions(self, cap)
         if not report.ok:
             raise AssumptionError(report.describe_failure())
+        self._assumption_report = report
         return report
 
     def __repr__(self) -> str:

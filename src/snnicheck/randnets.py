@@ -17,30 +17,29 @@ from .petri import (LabeledPetriNet, NetError, PetriNet, _high_subnet_cycle,
 
 _LOW_POOL = ("a", "b", "c")
 _HIGH_POOL = ("f", "g")
+_EXTRA_ARC_RATE = 0.2
+_HIGH_RATE = 0.35
+_MAX_ATTEMPTS = 500
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
     max_places: int = 6
     max_transitions: int = 8
-    extra_arc_rate: float = 0.2
-    high_rate: float = 0.35
-    max_high_labels: int = 2
     max_tokens: int = 2
     bound_cap: int = 2000
-    max_attempts: int = 500
 
 
 def random_lpn(seed: int, config: GeneratorConfig = GeneratorConfig()) -> LabeledPetriNet:
     """Deterministic random net satisfying both standing assumptions."""
     rng = random.Random(seed)
-    for _ in range(config.max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         lpn = _candidate(rng, config)
         # The structural cycle test is cheap; explore only acyclic candidates.
         if _high_subnet_cycle(lpn) is None and check_assumptions(lpn, config.bound_cap).ok:
             return lpn
     raise NetError(f"no acceptable net found for seed {seed} "
-                   f"within {config.max_attempts} attempts")
+                   f"within {_MAX_ATTEMPTS} attempts")
 
 
 def _candidate(rng: random.Random, config: GeneratorConfig) -> LabeledPetriNet:
@@ -49,10 +48,10 @@ def _candidate(rng: random.Random, config: GeneratorConfig) -> LabeledPetriNet:
     places = tuple(f"p{i}" for i in range(1, n_places + 1))
     transitions = tuple(f"t{i}" for i in range(1, n_transitions + 1))
 
-    high_pool = _HIGH_POOL[:rng.randint(1, config.max_high_labels)]
+    high_pool = _HIGH_POOL[:rng.randint(1, len(_HIGH_POOL))]
     labeling = {}
     for t in transitions:
-        if rng.random() < config.high_rate:
+        if rng.random() < _HIGH_RATE:
             labeling[t] = rng.choice(high_pool)
         else:
             labeling[t] = rng.choice(_LOW_POOL)
@@ -66,9 +65,9 @@ def _candidate(rng: random.Random, config: GeneratorConfig) -> LabeledPetriNet:
         arcs[(rng.choice(places), t)] = 1
         if rng.random() < 0.92:
             arcs[(t, rng.choice(places))] = 1
-        if rng.random() < config.extra_arc_rate:
+        if rng.random() < _EXTRA_ARC_RATE:
             arcs[(rng.choice(places), t)] = 1
-        if rng.random() < config.extra_arc_rate:
+        if rng.random() < _EXTRA_ARC_RATE:
             arcs[(t, rng.choice(places))] = 1 if rng.random() < 0.9 else 2
 
     # Bias a token toward a high transition's input so hidden firings have a

@@ -25,10 +25,6 @@ class ReachGraph:
 
     nfa: Nfa
 
-    @property
-    def marking_count(self) -> int:
-        return len(self.nfa.states)
-
 
 def _reachability_nfa(net: PetriNet, cap: int,
                       labeling: Mapping[str, str] | None = None) -> Nfa:

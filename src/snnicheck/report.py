@@ -68,9 +68,13 @@ class AnalysisReport:
         lines.append(f"unfolding tags: alpha={_tags(self.alpha_tags)} beta={_tags(self.beta_tags)}")
         lines.append(f"matched tags:   alpha={_tags(self.alpha_matched)} beta={_tags(self.beta_matched)}")
         for tag in sorted_tags(self.verdict.missing_alpha | self.verdict.missing_beta):
-            word = self.witness_words.get(tag)
-            lines.append(f"unmatched {tag}: low observation {format_word(word)} "
-                         "has no low-only counterpart")
+            word = format_word(self.witness_words.get(tag))
+            if tag.kind == "alpha":
+                lines.append(f"unmatched {tag}: low observation {word} "
+                             "has no low-only counterpart")
+            else:
+                lines.append(f"unmatched {tag}: no low-only run of {word} returns to "
+                             "a pair repeated on its path")
         if self.verdict.spurious_tags:
             lines.append("tags unmatched by the per-path rule but covered by the "
                          "language check: " + _tags(self.verdict.spurious_tags))

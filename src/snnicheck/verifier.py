@@ -5,7 +5,7 @@ when the basis graph's label language, the low projection of the net's, equals
 the low subnet's.  The verifier pairs the unfolding with the low subnet's
 reachability graph under equal labels; a tag the pairing reaches has a
 low-only counterpart.  Like the unfolding, the verifier is stored as columns
-indexed by node id; its node objects and automaton are views built on access.
+indexed by node id; its automaton is a view built on access.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Mapping
 
-from .basis import (DEFAULT_TREE_NODE_CAP, Brg, Tag, TreeNodes, UbrgResult, build_brg,
-                    build_ubrg, sorted_tags)
+from .basis import (DEFAULT_TREE_NODE_CAP, Brg, Tag, UbrgResult, build_brg, build_ubrg,
+                    sorted_tags)
 from .language import LanguageCheckResult, language_equal
 from .nfa import Nfa
 from .petri import DEFAULT_EXPLORATION_CAP, LabeledPetriNet, LabelWord, Marking, NetError
@@ -69,15 +69,6 @@ def _compare(projected: Nfa, low: Nfa) -> LanguageCheckResult:
 
 
 @dataclass
-class SvNode:
-    """One verifier node, built on access by :attr:`SvResult.nodes`."""
-
-    node_id: int
-    ubrg_node: int
-    low_marking: Marking
-
-
-@dataclass
 class SvResult:
     """Verifier tree as parallel columns indexed by node id, plus the matched tags.
 
@@ -109,10 +100,9 @@ class SvResult:
     root: int = 0
 
     @property
-    def nodes(self) -> TreeNodes:
-        """Read-only ``{node id: SvNode}`` view; each access builds the node."""
-        return TreeNodes(len(self.ubrg_node), lambda k: SvNode(
-            k, self.ubrg_node[k], self.low_marking[k]))
+    def nodes(self) -> range:
+        """The node ids."""
+        return range(len(self.ubrg_node))
 
     @property
     def tree(self) -> Nfa:
@@ -125,9 +115,6 @@ class SvResult:
         arcs = tuple((parent[k], event[k], k) for k in range(1, len(parent)))
         labeling = {e: self.low.labeling[e[1]] for _, e, _ in arcs}
         return Nfa._from_unique(tuple(range(len(parent))), arcs, (self.root,), labeling)
-
-    def pair_of(self, node_id: int) -> tuple[Marking, Marking]:
-        return (self.ubrg.marking(self.ubrg_node[node_id]), self.low_marking[node_id])
 
 
 def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
@@ -235,9 +222,12 @@ class Verdict:
     """A language comparison's verdict, with the verifier's tags as evidence.
 
     ``snni`` and ``counterexample``, a shortest leaked low word, come from the
-    comparison alone.  ``witness_words`` gives each unmatched tag's path word,
-    a low observation with no low-only counterpart; ``spurious_tags`` holds
-    tags the per-path rule missed although the languages are equal.
+    comparison alone.  ``witness_words`` gives each unmatched tag's unfolding
+    path word.  An alpha tag's word is a low observation the low subnet
+    cannot produce.  A beta tag's word is one along which no low-only run
+    returns to a pair repeated on its path; the low subnet may still accept
+    it.  ``spurious_tags`` holds tags the per-path rule missed although the
+    languages are equal.
     """
 
     snni: bool

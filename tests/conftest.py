@@ -5,6 +5,7 @@ import re
 import pytest
 
 from snnicheck.fixtures import DEMOS, demo_leaky, demo_secure
+from snnicheck.nfa import Nfa
 from snnicheck.petri import LabeledPetriNet, PetriNet
 from snnicheck.randnets import GeneratorConfig, random_lpn
 
@@ -56,6 +57,11 @@ def leaky() -> LabeledPetriNet:
 def marking_of(lpn: LabeledPetriNet, **tokens: int) -> tuple[int, ...]:
     """Marking vector from place-name keyword arguments."""
     return tuple(tokens.get(p, 0) for p in lpn.net.places)
+
+
+def relabeled(nfa: Nfa, label) -> Nfa:
+    """``nfa`` with each event ``e`` labeled ``label(e)``."""
+    return Nfa(nfa.states, nfa.arcs, nfa.initial, {e: label(e) for e in nfa.events})
 
 
 def unbounded_witness(message: str) -> tuple[tuple[str, ...], int]:

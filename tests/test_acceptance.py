@@ -22,7 +22,7 @@ from snnicheck.reach import low_label_language
 from snnicheck.report import analyze, decide_snni
 from snnicheck.verifier import build_sv
 
-from conftest import ALL_BASIS_MARKINGS, BASIS_M0, BASIS_M1
+from conftest import ALL_BASIS_MARKINGS, BASIS_M0, BASIS_M1, relabeled
 
 ALPHA_1 = Tag("alpha", 1)
 BETA_1 = Tag("beta", 1)
@@ -112,10 +112,10 @@ def test_criterion_7_projection_language_law():
     for seed in range(1, 51):
         lpn = random_lpn(seed)
         brg = build_brg(lpn)
-        from_brg = bounded_language(brg.nfa, 8, label_of=lambda e: e.transition)
+        from_brg = bounded_language(relabeled(brg.nfa, lambda e: e.transition), 8)
         low_set = set(lpn.low_transitions)
-        from_net = bounded_language(reachability_graph(lpn.net).nfa, 8,
-                                    label_of=lambda t: t if t in low_set else EPSILON)
+        from_net = bounded_language(relabeled(reachability_graph(lpn.net).nfa,
+                                              lambda t: t if t in low_set else EPSILON), 8)
         assert from_brg == from_net, f"seed {seed}\n{serialize_net(lpn)}"
 
 

@@ -202,29 +202,25 @@ def test_ubrg_leaf_tagging_characterization(secure, leaky):
     for lpn in (secure, leaky):
         ubrg = build_ubrg(lpn)
         leaves = set(ubrg.leaf_ids())
-        for nid, node in ubrg.nodes.items():
-            if node.tag is not None:
-                assert nid in leaves
+        assert set(ubrg.tags) <= leaves
         for nid in ubrg.leaf_ids():
-            node = ubrg.nodes[nid]
+            tag = ubrg.tags.get(nid)
             accumulated = path_evector_sum(ubrg.root_path_events(nid),
                                            size=len(lpn.high_transitions))
-            assert (node.tag is not None) == any(accumulated)
-            if node.tag is not None and node.tag.kind == "beta":
-                assert node.duplicated
-            if node.tag is not None and node.tag.kind == "alpha":
-                assert not node.duplicated
+            assert (tag is not None) == any(accumulated)
+            if tag is not None:
+                assert (nid in ubrg.duplicated) == (tag.kind == "beta")
 
 
 def test_ubrg_duplicate_iff_marking_repeats_on_path(secure):
     ubrg = build_ubrg(secure)
-    for nid, node in ubrg.nodes.items():
+    for nid in ubrg.nodes:
         ancestors = []
         current = nid
         while current != ubrg.root:
             current = ubrg.tree.arcs[current - 1][0]
-            ancestors.append(ubrg.nodes[current].marking)
-        assert node.duplicated == (node.marking in ancestors)
+            ancestors.append(ubrg.marking(current))
+        assert (nid in ubrg.duplicated) == (ubrg.marking(nid) in ancestors)
 
 
 def _arc_soundness(lpn, arcs, marking_from):
@@ -240,8 +236,7 @@ def test_arc_soundness(secure, leaky):
         brg = build_brg(lpn)
         _arc_soundness(lpn, brg.nfa.arcs, lambda m: m)
         ubrg = build_ubrg(lpn)
-        _arc_soundness(lpn, ubrg.tree.arcs,
-                       lambda nid, nodes=ubrg.nodes: nodes[nid].marking)
+        _arc_soundness(lpn, ubrg.tree.arcs, ubrg.marking)
 
 
 def test_unfolding_correspondence_with_cycles(secure):
@@ -260,9 +255,9 @@ def test_unfolding_correspondence_with_cycles(secure):
         assert ubrg.duplicate_markings & set(cycle)
     # Each duplicated leaf path really ends in a marking repeat.
     for nid in ubrg.leaf_ids():
-        if ubrg.nodes[nid].duplicated:
+        if nid in ubrg.duplicated:
             events = ubrg.root_path_events(nid)
-            markings = [ubrg.nodes[ubrg.root].marking]
+            markings = [ubrg.marking(ubrg.root)]
             for event in events:
                 markings.append(basis_successor(secure, markings[-1],
                                                 event.transition, event.evector))
@@ -274,8 +269,7 @@ def test_construction_is_deterministic(secure):
     second = build_ubrg(secure)
     assert first.tree.arcs == second.tree.arcs
     assert first.tag_leaves == second.tag_leaves
-    assert [n.marking for n in first.nodes.values()] == \
-           [n.marking for n in second.nodes.values()]
+    assert [first.marking(k) for k in first.nodes] == [second.marking(k) for k in second.nodes]
     assert build_brg(secure).nfa.arcs == build_brg(secure).nfa.arcs
     # Unfolding a prebuilt BRG is the same as letting build_ubrg build it.
     nets = [demo() for demo in (demo_secure, demo_leaky, demo_sync_period_two)]
@@ -287,6 +281,6 @@ def test_secure_and_leaky_share_basis_structure(secure, leaky):
     # Relabeling one transition changes neither basis markings nor unfolding.
     assert build_brg(secure).basis_markings == build_brg(leaky).basis_markings
     u1, u2 = build_ubrg(secure), build_ubrg(leaky)
-    assert [n.marking for n in u1.nodes.values()] == [n.marking for n in u2.nodes.values()]
+    assert [u1.marking(k) for k in u1.nodes] == [u2.marking(k) for k in u2.nodes]
     assert u1.alpha_tags == u2.alpha_tags
     assert u1.beta_tags == u2.beta_tags

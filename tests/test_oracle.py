@@ -16,14 +16,14 @@ from conftest import BASIS_M0, BASIS_M2
 
 
 def test_reachability_counts(secure):
-    assert reachability_graph(secure.net).marking_count == 9
+    assert len(reachability_graph(secure.net).nfa.states) == 9
     low = secure.low_subnet()
-    assert reachability_graph(low.net).marking_count == 5
+    assert len(reachability_graph(low.net).nfa.states) == 5
 
 
 def test_reachability_no_transitions():
     net = PetriNet(("p",), (), [], (1,))
-    assert reachability_graph(net).marking_count == 1
+    assert len(reachability_graph(net).nfa.states) == 1
 
 
 def test_reachability_refuses_unbounded():
@@ -165,13 +165,6 @@ def test_bounded_language_words(secure):
     assert low_words == {(), ("a",), ("c",), ("a", "b"), ("c", "d")}
 
 
-def test_bounded_language_custom_labeler():
-    arcs = [("s0", "x", "s1"), ("s1", "y", "s0")]
-    nfa = Nfa(["s0", "s1"], arcs, ["s0"])
-    words = bounded_language(nfa, 2, label_of=lambda event: event)
-    assert words == {(), ("x",), ("x", "y")}
-
-
 def test_empty_automaton_language():
     empty = Nfa(["s0"], [], [], labeling={})
     nonempty = Nfa(["s0"], [], ["s0"], labeling={})
@@ -183,6 +176,8 @@ def test_empty_automaton_language():
     assert check.counterexample == ()
     assert check.counterexample_side == "left"
     assert language_equal(empty, empty).equal
+    with pytest.raises(InvalidNetError, match="automaton carries no labeling"):
+        bounded_language(Nfa(["s0"], [], ["s0"]), 1)
 
 
 def test_oracle_verdict_reports_only_leaks():

@@ -13,7 +13,7 @@ from snnicheck.fixtures import (_DEMO_ARCS, DEMOS, demo_cyclic_high, demo_secure
 import snnicheck.petri as petri
 from snnicheck.petri import (AssumptionError, DominationWitness, ExplorationResult,
                              FiringError, InvalidNetError, LabeledPetriNet, PetriNet,
-                             check_assumptions, explore_markings, parikh, project, shift)
+                             check_assumptions, explore_markings, parikh, shift)
 from snnicheck.randnets import GeneratorConfig, _candidate, random_lpn
 
 from conftest import (BASIS_M2, BASIS_M4, BENCH_SUITES, demo_and_suite_nets, marking_of,
@@ -81,7 +81,7 @@ def test_parikh():
 
 def test_incidence_columns_match_declared_arcs(secure):
     # Assemble the incidence matrix independently from the raw arc list and
-    # compare every firing against it.
+    # compare the sparse change table and every firing against it.
     places = secure.net.places
     incidence = {t: [0] * len(places) for t in secure.net.transitions}
     for source, target in _DEMO_ARCS:
@@ -90,7 +90,7 @@ def test_incidence_columns_match_declared_arcs(secure):
         else:
             incidence[target][places.index(source)] -= 1
     for t in secure.net.transitions:
-        assert secure.net.incidence_column(t) == tuple(incidence[t])
+        assert secure.net.delta[t] == tuple((i, d) for i, d in enumerate(incidence[t]) if d)
     for m in (secure.net.initial_marking, marking_of(secure, p2=1)):
         for t in secure.net.transitions:
             if secure.net.enabled(m, t):
@@ -116,13 +116,6 @@ def test_induced_subnet_trivial(secure):
     assert empty.places == secure.net.places
 
 
-def test_project():
-    low = ("l1", "l2")
-    assert project(("h1", "l1", "l2"), low) == ("l1", "l2")
-    assert project(("h1", "l1", "l2"), ("h1",)) == ("h1",)
-    assert project((), low) == ()
-
-
 def test_label_word(secure):
     assert secure.label_word(("l1", "l2")) == ("a", "b")
     assert secure.label_word(("l8", "l9")) == ("a", "b")
@@ -131,24 +124,12 @@ def test_label_word(secure):
 
 _PROP_NET = demo_secure()
 _any_sequence = st.lists(st.sampled_from(_PROP_NET.net.transitions), max_size=30)
-_any_partition = st.sets(st.sampled_from(_PROP_NET.net.transitions))
-
-
-@given(_any_sequence, _any_partition)
-def test_projection_partition_reconstructs(sequence, keep):
-    rest = set(_PROP_NET.net.transitions) - keep
-    first = project(sequence, keep)
-    second = project(sequence, rest)
-    first_iter, second_iter = iter(first), iter(second)
-    rebuilt = [next(first_iter) if item in keep else next(second_iter)
-               for item in sequence]
-    assert tuple(rebuilt) == tuple(sequence)
-    assert len(first) + len(second) == len(sequence)
 
 
 @given(_any_sequence)
 def test_label_word_commutes_with_projection(sequence):
-    projected_then_labeled = _PROP_NET.label_word(project(sequence, _PROP_NET.low_transitions))
+    low = [t for t in sequence if t in _PROP_NET.low_transitions]
+    projected_then_labeled = _PROP_NET.label_word(low)
     labeled_then_erased = tuple(a for a in _PROP_NET.label_word(sequence)
                                 if a in _PROP_NET.low_labels)
     assert projected_then_labeled == labeled_then_erased
@@ -370,15 +351,12 @@ def test_sparse_tables_match_dense_definition():
 
 def test_cached_assumption_report_does_not_answer_a_smaller_cap():
     lpn = LabeledPetriNet(_fan_out(5), {f"t{i}": "a" for i in range(1, 6)})
-    passing = lpn.verify_assumptions(100)
+    passing = lpn.require_assumptions(100)
     assert passing.reachable_count == 6
-    report = lpn.verify_assumptions(2)
-    assert report.bounded is None
-    assert report.cap == 2
-    with pytest.raises(AssumptionError):
+    with pytest.raises(AssumptionError, match="exploration cap of 2 markings exhausted"):
         lpn.require_assumptions(2)
     # The failing answer does not evict the passing one.
-    assert lpn.verify_assumptions(6) is passing
+    assert lpn.require_assumptions(6) is passing
 
 
 def test_require_assumptions_refuses(secure):
@@ -446,6 +424,29 @@ def test_net_rejects_malformed_arc_entries_and_bool_counts(arcs, marking):
 def test_constructors_reject_non_string_identifiers(build):
     with pytest.raises(InvalidNetError):
         build()
+
+
+@pytest.mark.parametrize("call", [
+    lambda lpn: lpn.net.check_transition(["h1"]),
+    lambda lpn: lpn.net.induced_subnet([["h1"]]),
+    lambda lpn: lpn.net.induced_subnet([1, "x"]),
+    lambda lpn: lpn.label_word([["h1"]]),
+    lambda lpn: lpn.net.enabled(lpn.net.initial_marking, ["h1"]),
+    lambda lpn: lpn.is_low({}),
+], ids=["check_transition unhashable", "induced_subnet unhashable",
+        "induced_subnet mixed-type unknown", "label_word unhashable", "enabled unhashable",
+        "is_low unhashable"])
+def test_transition_lookups_reject_non_string_names(secure, call):
+    with pytest.raises(InvalidNetError):
+        call(secure)
+
+
+def test_unknown_transition_messages_name_the_strings(secure):
+    with pytest.raises(InvalidNetError, match=r"^unknown transition 'zz'$"):
+        secure.net.check_transition("zz")
+    with pytest.raises(InvalidNetError,
+                       match=r"^unknown transitions in subnet selection: \['x', 'y'\]$"):
+        secure.net.induced_subnet(["y", "l1", "x"])
 
 
 def test_net_accepts_arc_entries_as_tuples_or_lists():

@@ -21,7 +21,7 @@ from snnicheck.reach import (low_label_language, projected_label_language,
 from snnicheck.report import analyze, decide_snni
 from snnicheck.verifier import build_sv
 
-from conftest import assert_pumps, unbounded_witness
+from conftest import assert_pumps, relabeled, unbounded_witness
 
 CROSS_VALIDATION_SEEDS = range(1, 201)
 PROJECTION_SEEDS = range(1, 51)
@@ -49,11 +49,11 @@ def test_brg_words_equal_projected_net_words():
     for seed in PROJECTION_SEEDS:
         lpn = random_lpn(seed)
         brg = build_brg(lpn)
-        from_brg = bounded_language(brg.nfa, 8, label_of=lambda e: e.transition)
+        from_brg = bounded_language(relabeled(brg.nfa, lambda e: e.transition), 8)
         low_set = set(lpn.low_transitions)
         reach = reachability_graph(lpn.net).nfa
-        from_net = bounded_language(reach, 8,
-                                    label_of=lambda t: t if t in low_set else EPSILON)
+        from_net = bounded_language(
+            relabeled(reach, lambda t: t if t in low_set else EPSILON), 8)
         if from_brg != from_net:
             pytest.fail(f"projection mismatch on seed {seed}: "
                         f"only-in-brg={sorted(from_brg - from_net)[:5]} "

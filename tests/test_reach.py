@@ -54,7 +54,7 @@ def test_reachability_arcs_are_the_explored_firings():
         for net in (lpn.net, lpn.low_subnet().net):
             exploration = explore_markings(net, petri.DEFAULT_EXPLORATION_CAP)
             fired = [(m, t, net.fire(m, t))
-                     for m in exploration.markings for t in net.enabled_transitions(m)]
+                     for m in exploration.markings for t in net.transitions if net.enabled(m, t)]
             rg = reachability_graph(net).nfa
             assert list(rg.arcs) == fired
             assert rg.states == exploration.markings
@@ -85,7 +85,7 @@ def test_reachability_graphs_fire_nothing_after_exploring(monkeypatch, demo):
             return original(self, *args, **kwargs)
         return record
 
-    for name in ("fire", "enabled_transitions"):
+    for name in ("fire", "enabled"):
         monkeypatch.setattr(PetriNet, name, recording(name))
     monkeypatch.setattr(petri, "explore_markings", counting_explore)
     monkeypatch.setattr(reach, "explore_markings", counting_explore)

@@ -8,15 +8,16 @@ import snnicheck.petri as petri
 import snnicheck.reach as reach
 import snnicheck.report as report_module
 import snnicheck.verifier as verifier
-from snnicheck.basis import UbrgNode, build_brg, build_ubrg
+from snnicheck.basis import Tag, build_brg, build_ubrg
 from snnicheck.dot import export_dot
 from snnicheck.fixtures import demo_leaky, demo_secure, demo_sync_period_two
+from snnicheck.language import word_in_language
 from snnicheck.nfa import Nfa
 from snnicheck.oracle import snni_oracle
-from snnicheck.petri import LabeledPetriNet, PetriNet, check_assumptions
+from snnicheck.petri import LabeledPetriNet, PetriNet, check_assumptions, format_word
 from snnicheck.randnets import GeneratorConfig, random_lpn
 from snnicheck.report import analyze, decide_snni
-from snnicheck.verifier import SvNode, build_sv, decide_languages, sv_verdict
+from snnicheck.verifier import build_sv, decide_languages, sv_verdict
 
 from conftest import record_calls
 
@@ -139,8 +140,6 @@ def _big_net_24() -> LabeledPetriNet:
 def test_analyze_and_tree_exports_keep_the_trees_columnar(monkeypatch, make):
     lpn = make()
     automata = record_calls(monkeypatch, Nfa, ("_index",))
-    ubrg_nodes = record_calls(monkeypatch, UbrgNode, ("__init__",))
-    sv_nodes = record_calls(monkeypatch, SvNode, ("__init__",))
     report = analyze(lpn)
     # The basis graph and the low label language are the only automata built.
     assert automata == ["_index", "_index"]
@@ -151,5 +150,20 @@ def test_analyze_and_tree_exports_keep_the_trees_columnar(monkeypatch, make):
     export_dot(ubrg)
     export_dot(sv)
     assert automata == []
-    assert ubrg_nodes == []
-    assert sv_nodes == []
+
+
+def test_witness_text_claims_no_counterpart_only_for_unmatched_alpha_tags():
+    # Default net 12: beta_3's path word cb is a low-subnet word, so the text
+    # may not call it an observation without a low-only counterpart.
+    lpn = random_lpn(12)
+    report = analyze(lpn)
+    low = reach.low_label_language(lpn)
+    text = report.to_text()
+    assert report.witness_words[Tag("beta", 3)] == ("c", "b")
+    assert word_in_language(low, ("c", "b"))
+    assert "unmatched beta_3: no low-only run of cb returns to a pair repeated on its path\n" \
+        in text
+    for tag, word in report.witness_words.items():
+        claim = f"unmatched {tag}: low observation {format_word(word)} has no low-only counterpart"
+        assert (claim in text) == (tag.kind == "alpha")
+        assert not word_in_language(low, word) or tag.kind == "beta"

@@ -22,8 +22,11 @@ def test_sv_matches_both_tags_on_secure(secure):
 
 def test_sv_duplicate_pair_bookkeeping(secure):
     sv = build_sv(secure)
-    beta_pairs = {sv.pair_of(nid) for nid in sv.duplicate_pair_nodes}
-    plain_pairs = {sv.pair_of(nid) for nid in sv.plain_duplicate_nodes}
+
+    def pair_of(nid):
+        return sv.ubrg.marking(sv.ubrg_node[nid]), sv.low_marking[nid]
+    beta_pairs = {pair_of(nid) for nid in sv.duplicate_pair_nodes}
+    plain_pairs = {pair_of(nid) for nid in sv.plain_duplicate_nodes}
     assert beta_pairs == {(BASIS_M1, marking_of(secure, p8=1))}
     assert plain_pairs == {(BASIS_M0, BASIS_M0)}
 
@@ -64,10 +67,9 @@ def test_sv_nodes_pair_unfolding_with_low_reachability(secure):
     from snnicheck.reach import reachability_graph
     sv = build_sv(secure)
     low_markings = set(reachability_graph(secure.low_subnet().net).nfa.states)
-    assert {node.low_marking for node in sv.nodes.values()} <= low_markings
-    root = sv.nodes[sv.root]
-    assert root.ubrg_node == sv.ubrg.root
-    assert root.low_marking == secure.net.initial_marking
+    assert set(sv.low_marking) <= low_markings
+    assert sv.ubrg_node[sv.root] == sv.ubrg.root
+    assert sv.low_marking[sv.root] == secure.net.initial_marking
 
 
 def test_alpha_matched_iff_word_in_low_language(secure, leaky):
@@ -141,23 +143,6 @@ def test_verdict_iff_invariant_on_tag_grounded_fixtures(secure, leaky):
         assert verdict.snni == (not verdict.missing_alpha and not verdict.missing_beta)
 
 
-def test_tree_node_views_are_read_only(secure):
-    sv = build_sv(secure)
-    for view in (sv.ubrg.nodes, sv.nodes):
-        assert list(view) == list(range(len(view)))
-        with pytest.raises(TypeError):
-            view[0] = view[1]
-        with pytest.raises(TypeError):
-            del view[0]
-        with pytest.raises(KeyError):
-            view[len(view)]
-        with pytest.raises(KeyError):
-            view[-1]
-        # Each access builds a fresh node; changing one changes no tree.
-        view[0].node_id = 7
-        assert view[0].node_id == 0
-
-
 @pytest.mark.parametrize("make", [
     demo_secure, demo_leaky, demo_sync_period_two,
     lambda: random_lpn(24, GeneratorConfig(max_places=14, max_transitions=20, max_tokens=6,
@@ -167,31 +152,26 @@ def test_tree_views_agree_with_the_tree_data(make):
     brg = build_brg(lpn)
     ubrg = build_ubrg(lpn, brg=brg)
     sv = build_sv(lpn, ubrg=ubrg)
-    unodes, snodes = ubrg.nodes, sv.nodes
-    assert {node.tag: nid for nid, node in unodes.items() if node.tag is not None} \
-        == ubrg.tag_leaves
-    assert {node.marking for node in unodes.values() if node.duplicated} \
-        == ubrg.duplicate_markings
-    assert {nid for nid, node in unodes.items() if node.duplicated} == ubrg.duplicated
+    assert {tag: nid for nid, tag in ubrg.tags.items()} == ubrg.tag_leaves
+    assert {ubrg.marking(nid) for nid in ubrg.duplicated} == ubrg.duplicate_markings
     # Every tree arc copies a BRG arc between the markings of its two nodes.
     tree = ubrg.tree
-    assert tree.states == tuple(unodes)
+    assert tree.states == tuple(ubrg.nodes)
     brg_arcs = set(brg.nfa.arcs)
     for src, event, dst in tree.arcs:
-        assert (unodes[src].marking, event, unodes[dst].marking) in brg_arcs
-    assert ubrg.leaf_ids() == tuple(nid for nid in unodes if not tree.arcs_from(nid))
+        assert (ubrg.marking(src), event, ubrg.marking(dst)) in brg_arcs
+    assert ubrg.leaf_ids() == tuple(nid for nid in ubrg.nodes if not tree.arcs_from(nid))
     # Every verifier arc pairs an unfolding arc with an equally labeled low arc.
     unfolding_arcs = {(src, dst): event.transition for src, event, dst in tree.arcs}
     low_arcs = set(sv.low.arcs)
     sv_tree = sv.tree
-    assert sv_tree.states == tuple(snodes)
+    assert sv_tree.states == tuple(sv.nodes)
     for src, (t, t_low), dst in sv_tree.arcs:
-        a, b = snodes[src], snodes[dst]
-        assert unfolding_arcs[(a.ubrg_node, b.ubrg_node)] == t
-        assert (a.low_marking, t_low, b.low_marking) in low_arcs
-        assert sv_tree.label_of((t, t_low)) == lpn.label(t)
+        assert unfolding_arcs[(sv.ubrg_node[src], sv.ubrg_node[dst])] == t
+        assert (sv.low_marking[src], t_low, sv.low_marking[dst]) in low_arcs
+        assert sv_tree.labeling[(t, t_low)] == lpn.label(t)
     # Exactly the duplicate beta pairings match beta tags.
-    duplicate_tags = {unodes[snodes[nid].ubrg_node].tag for nid in sv.duplicate_pair_nodes}
+    duplicate_tags = {ubrg.tags.get(sv.ubrg_node[nid]) for nid in sv.duplicate_pair_nodes}
     assert all(tag is not None and tag.kind == "beta" for tag in duplicate_tags)
     assert duplicate_tags == sv.beta_matched
-    assert {unodes[node.ubrg_node].tag for node in snodes.values()} >= sv.alpha_matched
+    assert {ubrg.tags.get(u) for u in sv.ubrg_node} >= sv.alpha_matched
