@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .explanations import high_run_answers
@@ -55,21 +54,6 @@ class Tag(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.kind}_{self.number}"
-
-
-def sorted_tags(tags: Iterable[Tag]) -> list[Tag]:
-    """``sorted(tags)``, with each kind's tags sorted by their plain int numbers.
-
-    Sorting the tags as tuples compares kinds again for every pair, which
-    costs twice as much on the tens of thousands of tags of a large unfolding.
-    """
-    by_kind: dict[str, list[Tag]] = {}
-    for tag in tags:
-        by_kind.setdefault(tag.kind, []).append(tag)
-    ordered: list[Tag] = []
-    for kind in sorted(by_kind):
-        ordered += sorted(by_kind[kind], key=itemgetter(1))
-    return ordered
 
 
 @dataclass(frozen=True)

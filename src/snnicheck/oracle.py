@@ -39,6 +39,8 @@ def snni_oracle(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Ver
 def _word_atoms(lpn: LabeledPetriNet, word: Sequence[str] | str) -> LabelWord:
     atoms = tuple(word)
     for a in atoms:
+        if not isinstance(a, str):
+            raise InvalidNetError(f"word atoms must be label strings, got {a!r}")
         if a not in lpn.low_labels:
             raise InvalidNetError(f"{a!r} is not a low label of this net")
     return atoms
@@ -60,6 +62,8 @@ def justifications(lpn: LabeledPetriNet, word: Sequence[str] | str,
     explored.
     """
     atoms = _word_atoms(lpn, word)
+    if cap is not None and (not isinstance(cap, int) or isinstance(cap, bool) or cap < 1):
+        raise InvalidNetError(f"interleaving cap must be a positive int, got {cap!r}")
     net = lpn.net
     high = lpn.high_transitions
     if cap is None:

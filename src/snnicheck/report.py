@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import AbstractSet, Mapping
 
-from .basis import Tag, build_ubrg, sorted_tags
+from .basis import Tag, build_ubrg
 from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionReport, LabeledPetriNet,
                     LabelWord, format_word)
 from .verifier import Verdict, build_sv, decide_languages, sv_verdict
@@ -14,7 +14,12 @@ from .verifier import Verdict, build_sv, decide_languages, sv_verdict
 
 @dataclass
 class AnalysisReport:
-    """Everything one analysis run produced, ready for rendering."""
+    """Everything one analysis run produced, ready for rendering.
+
+    The tag sets are an unfolding's (:func:`~snnicheck.basis.build_ubrg`):
+    each kind is numbered 1, 2, ... without gaps, and the renderings list
+    them in that order.
+    """
 
     snni: bool
     verdict: Verdict
@@ -33,20 +38,36 @@ class AnalysisReport:
     cap: int
     timings: dict[str, float] = field(default_factory=dict)
 
+    def _tag_names(self) -> dict[str, list[str]]:
+        """Per kind, alpha first, its tags' names: ``names[kind][n - 1]`` names tag ``n``.
+
+        The unfolding numbers each kind's tags 1, 2, ... in node order, so the
+        names list every tag in unfolding order without sorting a tag set,
+        and every rendered list is filtered from them.  Each name is
+        formatted once.
+        """
+        return {kind: [f"{kind}_{number}" for number in range(1, len(tags) + 1)]
+                for kind, tags in (("alpha", self.alpha_tags), ("beta", self.beta_tags))}
+
     def to_dict(self) -> dict:
-        """JSON-ready view; tag sets and words are rendered deterministically."""
-        witnessed = sorted_tags(self.witness_words)
+        """JSON-ready view; tag sets and words are rendered in unfolding order."""
+        names = self._tag_names()
+        alpha, beta = names["alpha"], names["beta"]
+        verdict, witness_words = self.verdict, self.witness_words
         return {
             "snni": self.snni,
-            "alpha_tags": _names(self.alpha_tags),
-            "beta_tags": _names(self.beta_tags),
-            "alpha_matched": _names(self.alpha_matched),
-            "beta_matched": _names(self.beta_matched),
-            "missing_alpha": _names(self.verdict.missing_alpha),
-            "missing_beta": _names(self.verdict.missing_beta),
-            "spurious_tags": _names(self.verdict.spurious_tags),
-            "witness_words": {name: list(self.witness_words[tag])
-                              for tag, name in zip(witnessed, _names(witnessed))},
+            "alpha_tags": alpha,
+            "beta_tags": beta,
+            "alpha_matched": _among("alpha", alpha, self.alpha_matched),
+            "beta_matched": _among("beta", beta, self.beta_matched),
+            "missing_alpha": _among("alpha", alpha, verdict.missing_alpha),
+            "missing_beta": _among("beta", beta, verdict.missing_beta),
+            "spurious_tags": (_among("alpha", alpha, verdict.spurious_tags)
+                              + _among("beta", beta, verdict.spurious_tags)),
+            "witness_words": {name: list(witness_words[kind, number])
+                              for kind, kind_names in names.items()
+                              for number, name in enumerate(kind_names, 1)
+                              if (kind, number) in witness_words},
             "leaked_word": list(self.leaked_word) if self.leaked_word is not None else None,
             "sizes": {
                 "brg_states": self.brg_states,
@@ -64,20 +85,28 @@ class AnalysisReport:
         }
 
     def to_text(self) -> str:
+        names = self._tag_names()
+        alpha, beta = names["alpha"], names["beta"]
+        verdict = self.verdict
         lines = [f"verdict: {'SNNI' if self.snni else 'NOT SNNI'}"]
-        lines.append(f"unfolding tags: alpha={_tags(self.alpha_tags)} beta={_tags(self.beta_tags)}")
-        lines.append(f"matched tags:   alpha={_tags(self.alpha_matched)} beta={_tags(self.beta_matched)}")
-        for tag in sorted_tags(self.verdict.missing_alpha | self.verdict.missing_beta):
-            word = format_word(self.witness_words.get(tag))
-            if tag.kind == "alpha":
-                lines.append(f"unmatched {tag}: low observation {word} "
+        lines.append(f"unfolding tags: alpha={_braced(alpha)} beta={_braced(beta)}")
+        lines.append(f"matched tags:   alpha={_braced(_among('alpha', alpha, self.alpha_matched))} "
+                     f"beta={_braced(_among('beta', beta, self.beta_matched))}")
+        for number, name in enumerate(alpha, 1):
+            if ("alpha", number) in verdict.missing_alpha:
+                word = format_word(self.witness_words.get(("alpha", number)))
+                lines.append(f"unmatched {name}: low observation {word} "
                              "has no low-only counterpart")
-            else:
-                lines.append(f"unmatched {tag}: no low-only run of {word} returns to "
+        for number, name in enumerate(beta, 1):
+            if ("beta", number) in verdict.missing_beta:
+                word = format_word(self.witness_words.get(("beta", number)))
+                lines.append(f"unmatched {name}: no low-only run of {word} returns to "
                              "a pair repeated on its path")
-        if self.verdict.spurious_tags:
+        if verdict.spurious_tags:
             lines.append("tags unmatched by the per-path rule but covered by the "
-                         "language check: " + _tags(self.verdict.spurious_tags))
+                         "language check: "
+                         + _braced(_among("alpha", alpha, verdict.spurious_tags)
+                                   + _among("beta", beta, verdict.spurious_tags)))
         if self.leaked_word is not None:
             lines.append(f"leaked low word (shortest): {format_word(self.leaked_word)}")
         lines.append(f"sizes: reachable={self.reachable_markings} "
@@ -88,13 +117,19 @@ class AnalysisReport:
         return "\n".join(lines) + "\n"
 
 
-def _names(tags: Iterable[Tag]) -> list[str]:
-    """``str`` of each tag in sorted order, without a ``Tag.__str__`` call per tag."""
-    return [f"{kind}_{number}" for kind, number in sorted_tags(tags)]
+def _among(kind: str, names: list[str], subset: AbstractSet[Tag]) -> list[str]:
+    """The names of the ``kind`` tags in ``subset``, in number order.
+
+    A plain ``(kind, number)`` tuple equals and hashes as the :class:`Tag`,
+    so no tag object is built to test membership.
+    """
+    if not subset:
+        return []
+    return [name for number, name in enumerate(names, 1) if (kind, number) in subset]
 
 
-def _tags(tags: frozenset[Tag]) -> str:
-    return "{" + ", ".join(_names(tags)) + "}"
+def _braced(names: list[str]) -> str:
+    return "{" + ", ".join(names) + "}"
 
 
 def analyze(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> AnalysisReport:

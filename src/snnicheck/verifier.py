@@ -5,7 +5,10 @@ when the basis graph's label language, the low projection of the net's, equals
 the low subnet's.  The verifier pairs the unfolding with the low subnet's
 reachability graph under equal labels; a tag the pairing reaches has a
 low-only counterpart.  Like the unfolding, the verifier is stored as columns
-indexed by node id; its automaton is a view built on access.
+indexed by node id; its automaton is a view built on access.  Its size is
+counted from the distinct (unfolding node, low marking) pairings before any
+column is built, so a tree past its node cap is refused at the cost of that
+count.
 """
 
 from __future__ import annotations
@@ -13,11 +16,9 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Mapping
 
-from .basis import (DEFAULT_TREE_NODE_CAP, Brg, Tag, UbrgResult, build_brg, build_ubrg,
-                    sorted_tags)
+from .basis import DEFAULT_TREE_NODE_CAP, Brg, Tag, UbrgResult, build_brg, build_ubrg
 from .language import LanguageCheckResult, language_equal
 from .nfa import Nfa
 from .petri import DEFAULT_EXPLORATION_CAP, LabeledPetriNet, LabelWord, Marking, NetError
@@ -131,8 +132,17 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
     unexpanded; other repeats are only recorded.  Alpha tags are matched by
     mere reachability of their leaf; beta tags only by a recorded duplicate
     pairing.  The unfolding and the low label language (kept as ``low``) are
-    built here unless passed.  The breadth-first order is the id order, so
-    the builder walks the ids and keeps only each pending node's parent path.
+    built here unless passed.
+
+    The tree is sized before it is built, so a tree past ``node_cap`` is
+    refused without building any column.  Tags sit on unfolding leaves, so
+    the beta stop never cuts a subtree, and every pairing of one unfolding
+    node with one low marking roots a subtree of the same shape.  The count
+    therefore goes level by level over the distinct pairings, each with its
+    number of low runs, and stops as soon as it passes the cap.  A tree of
+    ``n`` nodes fits ``node_cap = n - 1``.  The breadth-first order is the id
+    order, so the builder walks the ids and keeps only each pending node's
+    parent path.
     """
     if ubrg is None:
         ubrg = build_ubrg(lpn, cap, node_cap)
@@ -147,6 +157,9 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
 
     def moves_at(low_marking: Marking) -> dict[str, tuple[tuple[tuple[str, str], Marking], ...]]:
         """Per pipeline transition: its ``(t, t_low)`` events and the low markings reached."""
+        moves = low_moves.get(low_marking)
+        if moves is not None:
+            return moves
         by_label: dict[str, list[tuple[str, Marking]]] = {}
         for t2, fired in low.arcs_from(low_marking):
             by_label.setdefault(low.labeling[t2], []).append((t2, fired))
@@ -159,6 +172,29 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
         return moves
 
     ustate, ufirst, utags = ubrg.state, ubrg.first_child, ubrg.tags
+    # Per level: unfolding node -> {low marking: number of tree nodes pairing them}.
+    level: dict[int, dict[Marking, int]] = {ubrg.root: {low.initial[0]: 1}}
+    size = 1
+    while level:
+        below: dict[int, dict[Marking, int]] = {}
+        for u, runs_at in level.items():
+            first = ufirst[u]
+            if not first:
+                continue
+            for lm, runs in runs_at.items():
+                moves = moves_at(lm)
+                for offset, t in child_moves[ustate[u]]:
+                    fired_by = moves.get(t)
+                    if fired_by:
+                        child = below.setdefault(first + offset, {})
+                        for _, fired in fired_by:
+                            child[fired] = child.get(fired, 0) + runs
+                        size += runs * len(fired_by)
+                        if size - 1 > node_cap:
+                            raise NetError(f"verifier tree exceeds {node_cap} nodes; "
+                                           "raise node_cap to continue")
+        level = below
+
     # Per BRG state: the path bit of each low marking paired with it so far.
     pair_bits: list[dict[Marking, int]] = [{} for _ in brg.states]
     pairs = 0
@@ -171,7 +207,6 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
     # The parent's path bitmask of each node not yet expanded, in id order.
     parent_paths: deque[int] = deque([0])
     nid = 0
-    next_id = 1
     while parent_paths:
         parent_path = parent_paths.popleft()
         u = ubrg_node[nid]
@@ -191,20 +226,14 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
         first = ufirst[u]
         if first:
             path = parent_path | bit
-            moves = low_moves.get(lm)
-            if moves is None:
-                moves = moves_at(lm)
+            moves = low_moves[lm]
             for offset, t in child_moves[ustate[u]]:
                 for sv_event, fired in moves.get(t, ()):
-                    if next_id > node_cap:
-                        raise NetError(f"verifier tree exceeds {node_cap} nodes; "
-                                       "raise node_cap to continue")
                     ubrg_node.append(first + offset)
                     low_marking.append(fired)
                     parent.append(nid)
                     event.append(sv_event)
                     parent_paths.append(path)
-                    next_id += 1
         nid += 1
 
     reached = set(ubrg_node)
@@ -254,7 +283,9 @@ def sv_verdict(lpn: LabeledPetriNet, sv: SvResult, brg: Brg | None = None,
     :func:`decide_languages`, or ``brg`` (by default ``sv.ubrg.brg``) is
     compared with ``sv.low`` here.  Tags missed while the languages are
     equal are spurious, not leaks.  Nothing is explored.  On a negative
-    verdict each unmatched tag gets its leaf's unfolding path word.
+    verdict each unmatched tag gets its leaf's unfolding path word, and
+    ``witness_words`` lists the alpha tags, then the beta tags, each kind in
+    unfolding order, which is also the order of their numbers.
     """
     if check is None:
         check = _compare((sv.ubrg.brg if brg is None else brg).nfa, sv.low)
@@ -262,8 +293,11 @@ def sv_verdict(lpn: LabeledPetriNet, sv: SvResult, brg: Brg | None = None,
     missing_beta = sv.ubrg.beta_tags - sv.beta_matched
     if check.equal:
         return Verdict(True, spurious_tags=missing_alpha | missing_beta)
-    missing = sorted_tags(chain(missing_alpha, missing_beta))
-    words = _path_words(lpn, sv.ubrg, [sv.ubrg.tag_leaves[tag] for tag in missing])
+    # Each kind's tags are numbered in leaf order, so the leaves list them in order.
+    tag_leaves = sv.ubrg.tag_leaves
+    missing = [tag for kind, unmatched in (("alpha", missing_alpha), ("beta", missing_beta))
+               for tag in tag_leaves if tag.kind == kind and tag in unmatched]
+    words = _path_words(lpn, sv.ubrg, [tag_leaves[tag] for tag in missing])
     return Verdict(False, missing_alpha, missing_beta, dict(zip(missing, words)),
                    check.counterexample)
 

@@ -103,6 +103,29 @@ def test_random_net_tree_exports_are_pinned():
     assert digest.hexdigest() == PINNED_TREES_SHA256
 
 
+#: sha256 over ``analyze(...).to_text()`` without its timings line and
+#: ``json.dumps(to_dict())`` without timings and without ``sort_keys``, so the
+#: order of every rendered list and of the ``witness_words`` keys counts, on
+#: nets with thousands of tags: big nets 18, 24 and 39 and huge nets 5 and 11.
+#: Recorded while every rendering still sorted its tag sets.
+PINNED_RENDERINGS = ((PINNED_EXPORTS[1][0], (18, 24, 39)), (PINNED_EXPORTS[2][0], (5, 11)))
+PINNED_RENDERINGS_SHA256 = "12b973a502d6e89b1a2f2a8f83970b2686b6128cde46e35567e09ccf5bd34d4b"
+
+
+def test_large_tag_set_renderings_are_pinned():
+    digest = hashlib.sha256()
+    for config, seeds in PINNED_RENDERINGS:
+        for seed in seeds:
+            report = analyze(random_lpn(seed, config))
+            text, timings = report.to_text().rsplit("timings: ", 1)
+            assert "\n" not in timings.rstrip("\n")
+            digest.update(text.encode())
+            rendered = report.to_dict()
+            del rendered["timings"]
+            digest.update(json.dumps(rendered).encode())
+    assert digest.hexdigest() == PINNED_RENDERINGS_SHA256
+
+
 #: sha256 over the full net's reachability-graph DOT export and the states,
 #: arcs, initial states and labeling of the low subnet's label language, for
 #: every net above.  Recorded while the graphs' arcs were still produced by

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from snnicheck.basis import build_brg, build_ubrg
+from snnicheck.basis import Tag, build_brg, build_ubrg
 from snnicheck.explanations import minimal_e_vectors
 from snnicheck.oracle import snni_oracle
 from snnicheck.petri import LabeledPetriNet, NetError, PetriNet, format_word
@@ -85,15 +85,40 @@ def test_incomparable_minimal_vectors():
     assert ("l", (1, 0)) in events and ("l", (0, 1)) in events
 
 
+def _twin_low_moves() -> LabeledPetriNet:
+    """Two low ``a`` transitions ``p -> q``, so verifier runs multiply.
+
+    Each unfolding node reached by ``l1`` or ``l2`` pairs with low marking
+    ``q`` twice, once per low twin; the high route ``h; l4`` gives the path
+    through ``l5`` back to ``p`` its beta tag.
+    """
+    net = PetriNet(("p", "q", "r", "s"), ("h", "l1", "l2", "l3", "l4", "l5"),
+                   [("p", "h"), ("h", "s"), ("p", "l1"), ("l1", "q"), ("p", "l2"), ("l2", "q"),
+                    ("q", "l3"), ("l3", "r"), ("s", "l4"), ("l4", "q"), ("r", "l5"), ("l5", "p")],
+                   (1, 0, 0, 0))
+    return LabeledPetriNet(net, {"h": "h", "l1": "a", "l2": "a", "l3": "b", "l4": "a", "l5": "c"},
+                           high_labels={"h"})
+
+
+def test_verifier_pairs_repeat_where_low_runs_multiply():
+    sv = build_sv(_twin_low_moves())
+    pairings = list(zip(sv.ubrg_node, sv.low_marking))
+    assert len(sv.nodes) == 19
+    assert len(set(pairings)) < len(pairings)
+    assert sv.beta_matched == {Tag("beta", 1)}
+
+
 def test_tree_node_caps_refuse_cleanly(secure):
     with pytest.raises(NetError, match="node_cap"):
         build_ubrg(secure, node_cap=3)
     with pytest.raises(NetError, match="node_cap"):
         build_sv(secure, node_cap=3)
     # A tree of n nodes fits node_cap=n-1 and is refused at its last node
-    # with node_cap=n-2.
+    # with node_cap=n-2; the verifier is sized before it is built, also
+    # where one unfolding node pairs with one low marking more than once.
     big = GeneratorConfig(max_places=14, max_transitions=20, max_tokens=6, bound_cap=100_000)
-    nets = [secure] + [random_lpn(seed) for seed in range(1, 51)] + [random_lpn(24, big)]
+    nets = ([secure, _twin_low_moves()] + [random_lpn(seed) for seed in range(1, 51)]
+            + [random_lpn(24, big)])
     for lpn in nets:
         ubrg = build_ubrg(lpn)
         sv = build_sv(lpn, ubrg=ubrg)

@@ -105,6 +105,21 @@ def test_justifications_reject_non_low_symbol(secure):
         justifications(secure, "z")
 
 
+@pytest.mark.parametrize("word, cap, message", [
+    ([["a"]], None, "word atoms must be label strings"),
+    ([1], None, "word atoms must be label strings"),
+    # A cap below 1 would return an empty, incomplete set; a bool is no count.
+    ("ab", 0, "interleaving cap must be a positive int"),
+    ("ab", -3, "interleaving cap must be a positive int"),
+    ("ab", True, "interleaving cap must be a positive int"),
+    ("ab", False, "interleaving cap must be a positive int"),
+    ("ab", 2.5, "interleaving cap must be a positive int"),
+])
+def test_justifications_reject_bad_atoms_and_caps(leaky, word, cap, message):
+    with pytest.raises(InvalidNetError, match=message):
+        justifications(leaky, word, cap=cap)
+
+
 def test_justifications_cap_flag(secure):
     truncated = justifications(secure, "ab", cap=1)
     assert not truncated.complete

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from snnicheck.basis import Tag, build_brg, build_ubrg
@@ -9,7 +11,7 @@ from snnicheck.petri import AssumptionError, NetError
 from snnicheck.randnets import GeneratorConfig, random_lpn
 from snnicheck.reach import low_label_language
 from snnicheck.report import decide_snni
-from snnicheck.verifier import Verdict, build_sv, sv_verdict
+from snnicheck.verifier import Verdict, build_sv, decide_languages, sv_verdict
 
 from conftest import BASIS_M0, BASIS_M1, marking_of
 
@@ -175,3 +177,22 @@ def test_tree_views_agree_with_the_tree_data(make):
     assert all(tag is not None and tag.kind == "beta" for tag in duplicate_tags)
     assert duplicate_tags == sv.beta_matched
     assert {ubrg.tags.get(u) for u in sv.ubrg_node} >= sv.alpha_matched
+
+
+def test_verifier_past_its_cap_is_refused_before_any_column_is_built():
+    # Big net 16: its verifier tree passes the 200,000-node cap.  Columns of
+    # that many nodes take about 6 MB, so a refusal that builds them peaks
+    # far above 2 MB; sizing the tree first needs only its distinct pairings.
+    big = GeneratorConfig(max_places=14, max_transitions=20, max_tokens=6, bound_cap=100_000)
+    lpn = random_lpn(16, big)
+    decision = decide_languages(lpn)
+    ubrg = build_ubrg(lpn, brg=decision.brg)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NetError) as refused:
+            build_sv(lpn, ubrg=ubrg, low=decision.low)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == "verifier tree exceeds 200000 nodes; raise node_cap to continue"
+    assert peak < 2_000_000
