@@ -2,16 +2,26 @@
 
 A document lists places with initial tokens, transitions with a label and a
 visibility level ("low" or "high"), and weighted place/transition arcs.
-Parsing validates the document shape, then hands off to the core
-constructors so every structural invariant is enforced at load time.
 
-Each place, transition and arc entry is first checked directly: an exact
-``dict`` whose keys are all allowed and whose values have the exact types and
-values required, which builds nothing but the spec.  An entry that fails any
-of those checks is checked again field by field, in a fixed order, and
-raises a :class:`NetDocumentError` naming the first offending field, so an
-entry gets the same spec or the same diagnostic as it would from the field
-checks alone.  The specs are named tuples: immutable, one tuple each.
+:func:`parse_net` decodes the text, then checks the document and builds the
+net in one direct pass.  The pass reads each place, transition and arc entry
+once and applies every check that loading applies: exact key sets and
+types, non-empty identifiers and labels, a level of low or high,
+non-negative tokens, weights of at least 1, unique identifiers, no
+identifier both a place and a transition, every arc joining a declared
+place and a declared transition and declared once, and no label both low
+and high.  It builds the arc weights, the firing tables, the labeling and
+the low/high partition as it goes, and hands them to the trusted
+constructors of :class:`PetriNet` and :class:`LabeledPetriNet`.
+
+A document the direct pass refuses is checked again on the ordered path,
+``NetDocument.from_object(data).to_lpn()``: each entry field by field in a
+fixed order, then the identifiers and arc ends, the levels, and last the
+validating ``PetriNet`` and ``LabeledPetriNet`` constructors.  It raises the
+first fault it meets, so a refused document gets the same error type,
+message and ``path`` whichever pass found the fault.  The direct pass only
+decides whether that path runs.  The specs a :class:`NetDocument` holds are
+named tuples: immutable, one tuple each.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
-from .petri import LabeledPetriNet, NetError, PetriNet
+from .petri import LabeledPetriNet, NetError, PetriNet, _firing_tables
 
 SCHEMA_VERSION = "1"
 _LEVELS = ("low", "high")
@@ -100,17 +110,7 @@ class NetDocument:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> NetDocument:
-        if isinstance(text, bytes):
-            try:
-                text = text.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise NetDocumentError(f"document is not valid UTF-8: {exc}") from exc
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise NetDocumentError(
-                f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-        return cls.from_object(data)
+        return cls.from_object(_decode(text))
 
     @classmethod
     def from_object(cls, data: Any) -> NetDocument:
@@ -123,10 +123,11 @@ class NetDocument:
         version = data.get("schema_version")
         if version != SCHEMA_VERSION:
             raise NetDocumentError(f"expected {SCHEMA_VERSION!r}, got {version!r}", "schema_version")
-        places = tuple(_place(i, entry) for i, entry in enumerate(_array(data, "places")))
-        transitions = tuple(_transition(i, entry)
+        places = tuple(_place_by_fields(i, entry)
+                       for i, entry in enumerate(_array(data, "places")))
+        transitions = tuple(_transition_by_fields(i, entry)
                             for i, entry in enumerate(_array(data, "transitions")))
-        arcs = tuple(_arc(i, entry) for i, entry in enumerate(_array(data, "arcs")))
+        arcs = tuple(_arc_by_fields(i, entry) for i, entry in enumerate(_array(data, "arcs")))
         doc = cls(SCHEMA_VERSION, places, transitions, arcs)
         _check_arc_endpoints(doc)
         return doc
@@ -161,38 +162,11 @@ def _fields(path: str, entry: Any, required: dict[str, type], optional: dict[str
     return out
 
 
-# Each entry is checked directly first; one that fails is checked again by
-# its ``_*_by_fields`` function, which names the first offending field.
-_PLACE_KEYS = frozenset({"id", "initial_tokens"})
-_TRANSITION_KEYS = frozenset({"id", "label", "level"})
-_ARC_KEYS = frozenset({"from", "to", "weight"})
-
-
-def _place(i: int, entry: Any) -> PlaceSpec:
-    if type(entry) is dict and entry.keys() <= _PLACE_KEYS:
-        place = entry.get("id")
-        tokens = entry.get("initial_tokens", 0)
-        if type(place) is str and type(tokens) is int and tokens >= 0:
-            return PlaceSpec(place, tokens)
-    return _place_by_fields(i, entry)
-
-
 def _place_by_fields(i: int, entry: Any) -> PlaceSpec:
     f = _fields(f"places[{i}]", entry, {"id": str}, {"initial_tokens": 0})
     if f["initial_tokens"] < 0:
         raise NetDocumentError("must be non-negative", f"places[{i}].initial_tokens")
     return PlaceSpec(f["id"], f["initial_tokens"])
-
-
-def _transition(i: int, entry: Any) -> TransitionSpec:
-    if type(entry) is dict and entry.keys() <= _TRANSITION_KEYS:
-        transition = entry.get("id")
-        label = entry.get("label")
-        level = entry.get("level")
-        if (type(transition) is str and type(label) is str and label
-                and type(level) is str and level in _LEVELS):
-            return TransitionSpec(transition, label, level)
-    return _transition_by_fields(i, entry)
 
 
 def _transition_by_fields(i: int, entry: Any) -> TransitionSpec:
@@ -206,16 +180,6 @@ def _transition_by_fields(i: int, entry: Any) -> TransitionSpec:
 
 def _level_error(i: int, level: Any) -> NetDocumentError:
     return NetDocumentError(f"must be one of {_LEVELS}, got {level!r}", f"transitions[{i}].level")
-
-
-def _arc(i: int, entry: Any) -> ArcSpec:
-    if type(entry) is dict and entry.keys() <= _ARC_KEYS:
-        source = entry.get("from")
-        target = entry.get("to")
-        weight = entry.get("weight", 1)
-        if type(source) is str and type(target) is str and type(weight) is int and weight >= 1:
-            return ArcSpec(source, target, weight)
-    return _arc_by_fields(i, entry)
 
 
 def _arc_by_fields(i: int, entry: Any) -> ArcSpec:
@@ -243,9 +207,107 @@ def _check_arc_endpoints(doc: NetDocument) -> None:
                                    "and a transition", f"arcs[{i}]")
 
 
+def _decode(text: str | bytes) -> Any:
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise NetDocumentError(f"document is not valid UTF-8: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise NetDocumentError(
+            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise NetDocumentError("invalid JSON: nesting too deep") from None
+
+
+def _direct_net(data: Any) -> LabeledPetriNet | None:
+    """The net a decoded document describes, or ``None`` if it has any fault.
+
+    A key count together with the required keys' types pins each key set:
+    an entry of the right length whose required keys are present has no
+    other key.  A repeated place identifier or a repeated arc shows as a
+    table shorter than its array.
+    """
+    if type(data) is not dict or len(data) != 4 or data.get("schema_version") != SCHEMA_VERSION:
+        return None
+    places, transitions, arcs = data.get("places"), data.get("transitions"), data.get("arcs")
+    if type(places) is not list or type(transitions) is not list or type(arcs) is not list:
+        return None
+
+    place_index: dict[str, int] = {}
+    marking = []
+    for entry in places:
+        if type(entry) is not dict:
+            return None
+        place = entry.get("id")
+        tokens = entry.get("initial_tokens", 0)
+        if (type(place) is not str or not place or type(tokens) is not int or tokens < 0
+                or len(entry) != 1 + ("initial_tokens" in entry)):
+            return None
+        place_index[place] = len(marking)
+        marking.append(tokens)
+    if len(place_index) != len(places):
+        return None
+
+    transition_index: dict[str, int] = {}
+    labeling: dict[str, str] = {}
+    level_of_label: dict[str, str] = {}
+    low, high = [], []
+    for entry in transitions:
+        if type(entry) is not dict or len(entry) != 3:
+            return None
+        transition = entry.get("id")
+        label = entry.get("label")
+        level = entry.get("level")
+        if (type(transition) is not str or not transition or transition in place_index
+                or transition in labeling or type(label) is not str or not label
+                or level not in _LEVELS or level_of_label.setdefault(label, level) != level):
+            return None
+        (low if level == "low" else high).append(transition)
+        transition_index[transition] = len(labeling)
+        labeling[transition] = label
+
+    weight: dict[tuple[str, str], int] = {}
+    inputs: dict[str, list[tuple[int, int]]] = {t: [] for t in labeling}
+    outputs: dict[str, list[tuple[int, int]]] = {t: [] for t in labeling}
+    for entry in arcs:
+        if type(entry) is not dict:
+            return None
+        source = entry.get("from")
+        target = entry.get("to")
+        w = entry.get("weight", 1)
+        if (type(source) is not str or type(target) is not str or type(w) is not int or w < 1
+                or len(entry) != 2 + ("weight" in entry)):
+            return None
+        if source in place_index and target in inputs:
+            inputs[target].append((place_index[source], w))
+        elif target in place_index and source in outputs:
+            outputs[source].append((place_index[target], w))
+        else:
+            return None
+        weight[source, target] = w
+    if len(weight) != len(arcs):
+        return None
+
+    pre, delta = _firing_tables(inputs, outputs)
+    net = PetriNet._from_tables(tuple(place_index), tuple(labeling), place_index,
+                                transition_index, weight, tuple(marking), pre, delta)
+    low_labels = frozenset(label for label, level in level_of_label.items() if level == "low")
+    return LabeledPetriNet._from_tables(net, labeling, low_labels,
+                                        frozenset(level_of_label) - low_labels,
+                                        tuple(low), tuple(high))
+
+
 def parse_net(document: str | bytes) -> LabeledPetriNet:
     """Parse and fully validate a net document."""
-    return NetDocument.from_json(document).to_lpn()
+    data = _decode(document)
+    lpn = _direct_net(data)
+    if lpn is None:
+        # Checked again in order, to raise the first fault with its path.
+        lpn = NetDocument.from_object(data).to_lpn()
+    return lpn
 
 
 def serialize_net(lpn: LabeledPetriNet) -> str:

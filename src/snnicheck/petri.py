@@ -128,24 +128,40 @@ class PetriNet:
 
         self.initial_marking = self.check_marking(initial_marking)
 
-        # One pass over the arcs; sorting the pairs puts them in place order.
         inputs: dict[str, list[tuple[int, int]]] = {t: [] for t in self.transitions}
-        changes: dict[str, dict[int, int]] = {t: {} for t in self.transitions}
+        outputs: dict[str, list[tuple[int, int]]] = {t: [] for t in self.transitions}
         for (source, target), w in self.weight.items():
             if source in self._transition_index:
-                change = changes[source]
-                i = self._place_index[target]
-                change[i] = change.get(i, 0) + w
+                outputs[source].append((self._place_index[target], w))
             else:
-                change = changes[target]
-                i = self._place_index[source]
-                change[i] = change.get(i, 0) - w
-                inputs[target].append((i, w))
-        self.pre: dict[str, tuple[tuple[int, int], ...]] = {
-            t: tuple(sorted(pairs)) for t, pairs in inputs.items()}
-        self.delta: dict[str, tuple[tuple[int, int], ...]] = {
-            t: tuple(sorted((i, d) for i, d in change.items() if d))
-            for t, change in changes.items()}
+                inputs[target].append((self._place_index[source], w))
+        self.pre, self.delta = _firing_tables(inputs, outputs)
+
+    @classmethod
+    def _from_tables(cls, places: tuple[str, ...], transitions: tuple[str, ...],
+                     place_index: dict[str, int], transition_index: dict[str, int],
+                     weight: dict[tuple[str, str], int], initial_marking: Marking,
+                     pre: dict[str, tuple[tuple[int, int], ...]],
+                     delta: dict[str, tuple[tuple[int, int], ...]]) -> PetriNet:
+        """Trusted construction from tables that are checked and consistent.
+
+        The caller guarantees what the constructor would check: distinct
+        non-empty identifiers, no identifier both a place and a transition,
+        each arc joining a declared place and transition once with a
+        positive int weight, and a marking of non-negative ints.  The
+        indexes follow declaration order, and ``pre`` and ``delta`` are the
+        tables of :func:`_firing_tables`, keyed in transition order.
+        """
+        net = cls.__new__(cls)
+        net.places = places
+        net.transitions = transitions
+        net._place_index = place_index
+        net._transition_index = transition_index
+        net.weight = weight
+        net.initial_marking = initial_marking
+        net.pre = pre
+        net.delta = delta
+        return net
 
     def check_marking(self, marking: Sequence[int]) -> Marking:
         m = tuple(marking)
@@ -213,21 +229,36 @@ class PetriNet:
             raise InvalidNetError(
                 f"unknown transitions in subnet selection: {sorted(unknown, key=str)}")
         kept = tuple(t for t in self.transitions if t in keep_set)
-        sub = PetriNet.__new__(PetriNet)
-        sub.places = self.places
-        sub.transitions = kept
-        sub._place_index = self._place_index
-        sub._transition_index = {t: i for i, t in enumerate(kept)}
-        sub.weight = {arc: w for arc, w in self.weight.items()
-                      if arc[0] in keep_set or arc[1] in keep_set}
-        sub.initial_marking = self.initial_marking
-        sub.pre = {t: self.pre[t] for t in kept}
-        sub.delta = {t: self.delta[t] for t in kept}
-        return sub
+        return PetriNet._from_tables(
+            self.places, kept, self._place_index, {t: i for i, t in enumerate(kept)},
+            {arc: w for arc, w in self.weight.items() if arc[0] in keep_set or arc[1] in keep_set},
+            self.initial_marking, {t: self.pre[t] for t in kept}, {t: self.delta[t] for t in kept})
 
     def __repr__(self) -> str:
         return (f"PetriNet(|P|={len(self.places)}, |T|={len(self.transitions)}, "
                 f"arcs={len(self.weight)})")
+
+
+def _firing_tables(inputs: Mapping[str, Sequence[tuple[int, int]]],
+                  outputs: Mapping[str, Sequence[tuple[int, int]]]
+                  ) -> tuple[dict[str, tuple[tuple[int, int], ...]],
+                             dict[str, tuple[tuple[int, int], ...]]]:
+    """``pre`` and ``delta`` from each transition's input and output arcs.
+
+    ``inputs[t]`` and ``outputs[t]`` hold the ``(place index, weight)`` pairs
+    of the arcs into and out of ``t``, one pair per place, keyed in
+    transition order.  Sorting the pairs puts both tables in place order;
+    ``delta`` drops the places whose token count ``t`` leaves unchanged.
+    """
+    pre = {}
+    delta = {}
+    for t, ins in inputs.items():
+        change = dict(outputs[t])
+        for i, w in ins:
+            change[i] = change.get(i, 0) - w
+        pre[t] = tuple(sorted(ins))
+        delta[t] = tuple(sorted((i, d) for i, d in change.items() if d))
+    return pre, delta
 
 
 def covers(marking: Sequence[int], pre: Iterable[tuple[int, int]]) -> bool:
@@ -295,6 +326,30 @@ class LabeledPetriNet:
                                       if self.labeling[t] in self.high_labels)
         self._assumption_report: AssumptionReport | None = None
 
+    @classmethod
+    def _from_tables(cls, net: PetriNet, labeling: dict[str, str], low_labels: frozenset[str],
+                     high_labels: frozenset[str], low_transitions: tuple[str, ...],
+                     high_transitions: tuple[str, ...]) -> LabeledPetriNet:
+        """Trusted construction from a labeling and partition that are checked.
+
+        The caller guarantees what the constructor would check and derive:
+        ``labeling`` gives every transition of ``net`` a non-empty label, in
+        transition order; the label sets are disjoint and together are the
+        labels used; and the transition tuples list the transitions with a
+        low and a high label, in declaration order.  The assumption report
+        starts empty.
+        """
+        lpn = cls.__new__(cls)
+        lpn.net = net
+        lpn.labeling = labeling
+        lpn.alphabet = low_labels | high_labels
+        lpn.high_labels = high_labels
+        lpn.low_labels = low_labels
+        lpn.low_transitions = low_transitions
+        lpn.high_transitions = high_transitions
+        lpn._assumption_report = None
+        return lpn
+
     def label(self, t: str) -> str:
         self.net.check_transition(t)
         return self.labeling[t]
@@ -313,15 +368,10 @@ class LabeledPetriNet:
         checks: its alphabet is the low labels, it has no high labels, and
         its assumption report starts empty.
         """
-        sub = LabeledPetriNet.__new__(LabeledPetriNet)
-        sub.net = self.net.induced_subnet(self.low_transitions)
-        sub.labeling = {t: self.labeling[t] for t in self.low_transitions}
-        sub.alphabet = sub.low_labels = self.low_labels
-        sub.high_labels = frozenset()
-        sub.low_transitions = self.low_transitions
-        sub.high_transitions = ()
-        sub._assumption_report = None
-        return sub
+        return LabeledPetriNet._from_tables(
+            self.net.induced_subnet(self.low_transitions),
+            {t: self.labeling[t] for t in self.low_transitions},
+            self.low_labels, frozenset(), self.low_transitions, ())
 
     def high_subnet(self) -> PetriNet:
         return self.net.induced_subnet(self.high_transitions)

@@ -171,6 +171,13 @@ def test_malformed_document_exit_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_deeply_nested_document_exit_two(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    assert run_cli(["check", "--net", str(path)]) == 2
+    assert capsys.readouterr().err == "error: invalid JSON: nesting too deep\n"
+
+
 @pytest.mark.parametrize("command", ["check", "oracle", "brg", "reach", "info", "explain"])
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_non_positive_cap_is_rejected(net_file, capsys, command, cap):

@@ -10,7 +10,7 @@ from snnicheck import netdoc
 from snnicheck.fixtures import DEMOS, demo_secure, fixture_document
 from snnicheck.netdoc import (ArcSpec, NetDocument, NetDocumentError, PlaceSpec,
                               TransitionSpec, parse_net, serialize_net)
-from snnicheck.petri import InvalidNetError, LabeledPetriNet, NetError
+from snnicheck.petri import InvalidNetError, LabeledPetriNet, NetError, PetriNet
 from snnicheck.randnets import random_lpn
 
 from conftest import demo_and_suite_nets
@@ -249,6 +249,7 @@ _DIAGNOSTICS = [
      "invalid JSON at line 1, column 2: Expecting property name enclosed in double quotes", ""),
     ("invalid JSON on a later line", '{\n  "places": [1,]\n}',
      "invalid JSON at line 2, column 16: Expecting value", ""),
+    ("JSON nested too deeply", "[" * 100_000, "invalid JSON: nesting too deep", ""),
 ]
 
 
@@ -296,58 +297,129 @@ def test_parsed_suite_nets_match_the_generated_nets():
         assert again.low_transitions == lpn.low_transitions, name
 
 
+def _tables(lpn: LabeledPetriNet) -> dict:
+    """Every attribute of ``lpn`` and of its net; dicts as item lists, so order counts."""
+    return {(owner, name): list(value.items()) if isinstance(value, dict) else value
+            for owner, obj in (("lpn", lpn), ("net", lpn.net))
+            for name, value in vars(obj).items() if name != "net"}
+
+
+def test_valid_documents_never_reach_the_validating_constructors(monkeypatch):
+    documents = [(name, serialize_net(lpn)) for name, lpn in demo_and_suite_nets()]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} constructor called")
+
+    monkeypatch.setattr(PetriNet, "__init__", refuse)
+    monkeypatch.setattr(LabeledPetriNet, "__init__", refuse)
+    for name, document in documents:
+        assert isinstance(parse_net(document), LabeledPetriNet), name
+
+
 _VALID = [json.loads(fixture_document(name)) for name in DEMOS]
 _VALID += [json.loads(serialize_net(random_lpn(seed))) for seed in (1, 2, 3)]
-_ARRAYS = {"places": (netdoc._place, netdoc._place_by_fields),
-           "transitions": (netdoc._transition, netdoc._transition_by_fields),
-           "arcs": (netdoc._arc, netdoc._arc_by_fields)}
+_ARRAYS = ("arcs", "places", "transitions")
 _KEYS = ("id", "initial_tokens", "label", "level", "from", "to", "weight", "extra")
 _ODD_VALUES = (None, True, False, 0, -1, 1, 2, 2.5, 1.0, "", "low", "high", "p1", "t1",
                [], ["p1"], {}, {"id": "p1"})
+_ENTRY_MUTATIONS = ("drop", "add", "swap", "replace")
+_STRUCTURAL_MUTATIONS = ("duplicate id", "stray arc end", "repeat arc", "shared id",
+                         "both levels", "empty id", "out of range")
+#: A value just outside its range for each field that has one.
+_OUT_OF_RANGE = {"places": ("initial_tokens", -1), "transitions": ("label", ""),
+                 "arcs": ("weight", 0)}
+
+
+def _mutate_entry(draw, doc, kind):
+    entries = doc[draw(st.sampled_from(_ARRAYS))]
+    if not entries:
+        return
+    i = draw(st.integers(0, len(entries) - 1))
+    entry = entries[i]
+    if kind == "replace" or not isinstance(entry, dict):
+        entries[i] = draw(st.sampled_from(([], ["p1", "t1"], 3, 1.5, None, "p1")))
+    elif kind == "add":
+        entry[draw(st.sampled_from(_KEYS))] = draw(st.sampled_from(_ODD_VALUES))
+    elif entry:
+        key = draw(st.sampled_from(sorted(entry)))
+        if kind == "drop":
+            del entry[key]
+        else:
+            entry[key] = draw(st.sampled_from(_ODD_VALUES))
+
+
+def _restructure(draw, doc, kind):
+    """One structural fault; a node it adds has no arcs, so it adds no other fault."""
+    def pick(key):
+        entries = [e for e in doc[key] if isinstance(e, dict)]
+        return draw(st.sampled_from(entries)) if entries else None
+
+    key = draw(st.sampled_from(("places", "transitions")))
+    entry = pick(key)
+    if kind == "duplicate id":
+        if entry is not None:
+            doc[key].append(dict(entry))
+    elif kind == "stray arc end":
+        arc = pick("arcs")
+        if arc is not None:
+            ids = ["zz"] + [e["id"] for k in ("places", "transitions") for e in doc[k]
+                            if isinstance(e, dict) and isinstance(e.get("id"), str)]
+            arc[draw(st.sampled_from(("from", "to")))] = draw(st.sampled_from(ids))
+    elif kind == "repeat arc":
+        arc = pick("arcs")
+        if arc is not None:
+            doc["arcs"].append(dict(arc, weight=draw(st.integers(1, 3))))
+    elif kind == "shared id":
+        other = pick("transitions" if key == "places" else "places")
+        if entry is not None and other is not None and "id" in other:
+            doc[key].append(dict(entry, id=other["id"]))
+    elif kind == "both levels":
+        transition = pick("transitions")
+        if transition is not None:
+            level = "high" if transition.get("level") == "low" else "low"
+            doc["transitions"].append(dict(transition, id="t_both", level=level))
+    elif kind == "empty id":
+        if entry is not None:
+            doc[key].append(dict(entry, id=""))
+    else:
+        key = draw(st.sampled_from(sorted(_OUT_OF_RANGE)))
+        entry = pick(key)
+        if entry is not None:
+            field, value = _OUT_OF_RANGE[key]
+            entry[field] = value
 
 
 @st.composite
 def _mutated_documents(draw):
-    """A valid document with one to three entries dropped a key, given a key,
-    had a value swapped for one of another type, or been replaced."""
+    """A valid document with up to two mutations: an entry dropped a key,
+    given a key, had a value swapped for one of another type, or been
+    replaced; or an identifier repeated, emptied or shared by a place and a
+    transition, an arc end moved to another or an undeclared node, an arc
+    repeated, or a label put on both levels."""
     doc = copy.deepcopy(draw(st.sampled_from(_VALID)))
-    for _ in range(draw(st.integers(1, 3))):
-        entries = doc[draw(st.sampled_from(sorted(_ARRAYS)))]
-        if not entries:
-            continue
-        i = draw(st.integers(0, len(entries) - 1))
-        entry = entries[i]
-        kind = draw(st.sampled_from(("drop", "add", "swap", "replace")))
-        if kind == "replace" or not isinstance(entry, dict):
-            entries[i] = draw(st.sampled_from(([], ["p1", "t1"], 3, 1.5, None, "p1")))
-        elif kind == "add":
-            entry[draw(st.sampled_from(_KEYS))] = draw(st.sampled_from(_ODD_VALUES))
-        elif entry:
-            key = draw(st.sampled_from(sorted(entry)))
-            if kind == "drop":
-                del entry[key]
-            else:
-                entry[key] = draw(st.sampled_from(_ODD_VALUES))
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(_ENTRY_MUTATIONS + _STRUCTURAL_MUTATIONS))
+        if kind in _ENTRY_MUTATIONS:
+            _mutate_entry(draw, doc, kind)
+        else:
+            _restructure(draw, doc, kind)
     return doc
 
 
-def _outcome(check, i, entry):
-    try:
-        return check(i, entry)
-    except NetDocumentError as exc:
-        return str(exc), exc.path
-
-
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(_mutated_documents())
 def test_mutated_documents_give_a_net_or_a_net_error(doc):
-    # Each entry's direct check accepts exactly what its field-by-field
-    # check accepts, and fails with the same diagnostic.
-    for key, (direct, by_fields) in _ARRAYS.items():
-        for i, entry in enumerate(doc[key]):
-            assert _outcome(direct, i, entry) == _outcome(by_fields, i, entry)
+    # The direct pass accepts exactly what the ordered path accepts, and
+    # builds the same net; where it refuses, the ordered path raises, so
+    # the fallback only names the fault.
+    direct = netdoc._direct_net(doc)
     try:
-        lpn = parse_net(json.dumps(doc))
+        ordered = NetDocument.from_object(doc).to_lpn()
     except NetError:
+        assert direct is None
+        with pytest.raises(NetError):
+            parse_net(json.dumps(doc))
         return
-    assert isinstance(lpn, LabeledPetriNet)
+    assert direct is not None
+    assert _tables(direct) == _tables(ordered)
+    assert _tables(parse_net(json.dumps(doc))) == _tables(ordered)
