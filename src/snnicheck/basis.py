@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .explanations import high_run_answers
+from .explanations import high_run_answers, search_tables
 from .nfa import Nfa
 from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionError, AssumptionReport,
                     InvalidNetError, LabeledPetriNet, Marking, NetError, ParikhVector,
@@ -180,10 +180,11 @@ def basis_successor(lpn: LabeledPetriNet, m: Marking, t: str, evector: ParikhVec
 def build_brg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Brg:
     """Saturate basis markings from the initial marking; repeats fuse into one state.
 
-    One high-run search per basis marking (:func:`high_run_answers`) gives
-    its arcs, in low transition declaration order and then lexicographic
-    vector order: the successor of arc ``(t, y)`` is the marking of
-    ``y``'s witness run with ``t`` fired.
+    One high-run search per basis marking (:func:`high_run_answers`, on
+    move tables built once for the net) gives its arcs, in low transition
+    declaration order and then lexicographic vector order: the successor of
+    arc ``(t, y)`` is the marking of ``y``'s witness run with ``t`` fired.
+    Each distinct ``(t, y)`` is one :class:`BrgEvent`, shared by its arcs.
 
     The saturation also proves both standing assumptions without exploring
     the full net.  The high subnet is checked for a cycle first; a net that
@@ -210,6 +211,7 @@ def build_brg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Brg:
     if (_high_subnet_cycle(lpn) is not None
             or any(net.delta[h] and not net.pre[h] for h in lpn.high_transitions)):
         lpn.require_assumptions(cap)
+    tables = search_tables(lpn)
     root = net.initial_marking
     tokens = sum(root)
     queue: deque = deque([(root, None, (), tokens, tokens)])
@@ -217,17 +219,21 @@ def build_brg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Brg:
     states: list[Marking] = [root]
     arcs: list[tuple[Marking, BrgEvent, Marking]] = []
     labeling: dict[BrgEvent, str] = {}
+    # Each arc payload once: a plain ``(t, y)`` tuple finds the equal event.
+    events: dict[BrgEvent, BrgEvent] = {}
     reachable: set[Marking] = set()
     while queue:
         node = queue.popleft()
         m, path_min = node[0], node[4]
-        for t, found in high_run_answers(lpn, m, reachable, cap):
+        for t, found in high_run_answers(tables, m, reachable, cap):
             delta = net.delta[t]
-            label = lpn.labeling[t]
             for y, run_marking, run in found:
                 successor = shift(run_marking, delta)
-                event = BrgEvent(t, y)
-                labeling[event] = label
+                event = events.get((t, y))
+                if event is None:
+                    event = BrgEvent(t, y)
+                    events[event] = event
+                    labeling[event] = lpn.labeling[t]
                 known = seen.get(successor)
                 if known is None:
                     tokens = sum(successor)

@@ -13,16 +13,22 @@ minimal vectors are then read off that list in order: a vector is kept when
 the transition is enabled at its marking and no vector kept before lies
 strictly below it.  A strictly smaller vector has a smaller total and is met
 earlier, so what is kept is exactly the minimal set; a transition enabled at
-``m`` itself has the zero vector alone, and its scan stops there.
+``m`` itself has the zero vector alone, and its scan stops there.  A
+transition none of whose input places any high firing raises is not scanned
+at all: high firings only lower those places, so it is tested at ``m``
+alone.  The high moves and these per-transition facts are the net's
+:class:`SearchTables`, which the basis graph builds once for all its
+searches.
 
 The answers are kept lean: per marking, only the low transitions that have
 vectors, each vector with its run's marking and the run.  The basis graph
 reads its successors off those run markings, and counts the markings of all
 runs, every marking reachable from ``m`` by high firings, for its
-boundedness proof.  The search is a pure function of the net, the marking
-and the cap: nothing is stored on the net.  :class:`MinimalExplanationSet`
-is built only for the public queries, which answer several low transitions
-from one search.  They check the standing assumptions first with
+boundedness proof.  The search is a pure function of the net's tables, the
+marking and the cap: nothing is stored on the net.
+:class:`MinimalExplanationSet` is built only for the public queries, which
+answer several low transitions from one search.  They check the standing
+assumptions first with
 :meth:`~snnicheck.petri.LabeledPetriNet.require_assumptions`, whose passing
 report is the net's one memo; the basis graph carries its own report and
 stores none, so the first query on a net explores the full net once.
@@ -32,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import le
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionError, InvalidNetError,
                     LabeledPetriNet, Marking, ParikhVector, TransitionSequence, parikh,
@@ -61,6 +67,8 @@ class MinimalExplanationSet:
 Answer = tuple[ParikhVector, Marking, TransitionSequence]
 #: Per marking: ``(t, minimal answers)`` for each low transition with any.
 HighRunAnswers = tuple[tuple[str, tuple[Answer, ...]], ...]
+#: Sparse ``(place index, count)`` pairs, as in a net's ``pre`` and ``delta``.
+Sparse = tuple[tuple[int, int], ...]
 
 
 def _strictly_below(a: ParikhVector, b: ParikhVector) -> bool:
@@ -138,7 +146,7 @@ def minimal_e_vector_sets(lpn: LabeledPetriNet, m: Sequence[int], transitions: S
     if not transitions:
         return {}
     lpn.require_assumptions(cap)
-    answers = dict(high_run_answers(lpn, marking, set(), cap))
+    answers = dict(high_run_answers(search_tables(lpn), marking, set(), cap))
     sets = {}
     for t in transitions:
         witnesses = {vector: run for vector, _, run in answers.get(t, ())}
@@ -147,16 +155,55 @@ def minimal_e_vector_sets(lpn: LabeledPetriNet, m: Sequence[int], transitions: S
     return sets
 
 
-def high_run_answers(lpn: LabeledPetriNet, marking: Marking,
+class SearchTables(NamedTuple):
+    """What every high-run search on one net reads, built once per net."""
+
+    #: ``(index, transition, pre, delta)`` of each high transition that changes a token.
+    moves: tuple[tuple[int, str, Sparse, Sparse], ...]
+    #: The zero count vector over the high transitions.
+    zero: ParikhVector
+    #: ``(transition, pre, raised)`` per low transition, in declaration order;
+    #: ``raised`` says whether some high move adds tokens to one of its input places.
+    low: tuple[tuple[str, Sparse, bool], ...]
+
+
+def search_tables(lpn: LabeledPetriNet) -> SearchTables:
+    """The move tables of :func:`high_run_answers` for ``lpn``."""
+    pre, delta = lpn.net.pre, lpn.net.delta
+    moves = []
+    raised = set()
+    for i, h in enumerate(lpn.high_transitions):
+        if delta[h]:
+            moves.append((i, h, pre[h], delta[h]))
+            for p, d in delta[h]:
+                if d > 0:
+                    raised.add(p)
+    low = []
+    for t in lpn.low_transitions:
+        for p, _ in pre[t]:
+            if p in raised:
+                low.append((t, pre[t], True))
+                break
+        else:
+            low.append((t, pre[t], False))
+    return SearchTables(tuple(moves), (0,) * len(lpn.high_transitions), tuple(low))
+
+
+def high_run_answers(tables: SearchTables, marking: Marking,
                      reachable: set[Marking], cap: int) -> HighRunAnswers:
     """Minimal explanations of every low transition at ``marking``, from one search.
 
     Lists, for each low transition that has any, in declaration order, its
     minimal vectors in lexicographic order, each with the marking its
-    witness run reaches and the run itself.  Nothing is validated; the
-    search ends only when the high subnet is acyclic and every high
-    transition has an input place or changes no token.  Each call searches
-    afresh.
+    witness run reaches and the run itself.  ``tables`` are the net's
+    (:func:`search_tables`).  Nothing is validated; the search ends only
+    when the high subnet is acyclic and every high transition has an input
+    place or changes no token.  Each call searches afresh.
+
+    A low transition none of whose input places a high firing raises is
+    tested at ``marking`` alone: high firings can only lower those places,
+    so it is enabled after some run exactly when it is enabled at
+    ``marking``, and then the zero vector is its one minimal vector.
 
     The marking of every high run from ``marking``, which is every marking
     reachable from it by high firings alone, is added to ``reachable``
@@ -164,10 +211,16 @@ def high_run_answers(lpn: LabeledPetriNet, marking: Marking,
     as soon as it holds more than ``cap`` markings, or the search more than
     ``cap`` count vectors, so the cap bounds the search itself.
     """
-    runs = _high_runs(lpn, marking, reachable, cap)
+    runs = _high_runs(tables, marking, reachable, cap)
     answers = []
-    for t in lpn.low_transitions:
-        pre = lpn.net.pre[t]
+    for t, pre, raised in tables.low:
+        if not raised:
+            for i, need in pre:  # covers(marking, pre), inlined
+                if marking[i] < need:
+                    break
+            else:
+                answers.append((t, (runs[0],)))
+            continue
         found: list[Answer] = []
         for run in runs:
             current = run[1]
@@ -186,24 +239,22 @@ def high_run_answers(lpn: LabeledPetriNet, marking: Marking,
     return tuple(answers)
 
 
-def _high_runs(lpn: LabeledPetriNet, marking: Marking,
+def _high_runs(tables: SearchTables, marking: Marking,
                reachable: set[Marking], cap: int) -> list[Answer]:
     """Every count vector of a high run from ``marking``, with its marking and first run.
 
     Listed level by level over the total firing count; within a level, in
     the order the vectors were first generated.  High transitions that
-    change no token are left out: they cannot help enable anything, so they
-    occur in no minimal vector, and counting their firings would never end.
-    Each level's markings are counted into ``reachable`` before the next
-    level is generated.  The cap then also bounds the count vectors,
-    which high transitions with equal effects make far more numerous than
-    the markings: once more than ``cap`` have been listed, the search stops
-    before it generates the next level.
+    change no token are left out of ``tables.moves``: they cannot help
+    enable anything, so they occur in no minimal vector, and counting their
+    firings would never end.  Each level's markings are counted into
+    ``reachable`` before the next level is generated.  The cap then also
+    bounds the count vectors, which high transitions with equal effects
+    make far more numerous than the markings: once more than ``cap`` have
+    been listed, the search stops before it generates the next level.
     """
-    net = lpn.net
-    moves = [(i, h, net.pre[h], net.delta[h]) for i, h in enumerate(lpn.high_transitions)
-             if net.delta[h]]
-    zero = (0,) * len(lpn.high_transitions)
+    moves = tables.moves
+    zero = tables.zero
     runs: list[Answer] = []
     level = [(zero, marking, ())]
     visited = {zero}

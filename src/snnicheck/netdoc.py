@@ -27,6 +27,7 @@ named tuples: immutable, one tuple each.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
@@ -195,7 +196,7 @@ def _check_arc_endpoints(doc: NetDocument) -> None:
     for key, declared in (("places", doc.places), ("transitions", doc.transitions)):
         ids = [e.id for e in declared]
         if len(set(ids)) != len(ids):
-            dupes = sorted({x for x in ids if ids.count(x) > 1})
+            dupes = sorted(x for x, n in Counter(ids).items() if n > 1)
             raise NetDocumentError(f"duplicate identifiers: {dupes}", key)
     for i, a in enumerate(doc.arcs):
         for end, name in ((a.source, "from"), (a.target, "to")):

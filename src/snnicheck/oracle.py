@@ -1,8 +1,8 @@
 """Brute-force non-interference oracle by direct language comparison.
 
 Deliberately naive: take the full reachability graph, erase high labels, and
-compare against the low subnet's label language with an explicit shortest
-counterexample search.  This route never touches basis markings, minimal
+compare against the low subnet's label language, read off the same graph's
+low arcs, with an explicit shortest counterexample search.  This route never touches basis markings, minimal
 explanations, or the unfolding, so it independently cross-checks the whole
 pipeline.  The justification enumerator below plays the same oracle role for
 basis markings.
@@ -16,7 +16,7 @@ from typing import Sequence
 from .explanations import minimality_filter
 from .petri import (DEFAULT_EXPLORATION_CAP, InvalidNetError, LabeledPetriNet,
                     LabelWord, Marking, ParikhVector, TransitionSequence)
-from .reach import low_label_language, projected_label_language
+from .reach import low_language_within, projected_label_language
 from .verifier import Verdict, _compare
 
 
@@ -31,8 +31,14 @@ class JustificationSet:
 
 
 def snni_oracle(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Verdict:
-    """Non-interference by definition: compare the two languages directly."""
-    check = _compare(projected_label_language(lpn, cap), low_label_language(lpn, cap))
+    """Non-interference by definition: compare the two languages directly.
+
+    The full net is explored once; the low subnet's language is read off its
+    graph, the low arcs from the markings that low firings reach.
+    """
+    projected = projected_label_language(lpn, cap)
+    low = low_language_within(lpn, projected, {t: t for t in lpn.low_transitions})
+    check = _compare(projected, low)
     return Verdict(snni=check.equal, counterexample=check.counterexample)
 
 

@@ -16,7 +16,7 @@ with :func:`_dominated_ancestor` and build their witness with
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from operator import le
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -60,7 +60,7 @@ def _check_identifiers(kind: str, ids: Sequence[str]) -> tuple[str, ...]:
         if not isinstance(x, str) or not x:
             raise InvalidNetError(f"{kind} identifier must be a non-empty string, got {x!r}")
     if len(set(out)) != len(out):
-        dupes = sorted({x for x in out if out.count(x) > 1})
+        dupes = sorted(x for x, n in Counter(out).items() if n > 1)
         raise InvalidNetError(f"duplicate {kind} identifiers: {dupes}")
     return out
 

@@ -2,7 +2,9 @@
 
 :func:`decide_languages` decides without any tree: the net is SNNI exactly
 when the basis graph's label language, the low projection of the net's, equals
-the low subnet's.  The verifier pairs the unfolding with the low subnet's
+the low subnet's.  The low subnet's reachability graph is read off the basis
+graph, whose zero-vector arcs are exactly the low firings; nothing is
+explored.  The verifier pairs the unfolding with the low subnet's
 reachability graph under equal labels; a tag the pairing reaches has a
 low-only counterpart.  Like the unfolding, the verifier is stored as columns
 indexed by node id; its automaton is a view built on access.  Its size is
@@ -22,7 +24,7 @@ from .basis import DEFAULT_TREE_NODE_CAP, Brg, Tag, UbrgResult, build_brg, build
 from .language import LanguageCheckResult, language_equal
 from .nfa import Nfa
 from .petri import DEFAULT_EXPLORATION_CAP, LabeledPetriNet, LabelWord, Marking, NetError
-from .reach import low_label_language
+from .reach import low_language_within
 
 
 @dataclass(frozen=True)
@@ -33,8 +35,8 @@ class LanguageDecision:
     subnet's, ``low``; its counterexample is the shortest (and least) leaked
     low word.  The standing assumptions are proved by building ``brg``, whose
     ``assumptions`` holds the passing report.  ``timings`` holds the seconds
-    spent on "brg" (the proof included) and "languages" (the low subnet's
-    exploration and the comparison).
+    spent on "brg" (the proof included) and "languages" (reading ``low`` off
+    the basis graph, and the comparison).
     """
 
     brg: Brg
@@ -49,10 +51,21 @@ def decide_languages(lpn: LabeledPetriNet,
     t0 = time.perf_counter()
     brg = build_brg(lpn, cap)
     t1 = time.perf_counter()
-    low = low_label_language(lpn, cap)
+    low = _low_language(lpn, brg)
     check = _compare(brg.nfa, low)
     return LanguageDecision(brg, low, check,
                             {"brg": t1 - t0, "languages": time.perf_counter() - t1})
+
+
+def _low_language(lpn: LabeledPetriNet, brg: Brg) -> Nfa:
+    """The low subnet's label language, read off the basis graph's zero-vector arcs.
+
+    A low transition enabled at a basis marking has the zero vector as its
+    one minimal explanation, so those arcs are exactly the low subnet's
+    firings, and every marking they reach is a basis marking.
+    """
+    return low_language_within(lpn, brg.nfa, {e: e.transition for e in brg.nfa.events
+                                              if not any(e.evector)})
 
 
 def _compare(projected: Nfa, low: Nfa) -> LanguageCheckResult:
@@ -131,8 +144,8 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
     is already on its parent's path is recorded as a duplicate and left
     unexpanded; other repeats are only recorded.  Alpha tags are matched by
     mere reachability of their leaf; beta tags only by a recorded duplicate
-    pairing.  The unfolding and the low label language (kept as ``low``) are
-    built here unless passed.
+    pairing.  The unfolding is built here unless passed, and the low label
+    language (kept as ``low``) is read off its basis graph unless passed.
 
     The tree is sized before it is built, so a tree past ``node_cap`` is
     refused without building any column.  Tags sit on unfolding leaves, so
@@ -147,7 +160,7 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
     if ubrg is None:
         ubrg = build_ubrg(lpn, cap, node_cap)
     if low is None:
-        low = low_label_language(lpn, cap)
+        low = _low_language(lpn, ubrg.brg)
     brg = ubrg.brg.nfa
     # Per BRG state: (offset of the child, its transition) per arc, in arc order.
     child_moves = [tuple(enumerate(event.transition for event, _ in brg.arcs_from(m)))

@@ -4,7 +4,8 @@ import re
 
 import pytest
 
-from snnicheck.fixtures import DEMOS, demo_leaky, demo_secure
+from snnicheck.fixtures import (DEMOS, demo_leaky, demo_secure, equal_effect,
+                                hidden_choice)
 from snnicheck.nfa import Nfa
 from snnicheck.petri import LabeledPetriNet, PetriNet
 from snnicheck.randnets import GeneratorConfig, random_lpn
@@ -42,6 +43,18 @@ def demo_and_suite_nets():
     for config, seeds in BENCH_SUITES:
         for seed in seeds:
             yield f"{config.max_places}-place net {seed}", random_lpn(seed, config)
+
+
+def bounded_nets():
+    """(name, net) for the bounded demos, the suite nets and small members of both families."""
+    for name, lpn in demo_and_suite_nets():
+        if name not in ("unbounded", "cyclic-high"):
+            yield name, lpn
+    for k in (1, 2, 3):
+        yield f"hidden_choice({k})", hidden_choice(k)
+        yield f"hidden_choice({k}, leaky=True)", hidden_choice(k, leaky=True)
+    for n, c in ((1, 1), (2, 3), (3, 4)):
+        yield f"equal_effect({n}, {c})", equal_effect(n, c)
 
 
 @pytest.fixture

@@ -5,11 +5,16 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from snnicheck.explanations import (Explanation, explanations_bounded,
-                                    minimal_e_vectors, minimality_filter)
+from snnicheck import explanations
+from snnicheck.basis import build_brg
+from snnicheck.explanations import (Explanation, explanations_bounded, high_run_answers,
+                                    minimal_e_vectors, minimality_filter, search_tables)
 from snnicheck.fixtures import demo_unbounded
-from snnicheck.petri import (AssumptionError, InvalidNetError, LabeledPetriNet, PetriNet,
-                             check_assumptions, explore_markings)
+from snnicheck.petri import (DEFAULT_EXPLORATION_CAP, AssumptionError, InvalidNetError,
+                             LabeledPetriNet, PetriNet, check_assumptions, covers,
+                             explore_markings)
+
+from conftest import bounded_nets
 
 
 def test_explanation_sets_at_initial(secure):
@@ -135,3 +140,60 @@ def test_minimal_e_vectors_cap_bounds_the_high_run_search():
                                   "exhausted by one high-run search")
     assert minimal_e_vectors(lpn, (20, 0, 0), "l", cap=20_000).evectors == {
         (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)}
+
+
+def _drained_and_raised(tokens: int) -> LabeledPetriNet:
+    """High ``h: p -> q``; low ``l`` needs two tokens on ``p``, low ``m`` one on ``q``.
+
+    ``h`` drains the one input place of ``l`` and raises that of ``m``.
+    """
+    net = PetriNet(("p", "q", "r"), ("h", "l", "m"),
+                   [("p", "h"), ("h", "q"), ("p", "l", 2), ("l", "r"), ("q", "m"), ("m", "r")],
+                   (tokens, 0, 0))
+    return LabeledPetriNet(net, {"h": "f", "l": "a", "m": "b"}, high_labels={"f"})
+
+
+@pytest.mark.parametrize("tokens, l_vectors, m_vectors", [
+    (2, {(0,)}, {(1,)}),   # l enabled at the marking: the zero vector alone
+    (1, set(), {(1,)}),    # l disabled there, and h only drains its input
+    (0, set(), set()),
+], ids=["enabled", "disabled", "empty"])
+def test_a_low_transition_no_high_firing_feeds_is_tested_at_the_marking(
+        tokens, l_vectors, m_vectors):
+    lpn = _drained_and_raised(tokens)
+    tables = search_tables(lpn)
+    assert [(t, raised) for t, _, raised in tables.low] == [("l", False), ("m", True)]
+    m0 = lpn.net.initial_marking
+    answers = dict(high_run_answers(tables, m0, set(), DEFAULT_EXPLORATION_CAP))
+    for t, expected in (("l", l_vectors), ("m", m_vectors)):
+        assert {y for y, _, _ in answers.get(t, ())} == expected
+        brute = explanations_bounded(lpn, m0, t, len_cap=tokens + 1)
+        assert minimality_filter(e.evector for e in brute) == expected
+    if l_vectors:
+        assert answers["l"] == ((tables.zero, m0, ()),)
+
+
+def _full_scan_answers(lpn: LabeledPetriNet, marking, cap: int):
+    """Every low transition tested against every high run: the scan without the skip rule."""
+    runs = explanations._high_runs(search_tables(lpn), marking, set(), cap)
+    answers = []
+    for t in lpn.low_transitions:
+        found = []
+        for run in runs:
+            if covers(run[1], lpn.net.pre[t]) and not any(
+                    all(a <= b for a, b in zip(f[0], run[0])) for f in found):
+                found.append(run)
+        if found:
+            answers.append((t, tuple(sorted(found))))
+    return tuple(answers)
+
+
+def test_high_run_answers_equal_the_full_scan_at_every_basis_state():
+    skipped = 0
+    for name, lpn in bounded_nets():
+        tables = search_tables(lpn)
+        skipped += sum(not raised for _, _, raised in tables.low)
+        for m in build_brg(lpn).nfa.states:
+            assert high_run_answers(tables, m, set(), DEFAULT_EXPLORATION_CAP) == \
+                _full_scan_answers(lpn, m, DEFAULT_EXPLORATION_CAP), (name, m)
+    assert skipped > 0

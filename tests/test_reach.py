@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import snnicheck.oracle as oracle
 import snnicheck.petri as petri
 import snnicheck.reach as reach
 from snnicheck.basis import build_brg, build_ubrg
@@ -11,7 +12,9 @@ from snnicheck.oracle import snni_oracle
 from snnicheck.petri import PetriNet, explore_markings
 from snnicheck.randnets import GeneratorConfig, random_lpn
 from snnicheck.reach import low_label_language, reachability_graph
-from snnicheck.verifier import build_sv
+from snnicheck.verifier import build_sv, decide_languages
+
+from conftest import bounded_nets
 
 BIG = GeneratorConfig(max_places=14, max_transitions=20, max_tokens=6, bound_cap=100_000)
 
@@ -26,16 +29,20 @@ def _nets():
         yield f"big {seed}", random_lpn(seed, BIG)
 
 
+def _assert_same_automaton(got: Nfa, expected: Nfa) -> None:
+    assert got.states == expected.states
+    assert got.arcs == expected.arcs
+    assert got.initial == expected.initial
+    assert got.events == expected.events
+    assert got.labeling == expected.labeling
+    assert list(got.labeling or ()) == list(expected.labeling or ())  # in the same order
+    for state in expected.states:
+        assert got.arcs_from(state) == expected.arcs_from(state)
+
+
 def _assert_matches_validated(trusted: Nfa) -> None:
-    validated = Nfa(list(trusted.states), list(trusted.arcs), list(trusted.initial),
-                    trusted.labeling)
-    assert trusted.states == validated.states
-    assert trusted.arcs == validated.arcs
-    assert trusted.initial == validated.initial
-    assert trusted.events == validated.events
-    assert trusted.labeling == validated.labeling
-    for state in trusted.states:
-        assert trusted.arcs_from(state) == validated.arcs_from(state)
+    _assert_same_automaton(trusted, Nfa(list(trusted.states), list(trusted.arcs),
+                                        list(trusted.initial), trusted.labeling))
 
 
 def test_trusted_automata_equal_validated_ones():
@@ -47,6 +54,28 @@ def test_trusted_automata_equal_validated_ones():
             automata.append(build_sv(lpn, ubrg=ubrg).tree)
         for nfa in automata:
             _assert_matches_validated(nfa)
+
+
+def test_the_low_language_read_off_a_graph_is_the_explored_one(monkeypatch):
+    # The basis route reads it off the BRG's zero-vector arcs, the oracle off
+    # the full reachability graph's low arcs; both equal the explored one.
+    compared = []
+    compare = oracle._compare
+
+    def recording_compare(projected, low):
+        compared.append(low)
+        return compare(projected, low)
+
+    monkeypatch.setattr(oracle, "_compare", recording_compare)
+    for name, lpn in bounded_nets():
+        explored = low_label_language(lpn)
+        _assert_same_automaton(decide_languages(lpn).low, explored)
+        compared.clear()
+        snni_oracle(lpn)
+        _assert_same_automaton(compared[0], explored)
+    # The verifier without a low language reads it off its unfolding's BRG.
+    for make in (demo_secure, demo_leaky, demo_sync_period_two):
+        _assert_same_automaton(build_sv(make()).low, low_label_language(make()))
 
 
 def test_reachability_arcs_are_the_explored_firings():
@@ -68,7 +97,6 @@ def test_reachability_arcs_are_the_explored_firings():
 @pytest.mark.parametrize("demo", [demo_secure, demo_leaky])
 def test_reachability_graphs_fire_nothing_after_exploring(monkeypatch, demo):
     lpn = demo()
-    low_transitions = lpn.low_subnet().net.transitions
     explored = []
     refired = []
     explore = petri.explore_markings
@@ -90,8 +118,8 @@ def test_reachability_graphs_fire_nothing_after_exploring(monkeypatch, demo):
     monkeypatch.setattr(petri, "explore_markings", counting_explore)
     monkeypatch.setattr(reach, "explore_markings", counting_explore)
     snni_oracle(lpn)
-    # The full net once for its projected language, the low subnet once.
-    assert explored == [lpn.net.transitions, low_transitions]
+    # The full net once; the low language is read off its graph.
+    assert explored == [lpn.net.transitions]
     explored.clear()
     reachability_graph(lpn.net)
     assert explored == [lpn.net.transitions]

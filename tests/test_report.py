@@ -39,14 +39,11 @@ def _record_explorations(monkeypatch) -> list:
 @pytest.mark.parametrize("demo", [demo_secure, demo_leaky])
 def test_analyze_explores_each_state_space_once(monkeypatch, demo):
     lpn = demo()
-    low_transitions = lpn.low_subnet().net.transitions
     explored = _record_explorations(monkeypatch)
     report = analyze(lpn)
-    # The full net never: the BRG saturation proves the assumptions; the low
-    # subnet once, for its label language.
-    assert explored.count(lpn.net.transitions) == 0
-    assert explored.count(low_transitions) == 1
-    assert len(explored) == 1
+    # Nothing: the BRG saturation proves the assumptions, and the low
+    # language is read off the BRG.
+    assert explored == []
     assert report.reachable_markings == check_assumptions(demo()).reachable_count
 
 
@@ -92,19 +89,17 @@ def test_oracle_explores_the_full_net_after_analyze(monkeypatch, demo):
     explored = _record_explorations(monkeypatch)
     snni_oracle(lpn)
     # The oracle proves boundedness with its own exploration, whatever the
-    # basis route has cached on the net.
-    assert explored.count(lpn.net.transitions) == 1
-    assert explored.count(lpn.low_subnet().net.transitions) == 1
-    assert len(explored) == 2
+    # basis route has cached on the net, and reads the low language off it.
+    assert explored == [lpn.net.transitions]
 
 
 @pytest.mark.parametrize("demo", [demo_secure, demo_leaky])
-def test_analyze_builds_one_low_subnet_and_fires_nothing(monkeypatch, demo):
+def test_analyze_builds_no_subnet_and_fires_nothing(monkeypatch, demo):
     lpn = demo()
     subnets = record_calls(monkeypatch, LabeledPetriNet, ("low_subnet",))
     fired = record_calls(monkeypatch, PetriNet, ("fire", "enabled"))
     analyze(lpn)
-    assert subnets == ["low_subnet"]
+    assert subnets == []
     assert fired == []
 
 
@@ -112,13 +107,12 @@ def test_analyze_builds_one_low_subnet_and_fires_nothing(monkeypatch, demo):
 @pytest.mark.parametrize("demo", [demo_secure, demo_leaky, demo_sync_period_two])
 def test_the_verdict_is_decided_before_any_tree_is_built(monkeypatch, run, demo):
     lpn = demo()
-    calls = record_calls(monkeypatch, verifier,
-                         ("low_label_language", "language_equal", "build_ubrg"))
+    calls = record_calls(monkeypatch, verifier, ("language_equal", "build_ubrg"))
     record_calls(monkeypatch, report_module, ("build_ubrg",), calls)
     run(lpn)
-    # One low exploration and one comparison, both before the unfolding; the
+    # One comparison before the unfolding and no low exploration; the
     # verifier reuses the low language and the verdict reuses the comparison.
-    assert calls == ["low_label_language", "language_equal", "build_ubrg"]
+    assert calls == ["language_equal", "build_ubrg"]
 
 
 @pytest.mark.parametrize("demo", [demo_secure, demo_leaky])
