@@ -6,8 +6,7 @@ language-equality oracle.  The test battery cross-checks them on every
 bundled and randomly generated net.
 """
 
-from .basis import (Brg, BrgEvent, Tag, UbrgResult, build_brg, build_ubrg,
-                    path_evector_sum, path_transitions)
+from .basis import Brg, BrgEvent, Tag, UbrgResult, build_brg, build_ubrg
 from .explanations import (Explanation, MinimalExplanationSet,
                            explanations_bounded, minimal_e_vectors,
                            minimality_filter)
@@ -39,7 +38,6 @@ __all__ = [
     "explanations_bounded", "export_dot", "format_word", "justifications",
     "language_equal", "low_label_language", "minimal_e_vectors",
     "minimality_filter", "parikh", "parse_net",
-    "path_evector_sum", "path_transitions",
     "projected_label_language", "reachability_graph", "serialize_net",
     "snni_oracle", "sv_verdict", "word_in_language",
 ]

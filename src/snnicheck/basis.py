@@ -15,23 +15,22 @@ inherited from the parent) receives an alpha tag (fresh marking) or beta tag
 The unfolding is stored as columns, parallel lists indexed by node id (BRG
 state, parent, incoming arc payload, first child), plus a sparse map of
 tags and the set of duplicated ids.  A large unfolding is then a handful of
-lists, not one object per node for the garbage collector to walk.  The tree
-automaton is a view built on access, for tests and callers that want it;
-nothing on the decision or export path builds it.
+lists, not one object per node for the garbage collector to walk.  Each fact
+is kept once: a node's root path, a tag's leaf or a leaf's being a leaf is
+read off these columns, not stored again.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .explanations import high_run_answers, search_tables
 from .nfa import Nfa
 from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionError, AssumptionReport,
                     InvalidNetError, LabeledPetriNet, Marking, NetError, ParikhVector,
-                    TransitionSequence, _dominated_ancestor, _domination_witness,
-                    _high_subnet_cycle, shift)
+                    _dominated_ancestor, _domination_witness, _high_subnet_cycle, shift)
 
 #: Hard ceiling on tree sizes (unfolding and verifier); exceeding it raises
 #: instead of thrashing.  Both trees never fuse repeated nodes, so adversarial
@@ -81,8 +80,8 @@ class UbrgResult:
     children consecutive ids, in the order of its BRG state's arcs: child
     ``first_child[k] + j`` copies arc ``j`` of state ``state[k]``.  Nothing
     is allocated per node beyond the column entries; the arc payloads are
-    the BRG's own ``BrgEvent`` objects.  :attr:`tree` is a view built from
-    the columns on access.
+    the BRG's own ``BrgEvent`` objects.  Node ``k > 0`` is created with the
+    arc ``(parent[k], event[k], k)``, its one parent link.
     """
 
     brg: Brg
@@ -94,15 +93,12 @@ class UbrgResult:
     event: list[BrgEvent | None]
     #: Per node: the id of its first child, 0 for a leaf.
     first_child: list[int]
-    #: The tag of each tagged leaf.
+    #: The tag of each tagged leaf, in node order.
     tags: dict[int, Tag]
     #: Ids of the duplicated leaves.
     duplicated: frozenset[int]
     alpha_tags: frozenset[Tag]
     beta_tags: frozenset[Tag]
-    duplicate_markings: frozenset[Marking]
-    tag_leaves: dict[Tag, int] = field(default_factory=dict)
-    root: int = 0
 
     def marking(self, node_id: int) -> Marking:
         return self.brg.nfa.states[self.state[node_id]]
@@ -111,50 +107,6 @@ class UbrgResult:
     def nodes(self) -> range:
         """The node ids."""
         return range(len(self.state))
-
-    @property
-    def tree(self) -> Nfa:
-        """The unfolding as an automaton over node ids, built afresh on each access.
-
-        Node ``k > 0`` is created with arc ``k - 1``, its one parent link.
-        """
-        parent, event = self.parent, self.event
-        return Nfa._from_unique(tuple(range(len(parent))),
-                                tuple((parent[k], event[k], k) for k in range(1, len(parent))),
-                                (self.root,), self.brg.nfa.labeling)
-
-    def root_path_events(self, node_id: int) -> tuple[BrgEvent, ...]:
-        """Arc payloads from the root down to ``node_id``."""
-        events: list[BrgEvent] = []
-        while node_id != self.root:
-            events.append(self.event[node_id])
-            node_id = self.parent[node_id]
-        events.reverse()
-        return tuple(events)
-
-    def leaf_ids(self) -> tuple[int, ...]:
-        return tuple(k for k, first in enumerate(self.first_child) if not first)
-
-
-def path_transitions(events: Iterable[BrgEvent]) -> TransitionSequence:
-    """Concatenation of the transitions along a path of arc payloads."""
-    return tuple(e.transition for e in events)
-
-
-def path_evector_sum(events: Iterable[BrgEvent], size: int | None = None) -> ParikhVector:
-    """Componentwise sum of the explanation vectors along a path.
-
-    ``size`` fixes the width of the zero vector returned for an empty path.
-    """
-    total: list[int] | None = None
-    for e in events:
-        if total is None:
-            total = list(e.evector)
-        else:
-            total = [a + b for a, b in zip(total, e.evector)]
-    if total is None:
-        return (0,) * size if size is not None else ()
-    return tuple(total)
 
 
 def basis_successor(lpn: LabeledPetriNet, m: Marking, t: str, evector: ParikhVector) -> Marking:
@@ -284,10 +236,8 @@ def build_ubrg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
     first_child = [0]
     tags: dict[int, Tag] = {}
     duplicated: set[int] = set()
-    duplicate_states: set[int] = set()
     alpha: list[Tag] = []
     beta: list[Tag] = []
-    tag_leaves: dict[Tag, int] = {}
     # Expandable nodes: (node id, BRG state, path bitmask including the node,
     # path consumed high firings).  Leaves are settled when they are created.
     queue: deque[tuple[int, int, int, bool]] = deque([(0, root_state, 1 << root_state, False)])
@@ -306,21 +256,16 @@ def build_ubrg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
             child_consumed = consumed or high
             if path & bit:
                 duplicated.add(next_id)
-                duplicate_states.add(child_state)
                 if child_consumed:
                     tag = tags[next_id] = Tag("beta", len(beta) + 1)
                     beta.append(tag)
-                    tag_leaves[tag] = next_id
             elif children[child_state]:
                 queue.append((next_id, child_state, path | bit, child_consumed))
             elif child_consumed:
                 tag = tags[next_id] = Tag("alpha", len(alpha) + 1)
                 alpha.append(tag)
-                tag_leaves[tag] = next_id
             next_id += 1
 
     return UbrgResult(brg=brg, state=state, parent=parent, event=events,
                       first_child=first_child, tags=tags, duplicated=frozenset(duplicated),
-                      alpha_tags=frozenset(alpha), beta_tags=frozenset(beta),
-                      duplicate_markings=frozenset(markings[s] for s in duplicate_states),
-                      tag_leaves=tag_leaves)
+                      alpha_tags=frozenset(alpha), beta_tags=frozenset(beta))

@@ -70,7 +70,7 @@ def _ubrg_dot(ubrg: UbrgResult) -> str:
     for nid, state in enumerate(ubrg.state):
         tag = tags.get(nid)
         attrs = [plain[state] if tag is None else f"label={_quote(f'{markings[state]} {tag}')}"]
-        if nid == ubrg.root:
+        if nid == 0:
             attrs.append("peripheries=2")
         if nid in duplicated:
             attrs.append("style=dashed")
@@ -94,7 +94,7 @@ def _sv_dot(sv: SvResult) -> str:
         if tag is not None:
             text += f" {tag}"
         attrs = [f"label={_quote(text)}"]
-        if nid == sv.root:
+        if nid == 0:
             attrs.append("peripheries=2")
         if nid in dashed:
             attrs.append("style=dashed")

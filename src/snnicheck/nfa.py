@@ -33,11 +33,10 @@ class Nfa:
 
     ``Nfa(...)`` drops repeated states, arcs and initial states and checks
     that every arc and initial state uses a declared state.  The graphs this
-    package builds (reachability graphs, the basis reachability graph, and
-    the ``tree`` views of the unfolding and the verifier) are unique by
-    construction: their states are discovered once each and their arcs come
-    straight from that one discovery.  They go through :meth:`_from_unique`,
-    which skips both steps.
+    package builds (reachability graphs and the basis reachability graph)
+    are unique by construction: their states are discovered once each and
+    their arcs come straight from that one discovery.  They go through
+    :meth:`_from_unique`, which skips both steps.
     """
 
     def __init__(self, states: Iterable[Hashable],
@@ -81,8 +80,7 @@ class Nfa:
         # later has its tuple extended).  A list per state, converted
         # afterwards, would leave twice the survivors for the garbage
         # collector.  The largest automata on the decision path are
-        # reachability graphs; the trees keep their own columns and become
-        # automata only when a caller asks for their ``tree`` view.
+        # reachability graphs; the trees are never automata, only columns.
         self._out: dict[Hashable, tuple[tuple, ...]] = dict.fromkeys(states, ())
         for s, group in groupby(arcs, key=itemgetter(0)):
             self._out[s] += tuple((e, d) for _, e, d in group)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from operator import le
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Marking = tuple[int, ...]
 ParikhVector = tuple[int, ...]
@@ -54,7 +54,14 @@ class AssumptionError(NetError):
     """Boundedness or high-subnet acyclicity could not be established."""
 
 
+def _refuse_bare_string(what: str, items) -> None:
+    """A lone string where a collection of names belongs would split into characters."""
+    if isinstance(items, str):
+        raise InvalidNetError(f"{what} must be a collection of strings, not the string {items!r}")
+
+
 def _check_identifiers(kind: str, ids: Sequence[str]) -> tuple[str, ...]:
+    _refuse_bare_string(f"{kind} identifiers", ids)
     out = tuple(ids)
     for x in out:
         if not isinstance(x, str) or not x:
@@ -220,6 +227,7 @@ class PetriNet:
         kept transitions in their order and their ``pre``/``delta`` entries,
         and indexes the kept transitions afresh in declaration order.
         """
+        _refuse_bare_string("a subnet selection", keep)
         try:
             keep_set = set(keep)
         except TypeError:  # an unhashable name
@@ -311,6 +319,7 @@ class LabeledPetriNet:
                 raise InvalidNetError(f"transition {t} must carry a non-empty label, got {a!r}")
         self.labeling = {t: labeling[t] for t in net.transitions}
         self.alphabet = frozenset(self.labeling.values())
+        _refuse_bare_string("high labels", high_labels)
         high = tuple(high_labels)
         for a in high:
             if not isinstance(a, str):
@@ -614,41 +623,49 @@ def _domination_witness(node: tuple, ancestor: tuple,
 
 
 def _high_subnet_cycle(lpn: LabeledPetriNet) -> tuple[str, ...] | None:
-    """Find a directed cycle in the bipartite graph of the high-induced subnet."""
+    """Find a directed cycle in the bipartite graph of the high-induced subnet.
+
+    A depth-first search follows the arcs from a place to the high
+    transitions it feeds, in declaration order, and from a high transition
+    to its output places, in place order.  Every cycle passes through a
+    place that feeds a high transition, so only such places start a search,
+    in declaration order, and only such places are entered; any other place
+    is a dead end.  The cycle is returned with its first node repeated last.
+    """
     net = lpn.net
-    adjacency: dict[str, list[str]] = {x: [] for x in net.places + lpn.high_transitions}
-    for source, target in net.weight:
-        if source in adjacency and target in adjacency:
-            adjacency[source].append(target)
-    # Declaration order: high transitions after a place, places after a transition.
-    for p in net.places:
-        adjacency[p].sort(key=net._transition_index.__getitem__)
-    for t in lpn.high_transitions:
-        adjacency[t].sort(key=net._place_index.__getitem__)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {x: WHITE for x in adjacency}
-    for start in adjacency:
-        if color[start] != WHITE:
+    places = net.places
+    feeds: dict[str, list[str]] = {}
+    for h in lpn.high_transitions:
+        for i, _ in net.pre[h]:
+            feeds.setdefault(places[i], []).append(h)
+
+    def outputs(h: str) -> list[str]:
+        """The places ``h`` puts tokens into that feed a high transition, in place order."""
+        out = dict(net.pre[h])
+        for i, d in net.delta[h]:
+            out[i] = out.get(i, 0) + d
+        return [places[i] for i in sorted(out) if out[i] > 0 and places[i] in feeds]
+
+    GRAY, BLACK = 1, 2
+    color: dict[str, int] = {}
+    for start in places:
+        if start not in feeds or start in color:
             continue
-        stack: list[tuple[str, Iterator[str]]] = [(start, iter(adjacency[start]))]
         color[start] = GRAY
         path = [start]
+        stack = [iter(feeds[start])]
         while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GRAY:
-                    i = path.index(nxt)
-                    return tuple(path[i:] + [nxt])
-                if color[nxt] == WHITE:
+            for nxt in stack[-1]:
+                state = color.get(nxt)
+                if state == GRAY:
+                    return tuple(path[path.index(nxt):]) + (nxt,)
+                if state is None:
                     color[nxt] = GRAY
                     path.append(nxt)
-                    stack.append((nxt, iter(adjacency[nxt])))
-                    advanced = True
+                    stack.append(iter(feeds[nxt] if nxt in feeds else outputs(nxt)))
                     break
-            if not advanced:
-                color[node] = BLACK
-                path.pop()
+            else:
+                color[path.pop()] = BLACK
                 stack.pop()
     return None
 

@@ -6,11 +6,10 @@ the low subnet's.  The low subnet's reachability graph is read off the basis
 graph, whose zero-vector arcs are exactly the low firings; nothing is
 explored.  The verifier pairs the unfolding with the low subnet's
 reachability graph under equal labels; a tag the pairing reaches has a
-low-only counterpart.  Like the unfolding, the verifier is stored as columns
-indexed by node id; its automaton is a view built on access.  Its size is
-counted from the distinct (unfolding node, low marking) pairings before any
-column is built, so a tree past its node cap is refused at the cost of that
-count.
+low-only counterpart.  Like the unfolding, the verifier is stored only as
+columns indexed by node id.  Its size is counted from the distinct
+(unfolding node, low marking) pairings before any column is built, so a
+tree past its node cap is refused at the cost of that count.
 """
 
 from __future__ import annotations
@@ -86,10 +85,12 @@ def _compare(projected: Nfa, low: Nfa) -> LanguageCheckResult:
 class SvResult:
     """Verifier tree as parallel columns indexed by node id, plus the matched tags.
 
-    The root is node 0 and pairs the unfolding root with the low initial
-    marking.  Nothing is allocated per node beyond the column entries: the low
-    markings are the states of ``low``, and there is one ``(t, t_low)`` event
-    object per distinct pair.
+    The root is node 0 and pairs the unfolding root, node 0, with the low
+    initial marking.  Nothing is allocated per node beyond the column
+    entries: the low markings are the states of ``low``, and there is one
+    ``(t, t_low)`` event object per distinct pair.  Node ``k > 0`` is created
+    with the arc ``(parent[k], event[k], k)``, whose label is the shared
+    label of its two transitions.
     """
 
     ubrg: UbrgResult
@@ -111,24 +112,11 @@ class SvResult:
     #: Untagged nodes whose pair repeats an ancestor pair.  Diagnostics only;
     #: the matching rule above never consults them.
     plain_duplicate_nodes: frozenset[int]
-    root: int = 0
 
     @property
     def nodes(self) -> range:
         """The node ids."""
         return range(len(self.ubrg_node))
-
-    @property
-    def tree(self) -> Nfa:
-        """The verifier as an automaton over node ids, built afresh on each access.
-
-        Node ``k > 0`` is created with arc ``k - 1``, its one parent link; an
-        event's label is the shared label of its two transitions.
-        """
-        parent, event = self.parent, self.event
-        arcs = tuple((parent[k], event[k], k) for k in range(1, len(parent)))
-        labeling = {e: self.low.labeling[e[1]] for _, e, _ in arcs}
-        return Nfa._from_unique(tuple(range(len(parent))), arcs, (self.root,), labeling)
 
 
 def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
@@ -186,7 +174,7 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
 
     ustate, ufirst, utags = ubrg.state, ubrg.first_child, ubrg.tags
     # Per level: unfolding node -> {low marking: number of tree nodes pairing them}.
-    level: dict[int, dict[Marking, int]] = {ubrg.root: {low.initial[0]: 1}}
+    level: dict[int, dict[Marking, int]] = {0: {low.initial[0]: 1}}
     size = 1
     while level:
         below: dict[int, dict[Marking, int]] = {}
@@ -211,7 +199,7 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
     # Per BRG state: the path bit of each low marking paired with it so far.
     pair_bits: list[dict[Marking, int]] = [{} for _ in brg.states]
     pairs = 0
-    ubrg_node = [ubrg.root]
+    ubrg_node = [0]
     low_marking = [low.initial[0]]
     parent = [-1]
     event: list[tuple[str, str] | None] = [None]
@@ -306,13 +294,13 @@ def sv_verdict(lpn: LabeledPetriNet, sv: SvResult, brg: Brg | None = None,
     missing_beta = sv.ubrg.beta_tags - sv.beta_matched
     if check.equal:
         return Verdict(True, spurious_tags=missing_alpha | missing_beta)
-    # Each kind's tags are numbered in leaf order, so the leaves list them in order.
-    tag_leaves = sv.ubrg.tag_leaves
-    missing = [tag for kind, unmatched in (("alpha", missing_alpha), ("beta", missing_beta))
-               for tag in tag_leaves if tag.kind == kind and tag in unmatched]
-    words = _path_words(lpn, sv.ubrg, [tag_leaves[tag] for tag in missing])
-    return Verdict(False, missing_alpha, missing_beta, dict(zip(missing, words)),
-                   check.counterexample)
+    tags = sv.ubrg.tags
+    # ``tags`` is in node order, which is the order of each kind's numbers.
+    leaves = [leaf for kind, unmatched in (("alpha", missing_alpha), ("beta", missing_beta))
+              for leaf, tag in tags.items() if tag.kind == kind and tag in unmatched]
+    words = _path_words(lpn, sv.ubrg, leaves)
+    return Verdict(False, missing_alpha, missing_beta,
+                   {tags[leaf]: word for leaf, word in zip(leaves, words)}, check.counterexample)
 
 
 def _path_words(lpn: LabeledPetriNet, ubrg: UbrgResult, leaves: list[int]) -> list[LabelWord]:
@@ -323,7 +311,7 @@ def _path_words(lpn: LabeledPetriNet, ubrg: UbrgResult, leaves: list[int]) -> li
     each leaf then adds its own label.  Leaves share their common prefixes.
     """
     labeling, parent, event, first_child = lpn.labeling, ubrg.parent, ubrg.event, ubrg.first_child
-    words: dict[int, LabelWord] = {ubrg.root: ()}
+    words: dict[int, LabelWord] = {0: ()}
     for k in range(1, max((parent[leaf] for leaf in leaves), default=0) + 1):
         if first_child[k]:
             words[k] = words[parent[k]] + (labeling[event[k].transition],)

@@ -72,6 +72,16 @@ def marking_of(lpn: LabeledPetriNet, **tokens: int) -> tuple[int, ...]:
     return tuple(tokens.get(p, 0) for p in lpn.net.places)
 
 
+def root_path(tree, node: int) -> list:
+    """Arc payloads from a tree's root, node 0, down to ``node``, off its parent and event columns."""
+    events = []
+    while node:
+        events.append(tree.event[node])
+        node = tree.parent[node]
+    events.reverse()
+    return events
+
+
 def relabeled(nfa: Nfa, label) -> Nfa:
     """``nfa`` with each event ``e`` labeled ``label(e)``."""
     return Nfa(nfa.states, nfa.arcs, nfa.initial, {e: label(e) for e in nfa.events})

@@ -62,7 +62,7 @@ def test_criterion_2_explanations_and_justifications():
 @criterion(3, "secure net: unfolding yields M_dup={m0,m1}, one alpha and one beta tag")
 def test_criterion_3_unfolding_tags():
     ubrg = build_ubrg(demo_secure())
-    assert ubrg.duplicate_markings == {BASIS_M0, BASIS_M1}
+    assert {ubrg.marking(nid) for nid in ubrg.duplicated} == {BASIS_M0, BASIS_M1}
     assert ubrg.alpha_tags == {ALPHA_1}
     assert ubrg.beta_tags == {BETA_1}
 

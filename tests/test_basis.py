@@ -4,8 +4,7 @@ import networkx as nx
 import pytest
 
 from snnicheck import explanations
-from snnicheck.basis import (BrgEvent, Tag, basis_successor, build_brg,
-                             build_ubrg, path_evector_sum, path_transitions)
+from snnicheck.basis import BrgEvent, Tag, basis_successor, build_brg, build_ubrg
 from snnicheck.explanations import minimal_e_vectors
 from snnicheck.dot import export_dot
 from snnicheck.fixtures import (demo_cyclic_high, demo_leaky, demo_secure,
@@ -15,7 +14,7 @@ from snnicheck.petri import (AssumptionError, InvalidNetError, LabeledPetriNet, 
 from snnicheck.randnets import GeneratorConfig, random_lpn
 
 from conftest import (ALL_BASIS_MARKINGS, BASIS_M0, BASIS_M1, BASIS_M2, assert_pumps,
-                      record_calls, unbounded_witness)
+                      record_calls, root_path, unbounded_witness)
 
 
 def test_brg_states_match_expected_set(secure):
@@ -165,30 +164,18 @@ def test_brg_with_a_high_transition_that_changes_nothing():
     assert minimal_e_vectors(lpn, (1, 0), "l").evectors == {(0,)}
 
 
-def test_path_transitions_and_vector_sum():
-    sigma = (BrgEvent("l1", (1, 0)), BrgEvent("l2", (0, 0)), BrgEvent("l1", (0, 0)))
-    assert path_transitions(sigma) == ("l1", "l2", "l1")
-    assert path_evector_sum(sigma) == (1, 0)
-    assert path_transitions(()) == ()
-    assert path_evector_sum((), size=2) == (0, 0)
-    assert path_transitions((BrgEvent("l5", (0, 0)),)) == ("l5",)
-    assert path_evector_sum((BrgEvent("l3", (0, 1)), BrgEvent("l3", (0, 1)))) == (0, 2)
-
-
 def test_ubrg_duplicates_and_tags(secure):
     ubrg = build_ubrg(secure)
-    assert ubrg.duplicate_markings == {BASIS_M0, BASIS_M1}
+    assert {ubrg.marking(nid) for nid in ubrg.duplicated} == {BASIS_M0, BASIS_M1}
     assert ubrg.alpha_tags == {Tag("alpha", 1)}
     assert ubrg.beta_tags == {Tag("beta", 1)}
 
 
 def test_ubrg_beta_leaf_lies_on_low_cycle(secure):
     ubrg = build_ubrg(secure)
-    beta_leaf = ubrg.tag_leaves[Tag("beta", 1)]
-    events = ubrg.root_path_events(beta_leaf)
-    assert path_transitions(events) == ("l1", "l2", "l1")
-    alpha_leaf = ubrg.tag_leaves[Tag("alpha", 1)]
-    assert path_transitions(ubrg.root_path_events(alpha_leaf)) == ("l3", "l4")
+    leaf = {tag: nid for nid, tag in ubrg.tags.items()}
+    assert [e.transition for e in root_path(ubrg, leaf[Tag("beta", 1)])] == ["l1", "l2", "l1"]
+    assert [e.transition for e in root_path(ubrg, leaf[Tag("alpha", 1)])] == ["l3", "l4"]
 
 
 def test_ubrg_without_high_transitions(secure):
@@ -201,13 +188,11 @@ def test_ubrg_without_high_transitions(secure):
 def test_ubrg_leaf_tagging_characterization(secure, leaky):
     for lpn in (secure, leaky):
         ubrg = build_ubrg(lpn)
-        leaves = set(ubrg.leaf_ids())
-        assert set(ubrg.tags) <= leaves
-        for nid in ubrg.leaf_ids():
+        leaves = [nid for nid in ubrg.nodes if not ubrg.first_child[nid]]
+        assert set(ubrg.tags) <= set(leaves)
+        for nid in leaves:
             tag = ubrg.tags.get(nid)
-            accumulated = path_evector_sum(ubrg.root_path_events(nid),
-                                           size=len(lpn.high_transitions))
-            assert (tag is not None) == any(accumulated)
+            assert (tag is not None) == any(any(e.evector) for e in root_path(ubrg, nid))
             if tag is not None:
                 assert (nid in ubrg.duplicated) == (tag.kind == "beta")
 
@@ -217,8 +202,8 @@ def test_ubrg_duplicate_iff_marking_repeats_on_path(secure):
     for nid in ubrg.nodes:
         ancestors = []
         current = nid
-        while current != ubrg.root:
-            current = ubrg.tree.arcs[current - 1][0]
+        while current:
+            current = ubrg.parent[current]
             ancestors.append(ubrg.marking(current))
         assert (nid in ubrg.duplicated) == (ubrg.marking(nid) in ancestors)
 
@@ -236,7 +221,7 @@ def test_arc_soundness(secure, leaky):
         brg = build_brg(lpn)
         _arc_soundness(lpn, brg.nfa.arcs, lambda m: m)
         ubrg = build_ubrg(lpn)
-        _arc_soundness(lpn, ubrg.tree.arcs, ubrg.marking)
+        _arc_soundness(lpn, zip(ubrg.parent[1:], ubrg.event[1:], ubrg.nodes[1:]), ubrg.marking)
 
 
 def test_unfolding_correspondence_with_cycles(secure):
@@ -250,25 +235,25 @@ def test_unfolding_correspondence_with_cycles(secure):
     assert cycles
     ubrg = build_ubrg(secure)
     on_cycles = {m for cycle in cycles for m in cycle}
-    assert ubrg.duplicate_markings <= on_cycles
+    duplicate_markings = {ubrg.marking(nid) for nid in ubrg.duplicated}
+    assert duplicate_markings <= on_cycles
     for cycle in cycles:
-        assert ubrg.duplicate_markings & set(cycle)
+        assert duplicate_markings & set(cycle)
     # Each duplicated leaf path really ends in a marking repeat.
-    for nid in ubrg.leaf_ids():
-        if nid in ubrg.duplicated:
-            events = ubrg.root_path_events(nid)
-            markings = [ubrg.marking(ubrg.root)]
-            for event in events:
-                markings.append(basis_successor(secure, markings[-1],
-                                                event.transition, event.evector))
-            assert markings[-1] in markings[:-1]
+    for nid in ubrg.duplicated:
+        assert not ubrg.first_child[nid]
+        markings = [ubrg.marking(0)]
+        for event in root_path(ubrg, nid):
+            markings.append(basis_successor(secure, markings[-1],
+                                            event.transition, event.evector))
+        assert markings[-1] in markings[:-1]
 
 
 def test_construction_is_deterministic(secure):
     first = build_ubrg(secure)
     second = build_ubrg(secure)
-    assert first.tree.arcs == second.tree.arcs
-    assert first.tag_leaves == second.tag_leaves
+    assert (first.parent, first.event) == (second.parent, second.event)
+    assert list(first.tags.items()) == list(second.tags.items())
     assert [first.marking(k) for k in first.nodes] == [second.marking(k) for k in second.nodes]
     assert build_brg(secure).nfa.arcs == build_brg(secure).nfa.arcs
     # Unfolding a prebuilt BRG is the same as letting build_ubrg build it.

@@ -126,7 +126,7 @@ def test_tree_node_caps_refuse_cleanly(secure):
                   (len(sv.nodes), "verifier tree",
                    lambda cap: build_sv(lpn, ubrg=ubrg, node_cap=cap)))
         for n, name, build in builds:
-            assert len(build(n - 1).tree.states) == n
+            assert len(build(n - 1).nodes) == n
             if n > 1:
                 with pytest.raises(NetError) as refused:
                     build(n - 2)

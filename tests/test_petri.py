@@ -441,6 +441,26 @@ def test_transition_lookups_reject_non_string_names(secure, call):
         call(secure)
 
 
+def test_a_bare_string_is_refused_where_a_collection_of_names_belongs():
+    # Read as a collection, each string would split into one-character names:
+    # high labels a and b, places p and 1, transitions t and 1.
+    net = PetriNet(["p1"], ["t1", "t2", "t3"], [], [1])
+    labels = {"t1": "a", "t2": "b", "t3": "ab"}
+    refusals = (
+        (lambda: LabeledPetriNet(net, labels, high_labels="ab"), "high labels", "ab"),
+        (lambda: PetriNet("p1", ["t1"], [], [0, 0]), "place identifiers", "p1"),
+        (lambda: PetriNet(["p1"], "t1", [], [0]), "transition identifiers", "t1"),
+        (lambda: net.induced_subnet("t1"), "a subnet selection", "t1"),
+    )
+    for call, what, text in refusals:
+        with pytest.raises(InvalidNetError) as refused:
+            call()
+        assert str(refused.value) == (f"{what} must be a collection of strings, "
+                                      f"not the string {text!r}")
+    assert LabeledPetriNet(net, labels, high_labels=["ab"]).high_transitions == ("t3",)
+    assert net.induced_subnet(["t1"]).transitions == ("t1",)
+
+
 def test_unknown_transition_messages_name_the_strings(secure):
     with pytest.raises(InvalidNetError, match=r"^unknown transition 'zz'$"):
         secure.net.check_transition("zz")

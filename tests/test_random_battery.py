@@ -6,7 +6,7 @@ import random
 import networkx as nx
 import pytest
 
-from snnicheck.basis import build_brg, build_ubrg, path_transitions
+from snnicheck.basis import build_brg, build_ubrg
 from snnicheck.explanations import (explanations_bounded, minimal_e_vectors,
                                     minimality_filter)
 from snnicheck.language import bounded_language, word_in_language
@@ -21,7 +21,7 @@ from snnicheck.reach import (low_label_language, projected_label_language,
 from snnicheck.report import analyze, decide_snni
 from snnicheck.verifier import build_sv
 
-from conftest import assert_pumps, relabeled, unbounded_witness
+from conftest import assert_pumps, relabeled, root_path, unbounded_witness
 
 CROSS_VALIDATION_SEEDS = range(1, 201)
 PROJECTION_SEEDS = range(1, 51)
@@ -121,10 +121,10 @@ def test_alpha_matching_is_word_membership():
         lpn = random_lpn(seed)
         sv = build_sv(lpn)
         low = low_label_language(lpn)
-        for tag in sv.ubrg.alpha_tags:
-            leaf = sv.ubrg.tag_leaves[tag]
-            word = lpn.label_word(path_transitions(sv.ubrg.root_path_events(leaf)))
-            assert (tag in sv.alpha_matched) == word_in_language(low, word), (seed, tag)
+        for leaf, tag in sv.ubrg.tags.items():
+            if tag.kind == "alpha":
+                word = lpn.label_word([e.transition for e in root_path(sv.ubrg, leaf)])
+                assert (tag in sv.alpha_matched) == word_in_language(low, word), (seed, tag)
 
 
 def test_unfolding_duplicates_track_simple_cycles():
@@ -138,9 +138,10 @@ def test_unfolding_duplicates_track_simple_cycles():
         cycles = list(nx.simple_cycles(digraph))
         ubrg = build_ubrg(lpn)
         on_cycles = {m for cycle in cycles for m in cycle}
-        assert ubrg.duplicate_markings <= on_cycles, seed
+        duplicate_markings = {ubrg.marking(nid) for nid in ubrg.duplicated}
+        assert duplicate_markings <= on_cycles, seed
         for cycle in cycles:
-            assert ubrg.duplicate_markings & set(cycle), (seed, cycle)
+            assert duplicate_markings & set(cycle), (seed, cycle)
 
 
 def test_negative_verdicts_carry_replayable_counterexamples():
@@ -153,6 +154,10 @@ def test_negative_verdicts_carry_replayable_counterexamples():
         assert word is not None, seed
         assert word_in_language(projected_label_language(lpn), word), seed
         assert not word_in_language(low_label_language(lpn), word), seed
+        # The unmatched tags' words list the alpha tags, then the beta tags,
+        # each kind in number order (seeds 12, 24 and 30 miss both kinds).
+        assert list(verdict.witness_words) == sorted(verdict.missing_alpha
+                                                     | verdict.missing_beta), seed
 
 
 def test_basis_and_full_route_counterexamples_agree():
@@ -262,6 +267,26 @@ def test_assumption_refusals_are_pinned():
             else:
                 digest.update(f"{len(brg.nfa.states)} {brg.assumptions.reachable_count}".encode())
     assert digest.hexdigest() == PINNED_REFUSALS_SHA256
+
+
+#: sha256 over ``repr(_high_subnet_cycle(lpn))`` on 1,000 raw candidates per
+#: config (default, big, huge), each config drawn from ``random.Random(7)``;
+#: 1,624 of them have a cycle.  Recorded with the search that started at every
+#: place and high transition and sorted each adjacency list.
+PINNED_CYCLES_SHA256 = "a9c1e688a5f5794d3ab37f31b5769f410b03f4aa80739e2889774002882baea1"
+
+
+def test_high_subnet_cycles_are_pinned():
+    digest = hashlib.sha256()
+    cyclic = 0
+    for config in (GeneratorConfig(), BIG, HUGE):
+        rng = random.Random(7)
+        for _ in range(1000):
+            cycle = _high_subnet_cycle(_candidate(rng, config))
+            cyclic += cycle is not None
+            digest.update(repr(cycle).encode())
+    assert cyclic == 1624
+    assert digest.hexdigest() == PINNED_CYCLES_SHA256
 
 
 def test_documents_round_trip_random_nets():

@@ -13,7 +13,7 @@ from snnicheck.reach import low_label_language
 from snnicheck.report import decide_snni
 from snnicheck.verifier import Verdict, build_sv, decide_languages, sv_verdict
 
-from conftest import BASIS_M0, BASIS_M1, marking_of
+from conftest import BASIS_M0, BASIS_M1, marking_of, root_path
 
 
 def test_sv_matches_both_tags_on_secure(secure):
@@ -51,11 +51,12 @@ def test_sv_trivial_without_high_transitions(secure):
 def test_sv_arcs_share_labels(secure, leaky):
     for lpn in (secure, leaky):
         sv = build_sv(lpn)
-        for _, (t_pipeline, t_low), _ in sv.tree.arcs:
+        for t_pipeline, t_low in sv.event[1:]:
             assert lpn.label(t_pipeline) == lpn.label(t_low)
-        # Node k is created with arc k - 1, which is the one link into it.
-        for tree in (sv.tree, sv.ubrg.tree):
-            assert [d for _, _, d in tree.arcs] == list(range(1, len(tree.states)))
+        # Every node but the root hangs below an earlier node.
+        for tree in (sv, sv.ubrg):
+            assert tree.parent[0] == -1 and tree.event[0] is None
+            assert all(0 <= tree.parent[k] < k for k in tree.nodes[1:])
 
 
 def test_sv_matched_subsets_of_tags(secure, leaky):
@@ -70,19 +71,18 @@ def test_sv_nodes_pair_unfolding_with_low_reachability(secure):
     sv = build_sv(secure)
     low_markings = set(reachability_graph(secure.low_subnet().net).nfa.states)
     assert set(sv.low_marking) <= low_markings
-    assert sv.ubrg_node[sv.root] == sv.ubrg.root
-    assert sv.low_marking[sv.root] == secure.net.initial_marking
+    assert sv.ubrg_node[0] == 0
+    assert sv.low_marking[0] == secure.net.initial_marking
 
 
 def test_alpha_matched_iff_word_in_low_language(secure, leaky):
-    from snnicheck.basis import path_transitions
     for lpn in (secure, leaky):
         sv = build_sv(lpn)
         low = low_label_language(lpn)
-        for tag in sv.ubrg.alpha_tags:
-            leaf = sv.ubrg.tag_leaves[tag]
-            word = lpn.label_word(path_transitions(sv.ubrg.root_path_events(leaf)))
-            assert (tag in sv.alpha_matched) == word_in_language(low, word)
+        for leaf, tag in sv.ubrg.tags.items():
+            if tag.kind == "alpha":
+                word = lpn.label_word([e.transition for e in root_path(sv.ubrg, leaf)])
+                assert (tag in sv.alpha_matched) == word_in_language(low, word)
 
 
 def test_decide_snni_secure(secure):
@@ -154,24 +154,29 @@ def test_tree_views_agree_with_the_tree_data(make):
     brg = build_brg(lpn)
     ubrg = build_ubrg(lpn, brg=brg)
     sv = build_sv(lpn, ubrg=ubrg)
-    assert {tag: nid for nid, tag in ubrg.tags.items()} == ubrg.tag_leaves
-    assert {ubrg.marking(nid) for nid in ubrg.duplicated} == ubrg.duplicate_markings
-    # Every tree arc copies a BRG arc between the markings of its two nodes.
-    tree = ubrg.tree
-    assert tree.states == tuple(ubrg.nodes)
+    # Every tree arc copies a BRG arc between the markings of its two nodes,
+    # and an expanded node's children copy its BRG state's arcs in order.
     brg_arcs = set(brg.nfa.arcs)
-    for src, event, dst in tree.arcs:
-        assert (ubrg.marking(src), event, ubrg.marking(dst)) in brg_arcs
-    assert ubrg.leaf_ids() == tuple(nid for nid in ubrg.nodes if not tree.arcs_from(nid))
+    parents = set(ubrg.parent)
+    for dst in ubrg.nodes[1:]:
+        src = ubrg.parent[dst]
+        assert (ubrg.marking(src), ubrg.event[dst], ubrg.marking(dst)) in brg_arcs
+    for nid in ubrg.nodes:
+        first = ubrg.first_child[nid]
+        if first:
+            arcs = brg.nfa.arcs_from(ubrg.marking(nid))
+            assert ubrg.event[first:first + len(arcs)] == [event for event, _ in arcs]
+            assert ubrg.parent[first:first + len(arcs)] == [nid] * len(arcs)
+        else:
+            assert nid not in parents
     # Every verifier arc pairs an unfolding arc with an equally labeled low arc.
-    unfolding_arcs = {(src, dst): event.transition for src, event, dst in tree.arcs}
     low_arcs = set(sv.low.arcs)
-    sv_tree = sv.tree
-    assert sv_tree.states == tuple(sv.nodes)
-    for src, (t, t_low), dst in sv_tree.arcs:
-        assert unfolding_arcs[(sv.ubrg_node[src], sv.ubrg_node[dst])] == t
+    for dst in sv.nodes[1:]:
+        src, (t, t_low) = sv.parent[dst], sv.event[dst]
+        assert ubrg.parent[sv.ubrg_node[dst]] == sv.ubrg_node[src]
+        assert ubrg.event[sv.ubrg_node[dst]].transition == t
         assert (sv.low_marking[src], t_low, sv.low_marking[dst]) in low_arcs
-        assert sv_tree.labeling[(t, t_low)] == lpn.label(t)
+        assert sv.low.labeling[t_low] == lpn.label(t)
     # Exactly the duplicate beta pairings match beta tags.
     duplicate_tags = {ubrg.tags.get(sv.ubrg_node[nid]) for nid in sv.duplicate_pair_nodes}
     assert all(tag is not None and tag.kind == "beta" for tag in duplicate_tags)
