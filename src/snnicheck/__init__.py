@@ -12,7 +12,7 @@ from .explanations import (Explanation, MinimalExplanationSet,
                            minimality_filter)
 from .language import (LanguageCheckResult, bounded_language, language_equal,
                        word_in_language)
-from .netdoc import NetDocument, NetDocumentError, parse_net, serialize_net
+from .netdoc import NetDocumentError, parse_net, serialize_net
 from .nfa import EPSILON, Nfa
 from .dot import export_dot
 from .oracle import JustificationSet, justifications, snni_oracle
@@ -30,7 +30,7 @@ __all__ = [
     "AnalysisReport", "AssumptionError", "AssumptionReport", "Brg", "BrgEvent",
     "DEFAULT_EXPLORATION_CAP", "DominationWitness", "EPSILON", "Explanation",
     "FiringError", "InvalidNetError", "JustificationSet", "LabeledPetriNet",
-    "LanguageCheckResult", "LanguageDecision", "Marking", "MinimalExplanationSet", "NetDocument",
+    "LanguageCheckResult", "LanguageDecision", "Marking", "MinimalExplanationSet",
     "NetDocumentError", "NetError", "Nfa", "ParikhVector", "PetriNet",
     "ReachGraph", "SvResult", "Tag", "TransitionSequence", "UbrgResult",
     "Verdict", "analyze", "bounded_language", "build_brg", "build_sv",

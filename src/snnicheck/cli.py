@@ -15,7 +15,7 @@ from .basis import build_brg, build_ubrg
 from .dot import export_dot, format_marking
 from .explanations import minimal_e_vector_sets
 from .fixtures import DEMOS, fixture_document
-from .netdoc import NetDocument, parse_net
+from .netdoc import parse_net, serialize_net
 from .oracle import snni_oracle
 from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionReport, LabeledPetriNet,
                     NetError, check_assumptions, format_word)
@@ -199,7 +199,7 @@ def _cmd_gen(args) -> int:
     if args.demo is not None:
         _emit(args, fixture_document(args.demo))
     else:
-        _emit(args, NetDocument.from_lpn(random_lpn(args.seed)).to_json())
+        _emit(args, serialize_net(random_lpn(args.seed)))
     return 0
 
 

@@ -10,7 +10,7 @@ parametric families with closed-form sizes and verdicts.
 
 from __future__ import annotations
 
-from .netdoc import NetDocument
+from .netdoc import serialize_net
 from .petri import InvalidNetError, LabeledPetriNet, PetriNet
 
 _DEMO_PLACES = ("p1", "p2", "p3", "p4", "p5", "p6", "p7", "p8", "p9")
@@ -138,4 +138,4 @@ def fixture_document(name: str) -> str:
     """Canonical document text of a bundled demo net."""
     if name not in DEMOS:
         raise KeyError(f"unknown demo net {name!r}; available: {sorted(DEMOS)}")
-    return NetDocument.from_lpn(DEMOS[name]()).to_json()
+    return serialize_net(DEMOS[name]())

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .nfa import EPSILON, Nfa
-from .petri import InvalidNetError, LabelWord
+from .petri import InvalidNetError, LabelWord, _refuse_bare_string
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,12 @@ def _alphabet(nfa: Nfa) -> list[str]:
 
 
 def word_in_language(nfa: Nfa, word: Sequence[str]) -> bool:
-    """Membership in the prefix-closed, all-states-accepting label language."""
+    """Membership in the prefix-closed, all-states-accepting label language.
+
+    ``word`` is a sequence of labels; a bare string is refused, not split
+    into one-character labels.
+    """
+    _refuse_bare_string("a word", word)
     current = epsilon_closure(nfa, nfa.initial)
     if not current:
         return False  # no initial state: empty language, not even ε

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -172,10 +173,18 @@ def test_malformed_document_exit_two(tmp_path, capsys):
 
 
 def test_deeply_nested_document_exit_two(tmp_path, capsys):
-    path = tmp_path / "deep.json"
-    path.write_text("[" * 100_000, encoding="utf-8")
-    assert run_cli(["check", "--net", str(path)]) == 2
-    assert capsys.readouterr().err == "error: invalid JSON: nesting too deep\n"
+    # Text the JSON decoder cannot turn into a document is refused with
+    # exit 2, not the NOT SNNI exit 1, and without a traceback.
+    documents = [("[" * 100_000, "error: invalid JSON: nesting too deep\n")]
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        documents.append(("9" * (limit + 1),
+                          f"error: invalid JSON: an integer has more than {limit} digits\n"))
+    path = tmp_path / "undecodable.json"
+    for text, stderr in documents:
+        path.write_text(text, encoding="utf-8")
+        assert run_cli(["check", "--net", str(path)]) == 2
+        assert capsys.readouterr().err == stderr
 
 
 @pytest.mark.parametrize("command", ["check", "oracle", "brg", "reach", "info", "explain"])

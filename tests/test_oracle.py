@@ -47,6 +47,17 @@ def test_projected_language_membership(secure, leaky):
     assert word_in_language(projected_label_language(leaky), ("a", "c"))
 
 
+def test_word_in_language_refuses_a_bare_string_word():
+    # One transition labeled "ab": the word is the one label, not "a" then "b".
+    lpn = LabeledPetriNet(PetriNet(("p",), ("t",), [("p", "t")], (1,)), {"t": "ab"})
+    low = low_label_language(lpn)
+    assert word_in_language(low, ("ab",))
+    assert not word_in_language(low, ("a", "b"))
+    with pytest.raises(InvalidNetError, match="a word must be a collection of strings, "
+                                              "not the string 'ab'"):
+        word_in_language(low, "ab")
+
+
 def test_language_equal_on_fixtures(secure, leaky):
     check = language_equal(projected_label_language(secure), low_label_language(secure))
     assert check.equal
