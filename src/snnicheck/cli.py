@@ -25,14 +25,11 @@ from .report import analyze
 from .verifier import build_sv
 
 
-def _add_common(sub: argparse.ArgumentParser, net: bool = True) -> None:
-    if net:
-        sub.add_argument("--net", required=True, help="path to a net document")
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--net", required=True, help="path to a net document")
     sub.add_argument("--out", help="write output here instead of stdout")
     sub.add_argument("--cap", type=int, default=DEFAULT_EXPLORATION_CAP,
                      help="exploration cap on distinct markings")
-    sub.add_argument("--format", choices=["text", "machine-readable"], default="text",
-                     help="report format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,10 +66,14 @@ def build_parser() -> argparse.ArgumentParser:
     explain.set_defaults(func=_cmd_explain)
 
     gen = commands.add_parser("gen", help="emit a net document (random or bundled demo)")
-    _add_common(gen, net=False)
+    gen.add_argument("--out", help="write output here instead of stdout")
     gen.add_argument("--seed", type=int, help="seed for a random net")
     gen.add_argument("--demo", choices=sorted(DEMOS), help="bundled demo net")
     gen.set_defaults(func=_cmd_gen)
+
+    for sub in (check, oracle, info, explain):
+        sub.add_argument("--format", choices=["text", "machine-readable"], default="text",
+                         help="report format")
     return parser
 
 

@@ -32,11 +32,12 @@ class Nfa:
     """States, arcs ``(source, event, target)``, initial states, optional labeling.
 
     ``Nfa(...)`` drops repeated states, arcs and initial states and checks
-    that every arc and initial state uses a declared state.  The graphs this
-    package builds (reachability graphs and the basis reachability graph)
-    are unique by construction: their states are discovered once each and
-    their arcs come straight from that one discovery.  They go through
-    :meth:`_from_unique`, which skips both steps.
+    that every arc and initial state uses a declared state and, given a
+    labeling, that it labels every arc's event with a ``str``.  The graphs
+    this package builds (reachability graphs and the basis reachability
+    graph) are unique by construction: their states are discovered once
+    each and their arcs come straight from that one discovery.  They go
+    through :meth:`_from_unique`, which skips both steps.
     """
 
     def __init__(self, states: Iterable[Hashable],
@@ -50,6 +51,8 @@ class Nfa:
         for s, e, d in arcs:
             if s not in declared or d not in declared:
                 raise InvalidNetError(f"arc ({s!r}, {e!r}, {d!r}) uses an undeclared state")
+            if labeling is not None and not isinstance(labeling.get(e), str):
+                raise InvalidNetError(f"arc ({s!r}, {e!r}, {d!r}) has no str label")
         for s in initial:
             if s not in declared:
                 raise InvalidNetError(f"initial state {s!r} is not declared")

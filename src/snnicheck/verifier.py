@@ -6,16 +6,18 @@ the low subnet's.  The low subnet's reachability graph is read off the basis
 graph, whose zero-vector arcs are exactly the low firings; nothing is
 explored.  The verifier pairs the unfolding with the low subnet's
 reachability graph under equal labels; a tag the pairing reaches has a
-low-only counterpart.  Like the unfolding, the verifier is stored only as
-columns indexed by node id.  Its size is counted from the distinct
-(unfolding node, low marking) pairings before any column is built, so a
-tree past its node cap is refused at the cost of that count.
+low-only counterpart.  A verifier path copies an unfolding path, whose BRG
+states are distinct but at a duplicated leaf, so a pairing can repeat on
+its path only at a duplicated leaf, against the pairing of its loop entry.
+Like the unfolding, the verifier is stored only as columns indexed by node
+id.  Its size is counted from the distinct (unfolding node, low marking)
+pairings before any column is built, so a tree past its node cap is
+refused at the cost of that count.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -106,11 +108,12 @@ class SvResult:
     event: list[tuple[str, str] | None]
     alpha_matched: frozenset[Tag]
     beta_matched: frozenset[Tag]
-    #: Unexpanded beta-leaf pairings whose (marking, low marking) pair repeats
-    #: an ancestor pair; exactly these admit their beta tag.
+    #: Beta-leaf pairings whose low marking is the one paired with the leaf's
+    #: loop entry, so their (BRG state, low marking) pair repeats on their
+    #: path; exactly these admit their beta tag.
     duplicate_pair_nodes: frozenset[int]
-    #: Untagged nodes whose pair repeats an ancestor pair.  Diagnostics only;
-    #: the matching rule above never consults them.
+    #: Untagged duplicated-leaf pairings whose pair repeats in the same way.
+    #: Diagnostics only; the matching rule above never consults them.
     plain_duplicate_nodes: frozenset[int]
 
     @property
@@ -127,23 +130,23 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
     Breadth-first from (unfolding root, low initial marking); a node expands
     through every unfolding arc of its unfolding node, in arc order, times
     every low arc with the same label, in the low graph's (declaration) order,
-    grouped once per low marking.  Each node's root path is a bitmask over
-    interned (BRG state, low marking) pairs.  A beta-tagged pairing whose pair
-    is already on its parent's path is recorded as a duplicate and left
-    unexpanded; other repeats are only recorded.  Alpha tags are matched by
-    mere reachability of their leaf; beta tags only by a recorded duplicate
-    pairing.  The unfolding is built here unless passed, and the low label
-    language (kept as ``low``) is read off its basis graph unless passed.
+    grouped once per low marking.  A node's parent pairs its unfolding node's
+    parent, so its path copies an unfolding path, on which only a duplicated
+    leaf repeats a BRG state, that of its loop entry.  A pairing of a
+    duplicated leaf whose low marking equals its loop entry's is a repeat:
+    recorded as a duplicate when the leaf is beta-tagged, as a plain one
+    otherwise.  Alpha tags are matched by mere reachability of their leaf;
+    beta tags only by a recorded duplicate pairing.  The unfolding is built
+    here unless passed, and the low label language (kept as ``low``) is read
+    off its basis graph unless passed.
 
     The tree is sized before it is built, so a tree past ``node_cap`` is
-    refused without building any column.  Tags sit on unfolding leaves, so
-    the beta stop never cuts a subtree, and every pairing of one unfolding
-    node with one low marking roots a subtree of the same shape.  The count
-    therefore goes level by level over the distinct pairings, each with its
-    number of low runs, and stops as soon as it passes the cap.  A tree of
-    ``n`` nodes fits ``node_cap = n - 1``.  The breadth-first order is the id
-    order, so the builder walks the ids and keeps only each pending node's
-    parent path.
+    refused without building any column.  Every pairing of one unfolding
+    node with one low marking roots a subtree of the same shape, so the count
+    goes level by level over the distinct pairings, each with its number of
+    low runs, and stops as soon as it passes the cap.  A tree of ``n`` nodes
+    fits ``node_cap = n - 1``.  The breadth-first order is the id order, so
+    the builder walks the columns as it grows them.
     """
     if ubrg is None:
         ubrg = build_ubrg(lpn, cap, node_cap)
@@ -172,7 +175,7 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
                                  for t2, fired in fired_by)
         return moves
 
-    ustate, ufirst, utags = ubrg.state, ubrg.first_child, ubrg.tags
+    ustate, ufirst, utags, duplicated = ubrg.state, ubrg.first_child, ubrg.tags, ubrg.duplicated
     # Per level: unfolding node -> {low marking: number of tree nodes pairing them}.
     level: dict[int, dict[Marking, int]] = {0: {low.initial[0]: 1}}
     size = 1
@@ -196,37 +199,26 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
                                            "raise node_cap to continue")
         level = below
 
-    # Per BRG state: the path bit of each low marking paired with it so far.
-    pair_bits: list[dict[Marking, int]] = [{} for _ in brg.states]
-    pairs = 0
     ubrg_node = [0]
     low_marking = [low.initial[0]]
     parent = [-1]
     event: list[tuple[str, str] | None] = [None]
     duplicate_pair_nodes: set[int] = set()
     plain_duplicate_nodes: set[int] = set()
-    # The parent's path bitmask of each node not yet expanded, in id order.
-    parent_paths: deque[int] = deque([0])
-    nid = 0
-    while parent_paths:
-        parent_path = parent_paths.popleft()
-        u = ubrg_node[nid]
+    # Breadth-first order is id order, so the walk reads the columns it grows.
+    for nid, u in enumerate(ubrg_node):
         lm = low_marking[nid]
-        bits = pair_bits[ustate[u]]
-        bit = bits.get(lm)
-        if bit is None:
-            bit = bits[lm] = 1 << pairs
-            pairs += 1
-        if parent_path & bit:
-            tag = utags.get(u)
-            if tag is not None and tag.kind == "beta":
-                duplicate_pair_nodes.add(nid)
-                nid += 1
-                continue
-            plain_duplicate_nodes.add(nid)
+        if u in duplicated:
+            # The leaf's state occurs on its path once above it, at its loop entry.
+            s = ustate[u]
+            entry = parent[nid]
+            while ustate[ubrg_node[entry]] != s:
+                entry = parent[entry]
+            if low_marking[entry] == lm:
+                # A duplicated leaf's tag, if any, is a beta tag.
+                (duplicate_pair_nodes if u in utags else plain_duplicate_nodes).add(nid)
         first = ufirst[u]
         if first:
-            path = parent_path | bit
             moves = low_moves[lm]
             for offset, t in child_moves[ustate[u]]:
                 for sv_event, fired in moves.get(t, ()):
@@ -234,8 +226,6 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
                     low_marking.append(fired)
                     parent.append(nid)
                     event.append(sv_event)
-                    parent_paths.append(path)
-        nid += 1
 
     reached = set(ubrg_node)
     alpha_matched = frozenset(tag for u, tag in utags.items()

@@ -156,6 +156,19 @@ def test_gen_requires_exactly_one_source(capsys):
     assert run_cli(["gen", "--seed", "1", "--demo", "secure"]) == 2
 
 
+def test_options_a_command_does_not_read_are_refused(net_file, capsys):
+    # gen reads neither --cap nor --format; the graph exports write DOT only.
+    path = net_file("secure")
+    for argv in (["gen", "--demo", "secure", "--cap", "0"],
+                 ["gen", "--demo", "secure", "--format", "text"],
+                 *([graph, "--net", path, "--format", "machine-readable"]
+                   for graph in ("brg", "ubrg", "sv", "reach"))):
+        with pytest.raises(SystemExit) as refused:
+            run_cli(argv)
+        assert refused.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cap_exhaustion_exit_two(net_file, capsys):
     assert run_cli(["check", "--net", net_file("secure"), "--cap", "2"]) == 2
     assert "unknown" in capsys.readouterr().err

@@ -206,6 +206,14 @@ def test_empty_automaton_language():
         bounded_language(Nfa(["s0"], [], ["s0"]), 1)
 
 
+def test_automaton_refuses_an_arc_event_without_a_str_label():
+    # Built, such an automaton would make the language routines fail with a
+    # bare KeyError, or report a non-str counterexample such as (5,).
+    for labeling in ({}, {"x": 5}):
+        with pytest.raises(InvalidNetError, match=r"^arc \(0, 'x', 1\) has no str label$"):
+            Nfa([0, 1], [(0, "x", 1)], [0], labeling)
+
+
 def test_oracle_verdict_reports_only_leaks():
     net = PetriNet(("p", "q"), ("h", "l"),
                    [("p", "h"), ("h", "q"), ("q", "l")], (1, 0))

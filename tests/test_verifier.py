@@ -13,7 +13,7 @@ from snnicheck.reach import low_label_language
 from snnicheck.report import decide_snni
 from snnicheck.verifier import Verdict, build_sv, decide_languages, sv_verdict
 
-from conftest import BASIS_M0, BASIS_M1, marking_of, root_path
+from conftest import BASIS_M0, BASIS_M1, bounded_nets, marking_of, root_path
 
 
 def test_sv_matches_both_tags_on_secure(secure):
@@ -31,6 +31,37 @@ def test_sv_duplicate_pair_bookkeeping(secure):
     plain_pairs = {pair_of(nid) for nid in sv.plain_duplicate_nodes}
     assert beta_pairs == {(BASIS_M1, marking_of(secure, p8=1))}
     assert plain_pairs == {(BASIS_M0, BASIS_M0)}
+
+
+def repeats_on_root_paths(sv) -> tuple[set[int], set[int]]:
+    """Nodes whose (BRG state, low marking) pair occurs again up their root path.
+
+    Scans each node's whole path, and splits the hits into those pairing a
+    beta-tagged unfolding leaf and the rest.
+    """
+    state, tags = sv.ubrg.state, sv.ubrg.tags
+    beta, plain = set(), set()
+    for nid in sv.nodes:
+        pair = (state[sv.ubrg_node[nid]], sv.low_marking[nid])
+        above = sv.parent[nid]
+        while above >= 0 and (state[sv.ubrg_node[above]], sv.low_marking[above]) != pair:
+            above = sv.parent[above]
+        if above >= 0:
+            tag = tags.get(sv.ubrg_node[nid])
+            (beta if tag is not None and tag.kind == "beta" else plain).add(nid)
+    return beta, plain
+
+
+def test_repeats_are_the_pairs_found_again_up_the_root_path():
+    for name, lpn in bounded_nets():
+        try:
+            sv = build_sv(lpn)
+        except NetError as refused:
+            assert "exceeds 200000 nodes" in str(refused), name
+            continue
+        beta, plain = repeats_on_root_paths(sv)
+        assert sv.duplicate_pair_nodes == beta, name
+        assert sv.plain_duplicate_nodes == plain, name
 
 
 def test_sv_leaves_beta_unmatched_on_leaky(leaky):
