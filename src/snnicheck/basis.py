@@ -239,8 +239,10 @@ def build_ubrg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
     alpha: list[Tag] = []
     beta: list[Tag] = []
     # Expandable nodes: (node id, BRG state, path bitmask including the node,
-    # path consumed high firings).  Leaves are settled when they are created.
-    queue: deque[tuple[int, int, int, bool]] = deque([(0, root_state, 1 << root_state, False)])
+    # path consumed high firings), each with at least one arc.  Leaves are
+    # settled when they are created; a root without arcs is a leaf.
+    queue: deque[tuple[int, int, int, bool]] = deque(
+        [(0, root_state, 1 << root_state, False)] if children[root_state] else [])
     next_id = 1
     while queue:
         nid, s, path, consumed = queue.popleft()

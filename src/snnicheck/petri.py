@@ -255,8 +255,9 @@ def _firing_tables(inputs: Mapping[str, Sequence[tuple[int, int]]],
 
     ``inputs[t]`` and ``outputs[t]`` hold the ``(place index, weight)`` pairs
     of the arcs into and out of ``t``, one pair per place, keyed in
-    transition order.  Sorting the pairs puts both tables in place order;
-    ``delta`` drops the places whose token count ``t`` leaves unchanged.
+    transition order.  Sorting the pairs puts both tables in place order,
+    and a table of fewer than two pairs is not sorted; ``delta`` drops the
+    places whose token count ``t`` leaves unchanged.
     """
     pre = {}
     delta = {}
@@ -264,8 +265,9 @@ def _firing_tables(inputs: Mapping[str, Sequence[tuple[int, int]]],
         change = dict(outputs[t])
         for i, w in ins:
             change[i] = change.get(i, 0) - w
-        pre[t] = tuple(sorted(ins))
-        delta[t] = tuple(sorted((i, d) for i, d in change.items() if d))
+        pre[t] = tuple(ins) if len(ins) < 2 else tuple(sorted(ins))
+        moves = [(i, d) for i, d in change.items() if d]
+        delta[t] = tuple(moves) if len(moves) < 2 else tuple(sorted(moves))
     return pre, delta
 
 

@@ -50,24 +50,28 @@ class AnalysisReport:
                 for kind, tags in (("alpha", self.alpha_tags), ("beta", self.beta_tags))}
 
     def to_dict(self) -> dict:
-        """JSON-ready view; tag sets and words are rendered in unfolding order."""
+        """JSON-ready view; tag sets and words are rendered in unfolding order.
+
+        ``witness_words`` is walked in its own order, which the verdict
+        documents as alpha tags, then beta tags, each by number.  Its words
+        are the verdict's shared tuples, not copies; ``json.dumps`` writes
+        them as arrays.
+        """
         names = self._tag_names()
         alpha, beta = names["alpha"], names["beta"]
-        verdict, witness_words = self.verdict, self.witness_words
+        alpha_tags, beta_tags, verdict = self.alpha_tags, self.beta_tags, self.verdict
         return {
             "snni": self.snni,
             "alpha_tags": alpha,
             "beta_tags": beta,
-            "alpha_matched": _among("alpha", alpha, self.alpha_matched),
-            "beta_matched": _among("beta", beta, self.beta_matched),
-            "missing_alpha": _among("alpha", alpha, verdict.missing_alpha),
-            "missing_beta": _among("beta", beta, verdict.missing_beta),
-            "spurious_tags": (_among("alpha", alpha, verdict.spurious_tags)
-                              + _among("beta", beta, verdict.spurious_tags)),
-            "witness_words": {name: list(witness_words[kind, number])
-                              for kind, kind_names in names.items()
-                              for number, name in enumerate(kind_names, 1)
-                              if (kind, number) in witness_words},
+            "alpha_matched": _among("alpha", alpha, alpha_tags, self.alpha_matched),
+            "beta_matched": _among("beta", beta, beta_tags, self.beta_matched),
+            "missing_alpha": _among("alpha", alpha, alpha_tags, verdict.missing_alpha),
+            "missing_beta": _among("beta", beta, beta_tags, verdict.missing_beta),
+            "spurious_tags": (_among("alpha", alpha, alpha_tags, verdict.spurious_tags)
+                              + _among("beta", beta, beta_tags, verdict.spurious_tags)),
+            "witness_words": {names[kind][number - 1]: word
+                              for (kind, number), word in self.witness_words.items()},
             "leaked_word": list(self.leaked_word) if self.leaked_word is not None else None,
             "sizes": {
                 "brg_states": self.brg_states,
@@ -90,8 +94,9 @@ class AnalysisReport:
         verdict = self.verdict
         lines = [f"verdict: {'SNNI' if self.snni else 'NOT SNNI'}"]
         lines.append(f"unfolding tags: alpha={_braced(alpha)} beta={_braced(beta)}")
-        lines.append(f"matched tags:   alpha={_braced(_among('alpha', alpha, self.alpha_matched))} "
-                     f"beta={_braced(_among('beta', beta, self.beta_matched))}")
+        lines.append("matched tags:   alpha="
+                     + _braced(_among("alpha", alpha, self.alpha_tags, self.alpha_matched))
+                     + " beta=" + _braced(_among("beta", beta, self.beta_tags, self.beta_matched)))
         for number, name in enumerate(alpha, 1):
             if ("alpha", number) in verdict.missing_alpha:
                 word = format_word(self.witness_words.get(("alpha", number)))
@@ -105,8 +110,8 @@ class AnalysisReport:
         if verdict.spurious_tags:
             lines.append("tags unmatched by the per-path rule but covered by the "
                          "language check: "
-                         + _braced(_among("alpha", alpha, verdict.spurious_tags)
-                                   + _among("beta", beta, verdict.spurious_tags)))
+                         + _braced(_among("alpha", alpha, self.alpha_tags, verdict.spurious_tags)
+                                   + _among("beta", beta, self.beta_tags, verdict.spurious_tags)))
         if self.leaked_word is not None:
             lines.append(f"leaked low word (shortest): {format_word(self.leaked_word)}")
         lines.append(f"sizes: reachable={self.reachable_markings} "
@@ -117,14 +122,19 @@ class AnalysisReport:
         return "\n".join(lines) + "\n"
 
 
-def _among(kind: str, names: list[str], subset: AbstractSet[Tag]) -> list[str]:
+def _among(kind: str, names: list[str], tags: AbstractSet[Tag],
+           subset: AbstractSet[Tag]) -> list[str]:
     """The names of the ``kind`` tags in ``subset``, in number order.
 
-    A plain ``(kind, number)`` tuple equals and hashes as the :class:`Tag`,
-    so no tag object is built to test membership.
+    ``tags`` holds every ``kind`` tag, so a subset equal to it is the whole
+    kind and needs no test per tag.  Otherwise a plain ``(kind, number)``
+    tuple equals and hashes as the :class:`Tag`, so no tag object is built
+    to test membership.
     """
     if not subset:
         return []
+    if subset == tags:
+        return list(names)
     return [name for number, name in enumerate(names, 1) if (kind, number) in subset]
 
 

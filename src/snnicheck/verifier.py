@@ -243,11 +243,12 @@ class Verdict:
 
     ``snni`` and ``counterexample``, a shortest leaked low word, come from the
     comparison alone.  ``witness_words`` gives each unmatched tag's unfolding
-    path word.  An alpha tag's word is a low observation the low subnet
-    cannot produce.  A beta tag's word is one along which no low-only run
-    returns to a pair repeated on its path; the low subnet may still accept
-    it.  ``spurious_tags`` holds tags the per-path rule missed although the
-    languages are equal.
+    path word: the alpha tags, then the beta tags, each kind in number order.
+    Equal words are one shared tuple.  An alpha tag's word is a low
+    observation the low subnet cannot produce.  A beta tag's word is one
+    along which no low-only run returns to a pair repeated on its path; the
+    low subnet may still accept it.  ``spurious_tags`` holds tags the
+    per-path rule missed although the languages are equal.
     """
 
     snni: bool
@@ -284,25 +285,38 @@ def sv_verdict(lpn: LabeledPetriNet, sv: SvResult, brg: Brg | None = None,
     missing_beta = sv.ubrg.beta_tags - sv.beta_matched
     if check.equal:
         return Verdict(True, spurious_tags=missing_alpha | missing_beta)
-    tags = sv.ubrg.tags
-    # ``tags`` is in node order, which is the order of each kind's numbers.
-    leaves = [leaf for kind, unmatched in (("alpha", missing_alpha), ("beta", missing_beta))
-              for leaf, tag in tags.items() if tag.kind == kind and tag in unmatched]
-    words = _path_words(lpn, sv.ubrg, leaves)
-    return Verdict(False, missing_alpha, missing_beta,
-                   {tags[leaf]: word for leaf, word in zip(leaves, words)}, check.counterexample)
+    # One pass over the tags, in node order, which is each kind's number order.
+    matched = sv.alpha_matched | sv.beta_matched
+    unmatched = {leaf: tag for leaf, tag in sv.ubrg.tags.items() if tag not in matched}
+    alpha: dict[Tag, LabelWord] = {}
+    beta: dict[Tag, LabelWord] = {}
+    for tag, word in zip(unmatched.values(), _path_words(lpn, sv.ubrg, list(unmatched))):
+        (alpha if tag.kind == "alpha" else beta)[tag] = word
+    alpha.update(beta)
+    return Verdict(False, missing_alpha, missing_beta, alpha, check.counterexample)
 
 
 def _path_words(lpn: LabeledPetriNet, ubrg: UbrgResult, leaves: list[int]) -> list[LabelWord]:
-    """Label words of the unfolding paths to ``leaves``, read off the parent column.
+    """Label words of the unfolding paths to ``leaves``, given in id order.
 
     A parent's id is below its children's, so one pass in id order, up to the
-    last parent needed, gives each expanded node its word from its parent's;
-    each leaf then adds its own label.  Leaves share their common prefixes.
+    last leaf, gives each node a word id from its parent's.  The words are
+    hash-consed: each word keeps a table from a label to the id of its
+    one-label extension, so each distinct word is built as a tuple once, and
+    leaves with equal words get the same tuple object.
     """
-    labeling, parent, event, first_child = lpn.labeling, ubrg.parent, ubrg.event, ubrg.first_child
-    words: dict[int, LabelWord] = {0: ()}
-    for k in range(1, max((parent[leaf] for leaf in leaves), default=0) + 1):
-        if first_child[k]:
-            words[k] = words[parent[k]] + (labeling[event[k].transition],)
-    return [words[parent[leaf]] + (labeling[event[leaf].transition],) for leaf in leaves]
+    labeling, parent, event = lpn.labeling, ubrg.parent, ubrg.event
+    words: list[LabelWord] = [()]
+    extensions: list[dict[str, int]] = [{}]
+    last = leaves[-1] if leaves else 0
+    word_of = [0] * (last + 1)
+    for k in range(1, last + 1):
+        w = word_of[parent[k]]
+        label = labeling[event[k].transition]
+        x = extensions[w].get(label)
+        if x is None:
+            x = extensions[w][label] = len(words)
+            words.append(words[w] + (label,))
+            extensions.append({})
+        word_of[k] = x
+    return [words[word_of[leaf]] for leaf in leaves]

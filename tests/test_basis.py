@@ -208,6 +208,18 @@ def test_ubrg_duplicate_iff_marking_repeats_on_path(secure):
         assert (nid in ubrg.duplicated) == (ubrg.marking(nid) in ancestors)
 
 
+def test_ubrg_first_child_is_zero_exactly_at_leaves():
+    # 132 of the battery nets have a root without arcs, a leaf as well.
+    root_leaves = 0
+    for seed in range(1, 401):
+        ubrg = build_ubrg(random_lpn(seed))
+        parents = set(ubrg.parent)
+        for nid in ubrg.nodes:
+            assert (ubrg.first_child[nid] == 0) == (nid not in parents), (seed, nid)
+        root_leaves += len(ubrg.nodes) == 1
+    assert root_leaves == 132
+
+
 def _arc_soundness(lpn, arcs, marking_from):
     for src, event, dst in arcs:
         m = marking_from(src)

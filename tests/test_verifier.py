@@ -10,7 +10,7 @@ from snnicheck.language import word_in_language
 from snnicheck.petri import AssumptionError, NetError
 from snnicheck.randnets import GeneratorConfig, random_lpn
 from snnicheck.reach import low_label_language
-from snnicheck.report import decide_snni
+from snnicheck.report import analyze, decide_snni
 from snnicheck.verifier import Verdict, build_sv, decide_languages, sv_verdict
 
 from conftest import BASIS_M0, BASIS_M1, bounded_nets, marking_of, root_path
@@ -138,6 +138,40 @@ def test_decide_snni_leaky(leaky):
     assert not word_in_language(low, ("a", "c"))
     assert word_in_language(low, ("a",))
     assert verdict.counterexample == ("a", "c")
+
+
+def test_witness_words_are_shared_and_read_off_the_parent_column():
+    # Every unmatched tag's word is its leaf's root-path word, and equal
+    # words are one tuple, shared by the verdict and the rendered report.
+    covered = set()
+    for name, lpn in bounded_nets():
+        decision = decide_languages(lpn)
+        if decision.check.equal:
+            continue
+        try:
+            ubrg = build_ubrg(lpn, brg=decision.brg)
+            sv = build_sv(lpn, ubrg=ubrg, low=decision.low)
+        except NetError as refused:
+            assert "exceeds 200000 nodes" in str(refused), name
+            continue
+        verdict = sv_verdict(lpn, sv, check=decision.check)
+        assert set(verdict.witness_words) == verdict.missing_alpha | verdict.missing_beta, name
+        leaf = {tag: nid for nid, tag in ubrg.tags.items()}
+        shared = {}
+        for tag, word in verdict.witness_words.items():
+            assert word == lpn.label_word([e.transition for e in root_path(ubrg, leaf[tag])]), \
+                (name, tag)
+            assert shared.setdefault(word, word) is word, (name, tag)
+        report = analyze(lpn)
+        assert report.witness_words == verdict.witness_words, name
+        rendered = report.to_dict()["witness_words"]
+        assert list(rendered) == [str(tag) for tag in verdict.witness_words], name
+        for tag, word in report.witness_words.items():
+            assert rendered[str(tag)] is word, (name, tag)
+        covered.add(name)
+        if name == "14-place net 18":
+            assert (len(verdict.witness_words), len(shared)) == (37_593, 543)
+    assert {f"14-place net {seed}" for seed in (18, 24, 39)} <= covered
 
 
 def test_decide_snni_refuses_bad_assumptions():
