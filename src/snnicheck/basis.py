@@ -30,12 +30,19 @@ from .explanations import high_run_answers, search_tables
 from .nfa import Nfa
 from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionError, AssumptionReport,
                     InvalidNetError, LabeledPetriNet, Marking, NetError, ParikhVector,
-                    _dominated_ancestor, _domination_witness, _high_subnet_cycle, shift)
+                    _dominated_ancestor, _domination_witness, _high_subnet_cycle,
+                    _require_exploration_cap, shift)
 
 #: Hard ceiling on tree sizes (unfolding and verifier); exceeding it raises
 #: instead of thrashing.  Both trees never fuse repeated nodes, so adversarial
 #: nets can blow them up past any polynomial in the net size.
 DEFAULT_TREE_NODE_CAP = 200_000
+
+
+def _require_node_cap(node_cap: int) -> None:
+    """Refuse a negative tree node cap: a tree of ``n`` nodes needs ``node_cap >= n - 1``."""
+    if node_cap < 0:
+        raise InvalidNetError(f"tree node cap must not be negative, got {node_cap}")
 
 
 class BrgEvent(NamedTuple):
@@ -157,8 +164,7 @@ def build_brg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Brg:
     finished saturation returns the passing report, with the reachable
     count, as :attr:`Brg.assumptions`.  Nothing is stored on the net.
     """
-    if cap <= 0:
-        raise InvalidNetError(f"exploration cap must be positive, got {cap}")
+    _require_exploration_cap(cap)
     net = lpn.net
     if (_high_subnet_cycle(lpn) is not None
             or any(net.delta[h] and not net.pre[h] for h in lpn.high_transitions)):
@@ -221,6 +227,7 @@ def build_ubrg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
     building the basis graph twice; ``cap`` then goes unused, since the
     basis graph is itself the proof of the standing assumptions.
     """
+    _require_node_cap(node_cap)
     if brg is None:
         brg = build_brg(lpn, cap)
     markings = brg.nfa.states

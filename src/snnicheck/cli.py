@@ -110,7 +110,7 @@ def _cmd_check(args) -> int:
         _emit(args, json.dumps(report.to_dict(), indent=2) + "\n")
     else:
         _emit(args, report.to_text())
-    return 0 if report.snni else 1
+    return 0 if report.verdict.snni else 1
 
 
 def _cmd_oracle(args) -> int:

@@ -1,12 +1,15 @@
 """Deterministic DOT rendering of the graphs this package builds.
 
 Node and arc order follow construction order, which the builders keep stable,
-so exports of the same input are byte-identical across runs.
+so exports of the same input are byte-identical across runs.  The unfolding
+and the verifier are drawn by one tree renderer, from their columns.
 """
 
 from __future__ import annotations
 
-from .basis import Brg, BrgEvent, UbrgResult
+from typing import AbstractSet, Mapping
+
+from .basis import Brg, BrgEvent, Tag, UbrgResult
 from .nfa import Nfa
 from .petri import InvalidNetError, Marking
 from .reach import ReachGraph
@@ -62,55 +65,48 @@ def _nfa_dot(nfa: Nfa, name: str, state_text, event_text) -> str:
 
 
 def _ubrg_dot(ubrg: UbrgResult) -> str:
-    """Rendered from the unfolding's columns; each BRG marking and event is formatted once."""
-    lines = ["digraph ubrg {", "  rankdir=LR;", "  node [shape=box];"]
     markings = [format_marking(m) for m in ubrg.brg.nfa.states]
-    plain = [f"label={_quote(text)}" for text in markings]
-    tags, duplicated = ubrg.tags, ubrg.duplicated
-    for nid, state in enumerate(ubrg.state):
-        tag = tags.get(nid)
-        attrs = [plain[state] if tag is None else f"label={_quote(f'{markings[state]} {tag}')}"]
-        if nid == 0:
-            attrs.append("peripheries=2")
-        if nid in duplicated:
-            attrs.append("style=dashed")
-        lines.append(f"  n{nid} [{', '.join(attrs)}];")
-    lines += _tree_arc_lines(ubrg.parent, ubrg.event, format_event)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _tree_dot("ubrg", [markings[s] for s in ubrg.state], ubrg.tags, ubrg.duplicated,
+                     ubrg.parent, ubrg.event, format_event)
 
 
 def _sv_dot(sv: SvResult) -> str:
-    """Rendered from the verifier's columns; each marking and event is formatted once."""
-    lines = ["digraph verifier {", "  rankdir=LR;", "  node [shape=box];"]
+    """The pipeline half of an arc's ``(t,t_low)`` label is read off the unfolding node."""
     ubrg = sv.ubrg
     markings = [format_marking(m) for m in ubrg.brg.nfa.states]
     low_markings = {m: format_marking(m) for m in sv.low.states}
-    tags = ubrg.tags
-    dashed = sv.duplicate_pair_nodes | sv.plain_duplicate_nodes
-    for nid, (u, low) in enumerate(zip(sv.ubrg_node, sv.low_marking)):
-        text = f"{markings[ubrg.state[u]]} ; {low_markings[low]}"
-        tag = tags.get(u)
-        if tag is not None:
-            text += f" {tag}"
-        attrs = [f"label={_quote(text)}"]
+    utags, uevent = ubrg.tags, ubrg.event
+    texts = [f"{markings[ubrg.state[u]]} ; {low_markings[low]}"
+             for u, low in zip(sv.ubrg_node, sv.low_marking)]
+    tags = {nid: utags[u] for nid, u in enumerate(sv.ubrg_node) if u in utags}
+    events = [None] + [(uevent[u].transition, t_low)
+                       for u, t_low in zip(sv.ubrg_node[1:], sv.low_transition[1:])]
+    return _tree_dot("verifier", texts, tags, sv.duplicate_pair_nodes | sv.plain_duplicate_nodes,
+                     sv.parent, events, lambda pair: f"({pair[0]},{pair[1]})")
+
+
+def _tree_dot(name: str, texts: list[str], tags: Mapping[int, Tag], dashed: AbstractSet[int],
+              parent: list[int], events: list, event_text) -> str:
+    """A tree from its columns: node ``k`` reads ``texts[k]``, then its tag if it has one.
+
+    The root, node 0, is doubly outlined and the ``dashed`` nodes are dashed.
+    Node ``k > 0`` hangs below ``parent[k]`` by an arc labeled
+    ``event_text(events[k])``; each distinct event is formatted and quoted once.
+    """
+    lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=box];"]
+    for nid, text in enumerate(texts):
+        tag = tags.get(nid)
+        attrs = [f"label={_quote(text if tag is None else f'{text} {tag}')}"]
         if nid == 0:
             attrs.append("peripheries=2")
         if nid in dashed:
             attrs.append("style=dashed")
         lines.append(f"  n{nid} [{', '.join(attrs)}];")
-    lines += _tree_arc_lines(sv.parent, sv.event, lambda pair: f"({pair[0]},{pair[1]})")
+    labels: dict = {}
+    for dst in range(1, len(parent)):
+        label = labels.get(events[dst])
+        if label is None:
+            label = labels[events[dst]] = _quote(event_text(events[dst]))
+        lines.append(f"  n{parent[dst]} -> n{dst} [label={label}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _tree_arc_lines(parent: list[int], event: list, event_text) -> list[str]:
-    """One line per parent link, from a tree's columns; each distinct event is quoted once."""
-    labels: dict = {}
-    lines = []
-    for dst in range(1, len(parent)):
-        label = labels.get(event[dst])
-        if label is None:
-            label = labels[event[dst]] = _quote(event_text(event[dst]))
-        lines.append(f"  n{parent[dst]} -> n{dst} [label={label}];")
-    return lines

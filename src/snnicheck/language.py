@@ -74,6 +74,8 @@ def word_in_language(nfa: Nfa, word: Sequence[str]) -> bool:
 
 def bounded_language(nfa: Nfa, max_len: int) -> set[LabelWord]:
     """All label words of length <= ``max_len``, as tuples of symbols."""
+    if max_len < 0:
+        raise InvalidNetError(f"word length bound must not be negative, got {max_len}")
     alphabet = _alphabet(nfa)
     start = epsilon_closure(nfa, nfa.initial)
     if not start:

@@ -60,6 +60,14 @@ def _refuse_bare_string(what: str, items) -> None:
         raise InvalidNetError(f"{what} must be a collection of strings, not the string {items!r}")
 
 
+def _require_exploration_cap(cap) -> None:
+    """Refuse an exploration cap that is not a positive ``int`` (a ``bool`` is not one)."""
+    if type(cap) is not int:
+        raise InvalidNetError(f"exploration cap must be an int, got {cap!r}")
+    if cap <= 0:
+        raise InvalidNetError(f"exploration cap must be positive, got {cap}")
+
+
 def _check_identifiers(kind: str, ids: Sequence[str]) -> tuple[str, ...]:
     _refuse_bare_string(f"{kind} identifiers", ids)
     out = tuple(ids)
@@ -290,6 +298,8 @@ def shift(marking: Sequence[int], delta: Iterable[tuple[int, int]]) -> Marking:
 def parikh(sequence: Sequence[str], index_set: Sequence[str]) -> ParikhVector:
     """Occurrence counts of ``sequence`` over the ordered ``index_set``."""
     order = {t: i for i, t in enumerate(index_set)}
+    if len(order) != len(index_set):
+        raise InvalidNetError("the index set repeats an item")
     counts = [0] * len(order)
     for item in sequence:
         if item not in order:
@@ -681,8 +691,7 @@ def check_assumptions(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) 
     count; it is refuted by a strict-domination witness; and it is unknown
     when more than ``cap`` markings are found first.
     """
-    if cap <= 0:
-        raise InvalidNetError(f"exploration cap must be positive, got {cap}")
+    _require_exploration_cap(cap)
     cycle = _high_subnet_cycle(lpn)
     exploration = explore_markings(lpn.net, cap)
     if exploration.domination_witness is not None:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping
 
 from .nfa import EPSILON, Nfa
-from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionError, InvalidNetError,
-                    LabeledPetriNet, PetriNet, explore_markings)
+from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionError, LabeledPetriNet, PetriNet,
+                    _require_exploration_cap, explore_markings)
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,7 @@ class ReachGraph:
 def _reachability_nfa(net: PetriNet, cap: int,
                       labeling: Mapping[str, str] | None = None) -> Nfa:
     """Explore every reachable marking once and build its automaton once."""
-    if cap <= 0:
-        raise InvalidNetError(f"exploration cap must be positive, got {cap}")
+    _require_exploration_cap(cap)
     exploration = explore_markings(net, cap)
     if exploration.domination_witness is not None:
         raise AssumptionError(exploration.domination_witness.describe())

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import AbstractSet, Mapping
+from typing import AbstractSet
 
 from .basis import Tag, build_ubrg
-from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionReport, LabeledPetriNet,
-                    LabelWord, format_word)
+from .petri import DEFAULT_EXPLORATION_CAP, AssumptionReport, LabeledPetriNet, format_word
 from .verifier import Verdict, build_sv, decide_languages, sv_verdict
 
 
@@ -16,52 +15,44 @@ from .verifier import Verdict, build_sv, decide_languages, sv_verdict
 class AnalysisReport:
     """Everything one analysis run produced, ready for rendering.
 
-    The tag sets are an unfolding's (:func:`~snnicheck.basis.build_ubrg`):
-    each kind is numbered 1, 2, ... without gaps, and the renderings list
-    them in that order.
+    The verdict, its shortest leaked low word and the witness words are
+    ``verdict``'s, and the reachable-marking count is ``assumptions``'; the
+    report keeps no copy of them.  The tag sets are an unfolding's
+    (:func:`~snnicheck.basis.build_ubrg`): each kind is numbered 1, 2, ...
+    without gaps, and the renderings list them in that order.
     """
 
-    snni: bool
     verdict: Verdict
     alpha_tags: frozenset[Tag]
     beta_tags: frozenset[Tag]
     alpha_matched: frozenset[Tag]
     beta_matched: frozenset[Tag]
-    witness_words: Mapping[Tag, LabelWord]
-    leaked_word: LabelWord | None
     brg_states: int
     ubrg_nodes: int
     sv_nodes: int
-    reachable_markings: int
     low_reachable_markings: int
     assumptions: AssumptionReport
     cap: int
     timings: dict[str, float] = field(default_factory=dict)
 
-    def _tag_names(self) -> dict[str, list[str]]:
-        """Per kind, alpha first, its tags' names: ``names[kind][n - 1]`` names tag ``n``.
-
-        The unfolding numbers each kind's tags 1, 2, ... in node order, so the
-        names list every tag in unfolding order without sorting a tag set,
-        and every rendered list is filtered from them.  Each name is
-        formatted once.
-        """
-        return {kind: [f"{kind}_{number}" for number in range(1, len(tags) + 1)]
-                for kind, tags in (("alpha", self.alpha_tags), ("beta", self.beta_tags))}
-
     def to_dict(self) -> dict:
         """JSON-ready view; tag sets and words are rendered in unfolding order.
 
-        ``witness_words`` is walked in its own order, which the verdict
-        documents as alpha tags, then beta tags, each by number.  Its words
-        are the verdict's shared tuples, not copies; ``json.dumps`` writes
-        them as arrays.
+        Per kind, alpha first, tag ``n`` is named ``names[n - 1]``: the
+        unfolding numbers each kind's tags 1, 2, ... in node order, so the
+        names list every tag in unfolding order without sorting a tag set,
+        and every rendered list is filtered from them.  ``witness_words`` is
+        walked in its own order, which the verdict documents as alpha tags,
+        then beta tags, each by number.  Its words are the verdict's shared
+        tuples, not copies; ``json.dumps`` writes them as arrays.
         """
-        names = self._tag_names()
-        alpha, beta = names["alpha"], names["beta"]
         alpha_tags, beta_tags, verdict = self.alpha_tags, self.beta_tags, self.verdict
+        names = {kind: [f"{kind}_{number}" for number in range(1, len(tags) + 1)]
+                 for kind, tags in (("alpha", alpha_tags), ("beta", beta_tags))}
+        alpha, beta = names["alpha"], names["beta"]
+        leaked = verdict.counterexample
         return {
-            "snni": self.snni,
+            "snni": verdict.snni,
             "alpha_tags": alpha,
             "beta_tags": beta,
             "alpha_matched": _among("alpha", alpha, alpha_tags, self.alpha_matched),
@@ -71,13 +62,13 @@ class AnalysisReport:
             "spurious_tags": (_among("alpha", alpha, alpha_tags, verdict.spurious_tags)
                               + _among("beta", beta, beta_tags, verdict.spurious_tags)),
             "witness_words": {names[kind][number - 1]: word
-                              for (kind, number), word in self.witness_words.items()},
-            "leaked_word": list(self.leaked_word) if self.leaked_word is not None else None,
+                              for (kind, number), word in verdict.witness_words.items()},
+            "leaked_word": list(leaked) if leaked is not None else None,
             "sizes": {
                 "brg_states": self.brg_states,
                 "ubrg_nodes": self.ubrg_nodes,
                 "sv_nodes": self.sv_nodes,
-                "reachable_markings": self.reachable_markings,
+                "reachable_markings": self.assumptions.reachable_count,
                 "low_reachable_markings": self.low_reachable_markings,
             },
             "assumptions": {
@@ -89,36 +80,30 @@ class AnalysisReport:
         }
 
     def to_text(self) -> str:
-        names = self._tag_names()
-        alpha, beta = names["alpha"], names["beta"]
-        verdict = self.verdict
-        lines = [f"verdict: {'SNNI' if self.snni else 'NOT SNNI'}"]
-        lines.append(f"unfolding tags: alpha={_braced(alpha)} beta={_braced(beta)}")
-        lines.append("matched tags:   alpha="
-                     + _braced(_among("alpha", alpha, self.alpha_tags, self.alpha_matched))
-                     + " beta=" + _braced(_among("beta", beta, self.beta_tags, self.beta_matched)))
-        for number, name in enumerate(alpha, 1):
-            if ("alpha", number) in verdict.missing_alpha:
-                word = format_word(self.witness_words.get(("alpha", number)))
-                lines.append(f"unmatched {name}: low observation {word} "
-                             "has no low-only counterpart")
-        for number, name in enumerate(beta, 1):
-            if ("beta", number) in verdict.missing_beta:
-                word = format_word(self.witness_words.get(("beta", number)))
-                lines.append(f"unmatched {name}: no low-only run of {word} returns to "
-                             "a pair repeated on its path")
-        if verdict.spurious_tags:
+        """The :meth:`to_dict` record as lines of text."""
+        record = self.to_dict()
+        words, sizes = record["witness_words"], record["sizes"]
+        lines = [f"verdict: {'SNNI' if record['snni'] else 'NOT SNNI'}",
+                 f"unfolding tags: alpha={_braced(record['alpha_tags'])} "
+                 f"beta={_braced(record['beta_tags'])}",
+                 f"matched tags:   alpha={_braced(record['alpha_matched'])} "
+                 f"beta={_braced(record['beta_matched'])}"]
+        for name in record["missing_alpha"]:
+            lines.append(f"unmatched {name}: low observation {format_word(words[name])} "
+                         "has no low-only counterpart")
+        for name in record["missing_beta"]:
+            lines.append(f"unmatched {name}: no low-only run of {format_word(words[name])} "
+                         "returns to a pair repeated on its path")
+        if record["spurious_tags"]:
             lines.append("tags unmatched by the per-path rule but covered by the "
-                         "language check: "
-                         + _braced(_among("alpha", alpha, self.alpha_tags, verdict.spurious_tags)
-                                   + _among("beta", beta, self.beta_tags, verdict.spurious_tags)))
-        if self.leaked_word is not None:
-            lines.append(f"leaked low word (shortest): {format_word(self.leaked_word)}")
-        lines.append(f"sizes: reachable={self.reachable_markings} "
-                     f"low-reachable={self.low_reachable_markings} brg={self.brg_states} "
-                     f"ubrg={self.ubrg_nodes} sv={self.sv_nodes}")
+                         "language check: " + _braced(record["spurious_tags"]))
+        if record["leaked_word"] is not None:
+            lines.append(f"leaked low word (shortest): {format_word(record['leaked_word'])}")
+        lines.append(f"sizes: reachable={sizes['reachable_markings']} "
+                     f"low-reachable={sizes['low_reachable_markings']} "
+                     f"brg={sizes['brg_states']} ubrg={sizes['ubrg_nodes']} sv={sizes['sv_nodes']}")
         lines.append("timings: " + " ".join(f"{k}={v * 1000:.1f}ms"
-                                            for k, v in self.timings.items()))
+                                            for k, v in record["timings"].items()))
         return "\n".join(lines) + "\n"
 
 
@@ -161,16 +146,12 @@ def analyze(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Analysi
     timings = {"assumptions": 0.0, "brg": decision.timings["brg"],
                "ubrg": t1 - t0, "sv": time.perf_counter() - t1,
                "languages": decision.timings["languages"]}
-    assumptions = decision.brg.assumptions
     return AnalysisReport(
-        snni=verdict.snni, verdict=verdict,
-        alpha_tags=ubrg.alpha_tags, beta_tags=ubrg.beta_tags,
+        verdict=verdict, alpha_tags=ubrg.alpha_tags, beta_tags=ubrg.beta_tags,
         alpha_matched=sv.alpha_matched, beta_matched=sv.beta_matched,
-        witness_words=verdict.witness_words, leaked_word=verdict.counterexample,
         brg_states=len(decision.brg.nfa.states), ubrg_nodes=len(ubrg.nodes),
-        sv_nodes=len(sv.nodes), reachable_markings=assumptions.reachable_count,
-        low_reachable_markings=len(decision.low.states),
-        assumptions=assumptions, cap=cap, timings=timings)
+        sv_nodes=len(sv.nodes), low_reachable_markings=len(decision.low.states),
+        assumptions=decision.brg.assumptions, cap=cap, timings=timings)
 
 
 def decide_snni(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Verdict:

@@ -10,9 +10,11 @@ low-only counterpart.  A verifier path copies an unfolding path, whose BRG
 states are distinct but at a duplicated leaf, so a pairing can repeat on
 its path only at a duplicated leaf, against the pairing of its loop entry.
 Like the unfolding, the verifier is stored only as columns indexed by node
-id.  Its size is counted from the distinct (unfolding node, low marking)
-pairings before any column is built, so a tree past its node cap is
-refused at the cost of that count.
+id, and a node records only its own side of the pairing: the unfolding node,
+the low marking and the low transition that reached it.  Its size is
+counted from the distinct (unfolding node, low marking) pairings before any
+column is built, so a tree past its node cap is refused at the cost of that
+count.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .basis import DEFAULT_TREE_NODE_CAP, Brg, Tag, UbrgResult, build_brg, build_ubrg
+from .basis import (DEFAULT_TREE_NODE_CAP, Brg, Tag, UbrgResult, _require_node_cap, build_brg,
+                    build_ubrg)
 from .language import LanguageCheckResult, language_equal
 from .nfa import Nfa
 from .petri import DEFAULT_EXPLORATION_CAP, LabeledPetriNet, LabelWord, Marking, NetError
@@ -89,10 +92,11 @@ class SvResult:
 
     The root is node 0 and pairs the unfolding root, node 0, with the low
     initial marking.  Nothing is allocated per node beyond the column
-    entries: the low markings are the states of ``low``, and there is one
-    ``(t, t_low)`` event object per distinct pair.  Node ``k > 0`` is created
-    with the arc ``(parent[k], event[k], k)``, whose label is the shared
-    label of its two transitions.
+    entries: the low markings are the states of ``low``, and the low
+    transitions are its events.  Node ``k > 0`` is created by the arc from
+    ``parent[k]`` that pairs the unfolding arc into ``ubrg_node[k]``, whose
+    transition is ``ubrg.event[ubrg_node[k]].transition``, with the low arc
+    of ``low_transition[k]``; the two share its label.
     """
 
     ubrg: UbrgResult
@@ -104,8 +108,8 @@ class SvResult:
     low_marking: list[Marking]
     #: Per node: its parent's id (-1 at the root).
     parent: list[int]
-    #: Per node: the ``(t, t_low)`` pair it was created with (``None`` at the root).
-    event: list[tuple[str, str] | None]
+    #: Per node: the low transition it was created with (``None`` at the root).
+    low_transition: list[str | None]
     alpha_matched: frozenset[Tag]
     beta_matched: frozenset[Tag]
     #: Beta-leaf pairings whose low marking is the one paired with the leaf's
@@ -130,9 +134,11 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
     Breadth-first from (unfolding root, low initial marking); a node expands
     through every unfolding arc of its unfolding node, in arc order, times
     every low arc with the same label, in the low graph's (declaration) order,
-    grouped once per low marking.  A node's parent pairs its unfolding node's
-    parent, so its path copies an unfolding path, on which only a duplicated
-    leaf repeats a BRG state, that of its loop entry.  A pairing of a
+    grouped by label once per low marking.  A node keeps only its low move:
+    its pipeline move is the unfolding arc into the unfolding node it pairs.
+    A node's parent pairs its unfolding node's parent, so its path copies an
+    unfolding path, on which only a duplicated leaf repeats a BRG state,
+    that of its loop entry.  A pairing of a
     duplicated leaf whose low marking equals its loop entry's is a repeat:
     recorded as a duplicate when the leaf is beta-tagged, as a plain one
     otherwise.  Alpha tags are matched by mere reachability of their leaf;
@@ -148,31 +154,24 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
     fits ``node_cap = n - 1``.  The breadth-first order is the id order, so
     the builder walks the columns as it grows them.
     """
+    _require_node_cap(node_cap)
     if ubrg is None:
         ubrg = build_ubrg(lpn, cap, node_cap)
     if low is None:
         low = _low_language(lpn, ubrg.brg)
     brg = ubrg.brg.nfa
-    # Per BRG state: (offset of the child, its transition) per arc, in arc order.
-    child_moves = [tuple(enumerate(event.transition for event, _ in brg.arcs_from(m)))
+    # Per BRG state: (offset of the child, its label) per arc, in arc order.
+    child_moves = [tuple(enumerate(brg.labeling[event] for event, _ in brg.arcs_from(m)))
                    for m in brg.states]
-    events: dict[tuple[str, str], tuple[str, str]] = {}
-    low_moves: dict[Marking, dict[str, tuple[tuple[tuple[str, str], Marking], ...]]] = {}
+    low_moves: dict[Marking, dict[str, list[tuple[str, Marking]]]] = {}
 
-    def moves_at(low_marking: Marking) -> dict[str, tuple[tuple[tuple[str, str], Marking], ...]]:
-        """Per pipeline transition: its ``(t, t_low)`` events and the low markings reached."""
+    def moves_at(low_marking: Marking) -> dict[str, list[tuple[str, Marking]]]:
+        """Per label: the low transitions firing it and the low markings they reach."""
         moves = low_moves.get(low_marking)
-        if moves is not None:
-            return moves
-        by_label: dict[str, list[tuple[str, Marking]]] = {}
-        for t2, fired in low.arcs_from(low_marking):
-            by_label.setdefault(low.labeling[t2], []).append((t2, fired))
-        moves = low_moves[low_marking] = {}
-        for t in lpn.low_transitions:
-            fired_by = by_label.get(lpn.labeling[t])
-            if fired_by:
-                moves[t] = tuple((events.setdefault((t, t2), (t, t2)), fired)
-                                 for t2, fired in fired_by)
+        if moves is None:
+            moves = low_moves[low_marking] = {}
+            for t_low, fired in low.arcs_from(low_marking):
+                moves.setdefault(low.labeling[t_low], []).append((t_low, fired))
         return moves
 
     ustate, ufirst, utags, duplicated = ubrg.state, ubrg.first_child, ubrg.tags, ubrg.duplicated
@@ -187,8 +186,8 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
                 continue
             for lm, runs in runs_at.items():
                 moves = moves_at(lm)
-                for offset, t in child_moves[ustate[u]]:
-                    fired_by = moves.get(t)
+                for offset, label in child_moves[ustate[u]]:
+                    fired_by = moves.get(label)
                     if fired_by:
                         child = below.setdefault(first + offset, {})
                         for _, fired in fired_by:
@@ -202,7 +201,7 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
     ubrg_node = [0]
     low_marking = [low.initial[0]]
     parent = [-1]
-    event: list[tuple[str, str] | None] = [None]
+    low_transition: list[str | None] = [None]
     duplicate_pair_nodes: set[int] = set()
     plain_duplicate_nodes: set[int] = set()
     # Breadth-first order is id order, so the walk reads the columns it grows.
@@ -220,18 +219,18 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
         first = ufirst[u]
         if first:
             moves = low_moves[lm]
-            for offset, t in child_moves[ustate[u]]:
-                for sv_event, fired in moves.get(t, ()):
+            for offset, label in child_moves[ustate[u]]:
+                for t_low, fired in moves.get(label, ()):
                     ubrg_node.append(first + offset)
                     low_marking.append(fired)
                     parent.append(nid)
-                    event.append(sv_event)
+                    low_transition.append(t_low)
 
     reached = set(ubrg_node)
     alpha_matched = frozenset(tag for u, tag in utags.items()
                               if tag.kind == "alpha" and u in reached)
     beta_matched = frozenset(utags[ubrg_node[k]] for k in duplicate_pair_nodes)
-    return SvResult(ubrg, low, ubrg_node, low_marking, parent, event,
+    return SvResult(ubrg, low, ubrg_node, low_marking, parent, low_transition,
                     alpha_matched=alpha_matched, beta_matched=beta_matched,
                     duplicate_pair_nodes=frozenset(duplicate_pair_nodes),
                     plain_duplicate_nodes=frozenset(plain_duplicate_nodes))

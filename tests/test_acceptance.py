@@ -146,13 +146,13 @@ def test_criterion_9_reported_sizes():
         report = analyze(fixture)
         elapsed = time.perf_counter() - started
         assert elapsed < 1.0
-        assert report.snni is snni
-        assert report.reachable_markings == 9
+        assert report.verdict.snni is snni
+        assert report.assumptions.reachable_count == 9
         assert report.brg_states == 8
         assert report.ubrg_nodes > 0
         assert report.sv_nodes > 0
         # Desk check of the quadratic size discussion on this fixture only.
-        assert report.sv_nodes <= 2 * report.reachable_markings ** 2 == 162
+        assert report.sv_nodes <= 2 * report.assumptions.reachable_count ** 2 == 162
         payload = report.to_dict()
         assert payload["sizes"]["sv_nodes"] == report.sv_nodes
         assert payload["sizes"]["ubrg_nodes"] == report.ubrg_nodes

@@ -7,7 +7,7 @@ import pytest
 from snnicheck.basis import Tag, build_brg, build_ubrg
 from snnicheck.explanations import minimal_e_vectors
 from snnicheck.oracle import snni_oracle
-from snnicheck.petri import LabeledPetriNet, NetError, PetriNet, format_word
+from snnicheck.petri import InvalidNetError, LabeledPetriNet, NetError, PetriNet, format_word
 from snnicheck.randnets import GeneratorConfig, random_lpn
 from snnicheck.report import decide_snni
 from snnicheck.verifier import build_sv
@@ -116,6 +116,8 @@ def test_tree_node_caps_refuse_cleanly(secure):
     # A tree of n nodes fits node_cap=n-1 and is refused at its last node
     # with node_cap=n-2; the verifier is sized before it is built, also
     # where one unfolding node pairs with one low marking more than once.
+    # A negative cap is refused up front, also where the tree is a lone
+    # root (n = 1), which a test made only when adding a child would miss.
     big = GeneratorConfig(max_places=14, max_transitions=20, max_tokens=6, bound_cap=100_000)
     nets = ([secure, _twin_low_moves()] + [random_lpn(seed) for seed in range(1, 51)]
             + [random_lpn(24, big)])
@@ -127,6 +129,9 @@ def test_tree_node_caps_refuse_cleanly(secure):
                    lambda cap: build_sv(lpn, ubrg=ubrg, node_cap=cap)))
         for n, name, build in builds:
             assert len(build(n - 1).nodes) == n
+            with pytest.raises(InvalidNetError) as refused:
+                build(-1)
+            assert str(refused.value) == "tree node cap must not be negative, got -1"
             if n > 1:
                 with pytest.raises(NetError) as refused:
                     build(n - 2)

@@ -189,6 +189,9 @@ def test_low_language_included_in_projection(secure, leaky):
 def test_bounded_language_words(secure):
     low_words = bounded_language(low_label_language(secure), 2)
     assert low_words == {(), ("a",), ("c",), ("a", "b"), ("c", "d")}
+    # No word is shorter than the empty word.
+    with pytest.raises(InvalidNetError, match="word length bound must not be negative, got -1"):
+        bounded_language(low_label_language(secure), -1)
 
 
 def test_empty_automaton_language():

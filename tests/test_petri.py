@@ -77,6 +77,9 @@ def test_parikh():
     assert parikh(("l1", "l2", "l1"), ("l1", "l2")) == (2, 1)
     with pytest.raises(InvalidNetError):
         parikh(("l9",), ("l1", "l2"))
+    # A repeated index item would leave one count slot too few.
+    with pytest.raises(InvalidNetError, match="index set repeats an item"):
+        parikh(["a"], ["a", "a"])
 
 
 def test_incidence_columns_match_declared_arcs(secure):

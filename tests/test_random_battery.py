@@ -171,7 +171,7 @@ def test_basis_and_full_route_counterexamples_agree():
         oracle = snni_oracle(lpn)
         if not pipeline.snni:
             assert pipeline.counterexample == oracle.counterexample, seed
-        assert analyze(lpn).leaked_word == oracle.counterexample, seed
+        assert analyze(lpn).verdict.counterexample == oracle.counterexample, seed
 
 
 def test_justification_markings_exhaust_basis_states_by_depth():

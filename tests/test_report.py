@@ -44,7 +44,7 @@ def test_analyze_explores_each_state_space_once(monkeypatch, demo):
     # Nothing: the BRG saturation proves the assumptions, and the low
     # language is read off the BRG.
     assert explored == []
-    assert report.reachable_markings == check_assumptions(demo()).reachable_count
+    assert report.assumptions.reachable_count == check_assumptions(demo()).reachable_count
 
 
 @pytest.mark.parametrize("demo", [demo_secure, demo_leaky, demo_sync_period_two])
@@ -153,11 +153,11 @@ def test_witness_text_claims_no_counterpart_only_for_unmatched_alpha_tags():
     report = analyze(lpn)
     low = reach.low_label_language(lpn)
     text = report.to_text()
-    assert report.witness_words[Tag("beta", 3)] == ("c", "b")
+    assert report.verdict.witness_words[Tag("beta", 3)] == ("c", "b")
     assert word_in_language(low, ("c", "b"))
     assert "unmatched beta_3: no low-only run of cb returns to a pair repeated on its path\n" \
         in text
-    for tag, word in report.witness_words.items():
+    for tag, word in report.verdict.witness_words.items():
         claim = f"unmatched {tag}: low observation {format_word(word)} has no low-only counterpart"
         assert (claim in text) == (tag.kind == "alpha")
         assert not word_in_language(low, word) or tag.kind == "beta"

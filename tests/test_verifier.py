@@ -82,11 +82,12 @@ def test_sv_trivial_without_high_transitions(secure):
 def test_sv_arcs_share_labels(secure, leaky):
     for lpn in (secure, leaky):
         sv = build_sv(lpn)
-        for t_pipeline, t_low in sv.event[1:]:
-            assert lpn.label(t_pipeline) == lpn.label(t_low)
+        for u, t_low in zip(sv.ubrg_node[1:], sv.low_transition[1:]):
+            assert lpn.label(sv.ubrg.event[u].transition) == lpn.label(t_low)
         # Every node but the root hangs below an earlier node.
+        assert sv.low_transition[0] is None and sv.ubrg.event[0] is None
         for tree in (sv, sv.ubrg):
-            assert tree.parent[0] == -1 and tree.event[0] is None
+            assert tree.parent[0] == -1
             assert all(0 <= tree.parent[k] < k for k in tree.nodes[1:])
 
 
@@ -163,10 +164,10 @@ def test_witness_words_are_shared_and_read_off_the_parent_column():
                 (name, tag)
             assert shared.setdefault(word, word) is word, (name, tag)
         report = analyze(lpn)
-        assert report.witness_words == verdict.witness_words, name
+        assert report.verdict.witness_words == verdict.witness_words, name
         rendered = report.to_dict()["witness_words"]
         assert list(rendered) == [str(tag) for tag in verdict.witness_words], name
-        for tag, word in report.witness_words.items():
+        for tag, word in report.verdict.witness_words.items():
             assert rendered[str(tag)] is word, (name, tag)
         covered.add(name)
         if name == "14-place net 18":
@@ -237,9 +238,9 @@ def test_tree_views_agree_with_the_tree_data(make):
     # Every verifier arc pairs an unfolding arc with an equally labeled low arc.
     low_arcs = set(sv.low.arcs)
     for dst in sv.nodes[1:]:
-        src, (t, t_low) = sv.parent[dst], sv.event[dst]
+        src, t_low = sv.parent[dst], sv.low_transition[dst]
+        t = ubrg.event[sv.ubrg_node[dst]].transition
         assert ubrg.parent[sv.ubrg_node[dst]] == sv.ubrg_node[src]
-        assert ubrg.event[sv.ubrg_node[dst]].transition == t
         assert (sv.low_marking[src], t_low, sv.low_marking[dst]) in low_arcs
         assert sv.low.labeling[t_low] == lpn.label(t)
     # Exactly the duplicate beta pairings match beta tags.
