@@ -29,20 +29,14 @@ from typing import NamedTuple
 from .explanations import high_run_answers, search_tables
 from .nfa import Nfa
 from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionError, AssumptionReport,
-                    InvalidNetError, LabeledPetriNet, Marking, NetError, ParikhVector,
-                    _dominated_ancestor, _domination_witness, _high_subnet_cycle,
-                    _require_exploration_cap, shift)
+                    LabeledPetriNet, Marking, NetError, ParikhVector, _dominated_ancestor,
+                    _domination_witness, _high_subnet_cycle, _marking_equation,
+                    _require_count, shift)
 
 #: Hard ceiling on tree sizes (unfolding and verifier); exceeding it raises
 #: instead of thrashing.  Both trees never fuse repeated nodes, so adversarial
 #: nets can blow them up past any polynomial in the net size.
 DEFAULT_TREE_NODE_CAP = 200_000
-
-
-def _require_node_cap(node_cap: int) -> None:
-    """Refuse a negative tree node cap: a tree of ``n`` nodes needs ``node_cap >= n - 1``."""
-    if node_cap < 0:
-        raise InvalidNetError(f"tree node cap must not be negative, got {node_cap}")
 
 
 class BrgEvent(NamedTuple):
@@ -119,21 +113,17 @@ class UbrgResult:
 def basis_successor(lpn: LabeledPetriNet, m: Marking, t: str, evector: ParikhVector) -> Marking:
     """Marking equation step: apply ``evector`` high firings, then fire ``t``.
 
+    The equation is :func:`~snnicheck.petri._marking_equation`, the one the
+    justification oracle also applies; on top of it, ``t`` must be a
+    transition of the net and the result must not be negative.
     :func:`build_brg` reads successors off the witness runs instead; this is
     the independent reference the tests compare its arcs against.
     """
-    net = lpn.net
-    new = list(m)
-    for count, h in zip(evector, lpn.high_transitions):
-        if count:
-            for i, d in net.delta[h]:
-                new[i] += count * d
-    for i, d in net.delta[net.check_transition(t)]:
-        new[i] += d
+    new = _marking_equation(lpn, m, evector, (lpn.net.check_transition(t),))
     if any(v < 0 for v in new):
         raise NetError(f"marking equation produced a negative marking for ({t}, {evector});"
                        " explanation vectors are inconsistent")
-    return tuple(new)
+    return new
 
 
 def build_brg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Brg:
@@ -164,7 +154,7 @@ def build_brg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Brg:
     finished saturation returns the passing report, with the reachable
     count, as :attr:`Brg.assumptions`.  Nothing is stored on the net.
     """
-    _require_exploration_cap(cap)
+    _require_count("exploration cap", cap, 1)
     net = lpn.net
     if (_high_subnet_cycle(lpn) is not None
             or any(net.delta[h] and not net.pre[h] for h in lpn.high_transitions)):
@@ -227,7 +217,7 @@ def build_ubrg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
     building the basis graph twice; ``cap`` then goes unused, since the
     basis graph is itself the proof of the standing assumptions.
     """
-    _require_node_cap(node_cap)
+    _require_count("tree node cap", node_cap, 0)
     if brg is None:
         brg = build_brg(lpn, cap)
     markings = brg.nfa.states

@@ -1,13 +1,15 @@
 """Deterministic DOT rendering of the graphs this package builds.
 
 Node and arc order follow construction order, which the builders keep stable,
-so exports of the same input are byte-identical across runs.  The unfolding
-and the verifier are drawn by one tree renderer, from their columns.
+so exports of the same input are byte-identical across runs.  One writer
+draws every graph and tree: the automata pass their states and arcs, the
+unfolding and the verifier their columns, each tree node hanging below its
+parent.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Mapping
+from typing import Container, Iterable, Mapping
 
 from .basis import Brg, BrgEvent, Tag, UbrgResult
 from .nfa import Nfa
@@ -46,22 +48,23 @@ def _quote(text: str) -> str:
 
 
 def _nfa_dot(nfa: Nfa, name: str, state_text, event_text) -> str:
-    lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=box];"]
     ids = {state: f"n{i}" for i, state in enumerate(nfa.states)}
-    initial = set(nfa.initial)
-    for state in nfa.states:
-        attrs = [f"label={_quote(state_text(state))}"]
-        if state in initial:
-            attrs.append("peripheries=2")
-        lines.append(f"  {ids[state]} [{', '.join(attrs)}];")
-    labels: dict = {}  # each distinct event is rendered and quoted once
-    for src, event, dst in nfa.arcs:
-        label = labels.get(event)
-        if label is None:
-            label = labels[event] = _quote(event_text(event))
-        lines.append(f"  {ids[src]} -> {ids[dst]} [label={label}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot(name, nfa.states, map(state_text, nfa.states), set(nfa.initial), (), ids,
+                nfa.arcs, event_text)
+
+
+def _tree_dot(name: str, texts: list[str], tags: Mapping[int, Tag], dashed: Container[int],
+              parent: list[int], events: list, event_text) -> str:
+    """Node ``k`` reads ``texts[k]``, then its tag if it has one (written into ``texts``).
+
+    The root, node 0, is doubly outlined, and node ``k > 0`` hangs below
+    ``parent[k]`` by an arc carrying ``events[k]``.
+    """
+    for k, tag in tags.items():
+        texts[k] = f"{texts[k]} {tag}"
+    ids = [f"n{k}" for k in range(len(parent))]
+    return _dot(name, range(len(ids)), texts, (0,), dashed, ids,
+                zip(parent[1:], events[1:], range(1, len(ids))), event_text)
 
 
 def _ubrg_dot(ubrg: UbrgResult) -> str:
@@ -85,28 +88,28 @@ def _sv_dot(sv: SvResult) -> str:
                      sv.parent, events, lambda pair: f"({pair[0]},{pair[1]})")
 
 
-def _tree_dot(name: str, texts: list[str], tags: Mapping[int, Tag], dashed: AbstractSet[int],
-              parent: list[int], events: list, event_text) -> str:
-    """A tree from its columns: node ``k`` reads ``texts[k]``, then its tag if it has one.
+def _dot(name: str, nodes: Iterable, texts: Iterable[str], initial: Container,
+         dashed: Container, ids, arcs: Iterable[tuple], event_text) -> str:
+    """Every graph and tree: each node of ``nodes``, in order, labeled by the text in step.
 
-    The root, node 0, is doubly outlined and the ``dashed`` nodes are dashed.
-    Node ``k > 0`` hangs below ``parent[k]`` by an arc labeled
-    ``event_text(events[k])``; each distinct event is formatted and quoted once.
+    The ``initial`` nodes are doubly outlined and the ``dashed`` nodes are
+    dashed; ``ids`` gives each node its DOT id, ``"n<k>"`` for the ``k``-th.
+    An arc ``(source, event, target)`` between two nodes is labeled
+    ``event_text(event)``; each distinct event is formatted and quoted once.
     """
     lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=box];"]
-    for nid, text in enumerate(texts):
-        tag = tags.get(nid)
-        attrs = [f"label={_quote(text if tag is None else f'{text} {tag}')}"]
-        if nid == 0:
-            attrs.append("peripheries=2")
-        if nid in dashed:
-            attrs.append("style=dashed")
-        lines.append(f"  n{nid} [{', '.join(attrs)}];")
+    for node, text in zip(nodes, texts):
+        attrs = "label=" + _quote(text)
+        if node in initial:
+            attrs += ", peripheries=2"
+        if node in dashed:
+            attrs += ", style=dashed"
+        lines.append(f"  {ids[node]} [{attrs}];")
     labels: dict = {}
-    for dst in range(1, len(parent)):
-        label = labels.get(events[dst])
+    for src, event, dst in arcs:
+        label = labels.get(event)
         if label is None:
-            label = labels[events[dst]] = _quote(event_text(events[dst]))
-        lines.append(f"  n{parent[dst]} -> n{dst} [label={label}];")
+            label = labels[event] = _quote(event_text(event))
+        lines.append(f"  {ids[src]} -> {ids[dst]} [label={label}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -41,8 +41,8 @@ from operator import le
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionError, InvalidNetError,
-                    LabeledPetriNet, Marking, ParikhVector, TransitionSequence, parikh,
-                    shift)
+                    LabeledPetriNet, Marking, ParikhVector, TransitionSequence,
+                    _require_count, parikh, shift)
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,7 @@ def explanations_bounded(lpn: LabeledPetriNet, m: Sequence[int], t: str,
     firable high sequence, which exists under the standing assumptions.
     """
     marking = _check_low_query(lpn, m, (t,))
-    if len_cap <= 0:
-        raise InvalidNetError(f"length cap must be positive, got {len_cap}")
+    _require_count("length cap", len_cap, 1)
     net = lpn.net
     high = lpn.high_transitions
     results: set[Explanation] = set()

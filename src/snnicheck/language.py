@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .nfa import EPSILON, Nfa
-from .petri import InvalidNetError, LabelWord, _refuse_bare_string
+from .petri import InvalidNetError, LabelWord, _refuse_bare_string, _require_count
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,7 @@ def word_in_language(nfa: Nfa, word: Sequence[str]) -> bool:
 
 def bounded_language(nfa: Nfa, max_len: int) -> set[LabelWord]:
     """All label words of length <= ``max_len``, as tuples of symbols."""
-    if max_len < 0:
-        raise InvalidNetError(f"word length bound must not be negative, got {max_len}")
+    _require_count("word length bound", max_len, 0)
     alphabet = _alphabet(nfa)
     start = epsilon_closure(nfa, nfa.initial)
     if not start:

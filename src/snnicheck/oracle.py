@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .explanations import minimality_filter
 from .petri import (DEFAULT_EXPLORATION_CAP, InvalidNetError, LabeledPetriNet,
-                    LabelWord, Marking, ParikhVector, TransitionSequence)
+                    LabelWord, Marking, ParikhVector, TransitionSequence, _marking_equation)
 from .reach import low_language_within, projected_label_language
 from .verifier import Verdict, _compare
 
@@ -108,20 +108,7 @@ def justifications(lpn: LabeledPetriNet, word: Sequence[str] | str,
     for low_seq, vectors in raw.items():
         for vec in minimality_filter(vectors):
             pairs.add((low_seq, vec))
-            markings.add(_marking_equation(lpn, low_seq, vec))
+            markings.add(_marking_equation(lpn, net.initial_marking, vec, low_seq))
     return JustificationSet(word=atoms, pairs=frozenset(pairs),
                             basis_markings=frozenset(markings), complete=complete)
 
-
-def _marking_equation(lpn: LabeledPetriNet, low_seq: TransitionSequence,
-                      high_vec: ParikhVector) -> Marking:
-    net = lpn.net
-    new = list(net.initial_marking)
-    for count, h in zip(high_vec, lpn.high_transitions):
-        if count:
-            for i, d in net.delta[h]:
-                new[i] += count * d
-    for t in low_seq:
-        for i, d in net.delta[t]:
-            new[i] += d
-    return tuple(new)

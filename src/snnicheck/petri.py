@@ -60,12 +60,16 @@ def _refuse_bare_string(what: str, items) -> None:
         raise InvalidNetError(f"{what} must be a collection of strings, not the string {items!r}")
 
 
-def _require_exploration_cap(cap) -> None:
-    """Refuse an exploration cap that is not a positive ``int`` (a ``bool`` is not one)."""
-    if type(cap) is not int:
-        raise InvalidNetError(f"exploration cap must be an int, got {cap!r}")
-    if cap <= 0:
-        raise InvalidNetError(f"exploration cap must be positive, got {cap}")
+def _require_count(what: str, value, least: int) -> None:
+    """Refuse a count argument that is not an ``int`` of at least ``least``, 0 or 1.
+
+    A ``bool`` is not an ``int`` here, nor is a ``float`` of integral value.
+    """
+    if type(value) is not int:
+        raise InvalidNetError(f"{what} must be an int, got {value!r}")
+    if value < least:
+        raise InvalidNetError(f"{what} must be positive, got {value}" if least
+                              else f"{what} must not be negative, got {value}")
 
 
 def _check_identifiers(kind: str, ids: Sequence[str]) -> tuple[str, ...]:
@@ -295,6 +299,24 @@ def shift(marking: Sequence[int], delta: Iterable[tuple[int, int]]) -> Marking:
     return tuple(m)
 
 
+def _marking_equation(lpn: LabeledPetriNet, m: Marking, counts: ParikhVector,
+                      sequence: Sequence[str]) -> Marking:
+    """``m`` plus ``counts[i]`` firings of high transition ``i`` and one of each in ``sequence``.
+
+    Order is ignored and no enabling is checked, so the sum may be negative.
+    """
+    delta = lpn.net.delta
+    new = list(m)
+    for count, h in zip(counts, lpn.high_transitions):
+        if count:
+            for i, d in delta[h]:
+                new[i] += count * d
+    for t in sequence:
+        for i, d in delta[t]:
+            new[i] += d
+    return tuple(new)
+
+
 def parikh(sequence: Sequence[str], index_set: Sequence[str]) -> ParikhVector:
     """Occurrence counts of ``sequence`` over the ordered ``index_set``."""
     order = {t: i for i, t in enumerate(index_set)}
@@ -404,6 +426,7 @@ class LabeledPetriNet:
         marking count; a smaller cap is checked afresh, so the answer never
         depends on what was asked before.
         """
+        _require_count("exploration cap", cap, 1)
         report = self._assumption_report
         if report is not None and report.reachable_count <= cap:
             return report
@@ -691,7 +714,7 @@ def check_assumptions(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) 
     count; it is refuted by a strict-domination witness; and it is unknown
     when more than ``cap`` markings are found first.
     """
-    _require_exploration_cap(cap)
+    _require_count("exploration cap", cap, 1)
     cycle = _high_subnet_cycle(lpn)
     exploration = explore_markings(lpn.net, cap)
     if exploration.domination_witness is not None:

@@ -80,19 +80,25 @@ class AnalysisReport:
         }
 
     def to_text(self) -> str:
-        """The :meth:`to_dict` record as lines of text."""
+        """The :meth:`to_dict` record as lines of text.
+
+        Equal witness words are one shared tuple, so each distinct tuple is
+        formatted once, keyed by its ``id``, and looked up per tag.
+        """
         record = self.to_dict()
         words, sizes = record["witness_words"], record["sizes"]
+        distinct = {id(word): word for word in words.values()}
+        texts = {key: format_word(word) for key, word in distinct.items()}
         lines = [f"verdict: {'SNNI' if record['snni'] else 'NOT SNNI'}",
                  f"unfolding tags: alpha={_braced(record['alpha_tags'])} "
                  f"beta={_braced(record['beta_tags'])}",
                  f"matched tags:   alpha={_braced(record['alpha_matched'])} "
                  f"beta={_braced(record['beta_matched'])}"]
         for name in record["missing_alpha"]:
-            lines.append(f"unmatched {name}: low observation {format_word(words[name])} "
+            lines.append(f"unmatched {name}: low observation {texts[id(words[name])]} "
                          "has no low-only counterpart")
         for name in record["missing_beta"]:
-            lines.append(f"unmatched {name}: no low-only run of {format_word(words[name])} "
+            lines.append(f"unmatched {name}: no low-only run of {texts[id(words[name])]} "
                          "returns to a pair repeated on its path")
         if record["spurious_tags"]:
             lines.append("tags unmatched by the per-path rule but covered by the "

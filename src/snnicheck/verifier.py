@@ -23,11 +23,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .basis import (DEFAULT_TREE_NODE_CAP, Brg, Tag, UbrgResult, _require_node_cap, build_brg,
-                    build_ubrg)
+from .basis import DEFAULT_TREE_NODE_CAP, Brg, Tag, UbrgResult, build_brg, build_ubrg
 from .language import LanguageCheckResult, language_equal
 from .nfa import Nfa
-from .petri import DEFAULT_EXPLORATION_CAP, LabeledPetriNet, LabelWord, Marking, NetError
+from .petri import (DEFAULT_EXPLORATION_CAP, LabeledPetriNet, LabelWord, Marking, NetError,
+                    _require_count)
 from .reach import low_language_within
 
 
@@ -154,7 +154,7 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
     fits ``node_cap = n - 1``.  The breadth-first order is the id order, so
     the builder walks the columns as it grows them.
     """
-    _require_node_cap(node_cap)
+    _require_count("tree node cap", node_cap, 0)
     if ubrg is None:
         ubrg = build_ubrg(lpn, cap, node_cap)
     if low is None:

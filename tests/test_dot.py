@@ -28,6 +28,27 @@ def test_empty_graph_header_footer_only():
             if line not in ("digraph nfa {", "  rankdir=LR;", "  node [shape=box];", "}")] == []
 
 
+def test_bare_nfa_dot_outlines_every_initial_state():
+    # Two initial states, one of them not the first node, and arcs whose
+    # sources interleave: nodes keep declaration order, arcs their own order,
+    # and a repeated event reads the same quoted label.
+    nfa = Nfa(["s", "t", "u"],
+              [("s", "a", "t"), ("t", 'say "b"', "u"), ("s", "c", "u"), ("u", "a", "s")],
+              ["u", "s"])
+    assert export_dot(nfa) == (
+        "digraph nfa {\n"
+        "  rankdir=LR;\n"
+        "  node [shape=box];\n"
+        '  n0 [label="s", peripheries=2];\n'
+        '  n1 [label="t"];\n'
+        '  n2 [label="u", peripheries=2];\n'
+        '  n0 -> n1 [label="a"];\n'
+        '  n1 -> n2 [label="say \\"b\\""];\n'
+        '  n0 -> n2 [label="c"];\n'
+        '  n2 -> n0 [label="a"];\n'
+        "}\n")
+
+
 def test_ubrg_dot_tags(secure):
     text = export_dot(build_ubrg(secure))
     tagged = [line for line in text.splitlines() if "alpha_" in line or "beta_" in line]

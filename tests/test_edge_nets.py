@@ -117,7 +117,8 @@ def test_tree_node_caps_refuse_cleanly(secure):
     # with node_cap=n-2; the verifier is sized before it is built, also
     # where one unfolding node pairs with one low marking more than once.
     # A negative cap is refused up front, also where the tree is a lone
-    # root (n = 1), which a test made only when adding a child would miss.
+    # root (n = 1), which a test made only when adding a child would miss,
+    # and so is a cap that is not an int.
     big = GeneratorConfig(max_places=14, max_transitions=20, max_tokens=6, bound_cap=100_000)
     nets = ([secure, _twin_low_moves()] + [random_lpn(seed) for seed in range(1, 51)]
             + [random_lpn(24, big)])
@@ -132,6 +133,10 @@ def test_tree_node_caps_refuse_cleanly(secure):
             with pytest.raises(InvalidNetError) as refused:
                 build(-1)
             assert str(refused.value) == "tree node cap must not be negative, got -1"
+            for bad in (True, 2.5):
+                with pytest.raises(InvalidNetError) as refused:
+                    build(bad)
+                assert str(refused.value) == f"tree node cap must be an int, got {bad!r}"
             if n > 1:
                 with pytest.raises(NetError) as refused:
                     build(n - 2)

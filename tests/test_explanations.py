@@ -30,6 +30,17 @@ def test_explanations_empty_when_nothing_helps(secure):
     assert explanations_bounded(secure, secure.net.initial_marking, "l2", len_cap=6) == set()
 
 
+@pytest.mark.parametrize("len_cap, message", [
+    (0, "length cap must be positive, got 0"),
+    (True, "length cap must be an int, got True"),
+    (1.5, "length cap must be an int, got 1.5"),
+])
+def test_explanations_bounded_refuses_bad_length_caps(secure, len_cap, message):
+    with pytest.raises(InvalidNetError) as refused:
+        explanations_bounded(secure, secure.net.initial_marking, "l1", len_cap=len_cap)
+    assert str(refused.value) == message
+
+
 def test_explanations_reject_high_transition(secure):
     with pytest.raises(InvalidNetError):
         explanations_bounded(secure, secure.net.initial_marking, "h1", len_cap=3)

@@ -192,6 +192,11 @@ def test_bounded_language_words(secure):
     # No word is shorter than the empty word.
     with pytest.raises(InvalidNetError, match="word length bound must not be negative, got -1"):
         bounded_language(low_label_language(secure), -1)
+    # Nor is a bool or a float a length.
+    for bad in (True, 1.5):
+        with pytest.raises(InvalidNetError) as refused:
+            bounded_language(low_label_language(secure), bad)
+        assert str(refused.value) == f"word length bound must be an int, got {bad!r}"
 
 
 def test_empty_automaton_language():

@@ -362,6 +362,22 @@ def test_cached_assumption_report_does_not_answer_a_smaller_cap():
     assert lpn.require_assumptions(6) is passing
 
 
+def test_bad_cap_is_refused_whatever_the_memo_holds():
+    from snnicheck.explanations import minimal_e_vectors
+    m0 = demo_secure().net.initial_marking
+    for warm in (False, True):
+        lpn = demo_secure()
+        if warm:
+            lpn.require_assumptions()
+        for bad in (100000.5, True):
+            with pytest.raises(InvalidNetError) as refused:
+                lpn.require_assumptions(bad)
+            assert str(refused.value) == f"exploration cap must be an int, got {bad!r}"
+            with pytest.raises(InvalidNetError) as refused:
+                minimal_e_vectors(lpn, m0, "l1", cap=bad)
+            assert str(refused.value) == f"exploration cap must be an int, got {bad!r}"
+
+
 def test_require_assumptions_refuses(secure):
     assert secure.require_assumptions().ok
     with pytest.raises(AssumptionError):
