@@ -60,12 +60,13 @@ class Tag(NamedTuple):
 class Brg:
     """Basis reachability graph; NFA states are the basis markings themselves.
 
-    Building it proves the standing assumptions: ``assumptions`` is that
-    passing report, with the net's reachable-marking count.
+    The initial marking is the automaton's one initial state,
+    ``nfa.initial[0]``.  Building the graph proves the standing assumptions:
+    ``assumptions`` is that passing report, with the net's reachable-marking
+    count.
     """
 
     nfa: Nfa
-    initial: Marking
     assumptions: AssumptionReport
 
     @property
@@ -193,11 +194,8 @@ def build_brg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Brg:
                     states.append(successor)
                     queue.append((successor, node, run + (t,), tokens, min(tokens, path_min)))
                 arcs.append((m, event, known))
-    assumptions = AssumptionReport(
-        bounded=True, reachable_count=len(reachable), domination_witness=None,
-        high_subnet_acyclic=True, high_cycle=None, cap=cap)
     return Brg(nfa=Nfa._from_unique(tuple(states), tuple(arcs), (root,), labeling),
-               initial=root, assumptions=assumptions)
+               assumptions=AssumptionReport(reachable_count=len(reachable), cap=cap))
 
 
 def build_ubrg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
@@ -226,7 +224,7 @@ def build_ubrg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
     children = [tuple((event, index[successor], 1 << index[successor], any(event.evector))
                       for event, successor in brg.nfa.arcs_from(m))
                 for m in markings]
-    root_state = index[brg.initial]
+    root_state = index[brg.nfa.initial[0]]
     state = [root_state]
     parent = [-1]
     events: list[BrgEvent | None] = [None]

@@ -84,8 +84,8 @@ def _sv_dot(sv: SvResult) -> str:
     tags = {nid: utags[u] for nid, u in enumerate(sv.ubrg_node) if u in utags}
     events = [None] + [(uevent[u].transition, t_low)
                        for u, t_low in zip(sv.ubrg_node[1:], sv.low_transition[1:])]
-    return _tree_dot("verifier", texts, tags, sv.duplicate_pair_nodes | sv.plain_duplicate_nodes,
-                     sv.parent, events, lambda pair: f"({pair[0]},{pair[1]})")
+    return _tree_dot("verifier", texts, tags, sv.repeat_nodes, sv.parent, events,
+                     lambda pair: f"({pair[0]},{pair[1]})")
 
 
 def _dot(name: str, nodes: Iterable, texts: Iterable[str], initial: Container,

@@ -139,9 +139,10 @@ def minimal_e_vector_sets(lpn: LabeledPetriNet, m: Sequence[int], transitions: S
     ``cap`` also bounds the search itself, as in
     :func:`~snnicheck.basis.build_brg`: it is refused once it has listed
     more than ``cap`` count vectors, or its runs more than ``cap`` markings.
-    An empty ``transitions`` checks only the marking.
+    An empty ``transitions`` checks only the marking and the cap.
     """
     marking = _check_low_query(lpn, m, transitions)
+    _require_count("exploration cap", cap, 1)
     if not transitions:
         return {}
     lpn.require_assumptions(cap)

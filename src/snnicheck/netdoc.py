@@ -86,12 +86,15 @@ def _arc_end_fault(i: int, source: str, target: str, places: dict, transitions: 
                             f"arcs[{i}]")
 
 
-def _decode(text: str | bytes) -> Any:
-    if isinstance(text, bytes):
+def _decode(text: str | bytes | bytearray) -> Any:
+    if isinstance(text, (bytes, bytearray)):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise NetDocumentError(f"document is not valid UTF-8: {exc}") from exc
+    elif not isinstance(text, str):
+        raise NetDocumentError("document must be str, bytes or bytearray, "
+                               f"got {type(text).__name__}")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -205,8 +208,12 @@ def _load(data: Any) -> LabeledPetriNet:
                                         tuple(low), tuple(high))
 
 
-def parse_net(document: str | bytes) -> LabeledPetriNet:
-    """Parse and fully validate a net document."""
+def parse_net(document: str | bytes | bytearray) -> LabeledPetriNet:
+    """Parse and fully validate a net document.
+
+    Bytes, and a ``bytearray`` alike, must be UTF-8; a document of any other
+    type than text or bytes is refused as a :class:`NetDocumentError`.
+    """
     return _load(_decode(document))
 
 

@@ -11,7 +11,9 @@ The strict-domination test that refutes boundedness is decided here once:
 the full exploration and the basis graph's saturation
 (:func:`~snnicheck.basis.build_brg`) both walk a node's discovery path
 with :func:`_dominated_ancestor` and build their witness with
-:func:`_domination_witness`.
+:func:`_domination_witness`.  Every full exploration goes through
+:func:`explore_markings`, which refuses a cap that is not an ``int`` of at
+least 1.
 """
 
 from __future__ import annotations
@@ -220,6 +222,7 @@ class PetriNet:
 
     def fire_sequence(self, marking: Sequence[int], sequence: Sequence[str]) -> Marking:
         """Left fold of :meth:`fire`; the empty sequence returns ``marking``."""
+        _refuse_bare_string("a firing sequence", sequence)
         m = tuple(marking)
         for i, t in enumerate(sequence):
             blocking = self.deficient_place(m, t)
@@ -319,6 +322,8 @@ def _marking_equation(lpn: LabeledPetriNet, m: Marking, counts: ParikhVector,
 
 def parikh(sequence: Sequence[str], index_set: Sequence[str]) -> ParikhVector:
     """Occurrence counts of ``sequence`` over the ordered ``index_set``."""
+    _refuse_bare_string("a sequence", sequence)
+    _refuse_bare_string("an index set", index_set)
     order = {t: i for i, t in enumerate(index_set)}
     if len(order) != len(index_set):
         raise InvalidNetError("the index set repeats an item")
@@ -399,6 +404,7 @@ class LabeledPetriNet:
 
     def label_word(self, sequence: Sequence[str]) -> LabelWord:
         """Word of label symbols emitted by firing ``sequence``."""
+        _refuse_bare_string("a firing sequence", sequence)
         return tuple(self.labeling[self.net.check_transition(t)] for t in sequence)
 
     def is_low(self, t: str) -> bool:
@@ -471,14 +477,29 @@ class DominationWitness:
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """Outcome of the two standing checks required by every construction."""
+    """Outcome of the two standing checks required by every construction.
 
-    bounded: bool | None          # None = cap exhausted without a verdict
+    It keeps only the facts: the exact reachable-marking count of an
+    exploration that finished, the cap, the witness that refutes
+    boundedness and the high subnet's cycle.  ``bounded`` and
+    ``high_subnet_acyclic`` are read off them.
+    """
+
     reachable_count: int | None
-    domination_witness: DominationWitness | None
-    high_subnet_acyclic: bool
-    high_cycle: tuple[str, ...] | None
     cap: int
+    domination_witness: DominationWitness | None = None
+    high_cycle: tuple[str, ...] | None = None
+
+    @property
+    def bounded(self) -> bool | None:
+        """False with a witness, True with a count, None when the cap ran out first."""
+        if self.domination_witness is not None:
+            return False
+        return None if self.reachable_count is None else True
+
+    @property
+    def high_subnet_acyclic(self) -> bool:
+        return self.high_cycle is None
 
     @property
     def ok(self) -> bool:
@@ -547,10 +568,12 @@ def explore_markings(net: PetriNet, cap: int) -> ExplorationResult:
     whole reachability graph and nothing needs to be fired again.  Repeated
     successors are interned: an arc's target is the marking object first
     discovered, and the duplicate just computed is dropped.
+
+    ``cap`` must be an ``int`` of at least 1 (a ``bool`` or a ``float`` is
+    refused with :class:`InvalidNetError`), as for every function that
+    explores through this one.
     """
-    root = net.initial_marking
-    if cap < 1:
-        return ExplorationResult((root,), None, complete=False)
+    _require_count("exploration cap", cap, 1)
     first, skipped_a_walk = _explore(net, cap, walk_every_firing=False)
     if first.complete or not skipped_a_walk:
         return first
@@ -712,21 +735,12 @@ def check_assumptions(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) 
     :func:`explore_markings` on the full net: it is proved when the search
     finishes within ``cap`` markings, which also gives the exact reachable
     count; it is refuted by a strict-domination witness; and it is unknown
-    when more than ``cap`` markings are found first.
+    when more than ``cap`` markings are found first.  The report records
+    those facts and the cycle, if any; its flags are read off them.  The cap
+    is checked by the exploration, the first to use it.
     """
-    _require_count("exploration cap", cap, 1)
-    cycle = _high_subnet_cycle(lpn)
     exploration = explore_markings(lpn.net, cap)
-    if exploration.domination_witness is not None:
-        bounded: bool | None = False
-        count = None
-    elif exploration.complete:
-        bounded = True
-        count = len(exploration.markings)
-    else:
-        bounded = None
-        count = None
-    return AssumptionReport(bounded=bounded, reachable_count=count,
-                            domination_witness=exploration.domination_witness,
-                            high_subnet_acyclic=cycle is None, high_cycle=cycle,
-                            cap=cap)
+    return AssumptionReport(
+        reachable_count=len(exploration.markings) if exploration.complete else None,
+        domination_witness=exploration.domination_witness,
+        high_cycle=_high_subnet_cycle(lpn), cap=cap)

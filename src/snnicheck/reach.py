@@ -20,7 +20,7 @@ from typing import Hashable, Mapping
 
 from .nfa import EPSILON, Nfa
 from .petri import (DEFAULT_EXPLORATION_CAP, AssumptionError, LabeledPetriNet, PetriNet,
-                    _require_count, explore_markings)
+                    explore_markings)
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,10 @@ class ReachGraph:
 
 def _reachability_nfa(net: PetriNet, cap: int,
                       labeling: Mapping[str, str] | None = None) -> Nfa:
-    """Explore every reachable marking once and build its automaton once."""
-    _require_count("exploration cap", cap, 1)
+    """Explore every reachable marking once and build its automaton once.
+
+    The cap is checked by :func:`~snnicheck.petri.explore_markings`.
+    """
     exploration = explore_markings(net, cap)
     if exploration.domination_witness is not None:
         raise AssumptionError(exploration.domination_witness.describe())

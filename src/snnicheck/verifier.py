@@ -112,13 +112,11 @@ class SvResult:
     low_transition: list[str | None]
     alpha_matched: frozenset[Tag]
     beta_matched: frozenset[Tag]
-    #: Beta-leaf pairings whose low marking is the one paired with the leaf's
-    #: loop entry, so their (BRG state, low marking) pair repeats on their
-    #: path; exactly these admit their beta tag.
-    duplicate_pair_nodes: frozenset[int]
-    #: Untagged duplicated-leaf pairings whose pair repeats in the same way.
-    #: Diagnostics only; the matching rule above never consults them.
-    plain_duplicate_nodes: frozenset[int]
+    #: Duplicated-leaf pairings whose low marking is the one paired with the
+    #: leaf's loop entry, so their (BRG state, low marking) pair repeats on
+    #: their path.  Those whose leaf is tagged admit its beta tag; the rest
+    #: are diagnostics only.
+    repeat_nodes: frozenset[int]
 
     @property
     def nodes(self) -> range:
@@ -138,13 +136,13 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
     its pipeline move is the unfolding arc into the unfolding node it pairs.
     A node's parent pairs its unfolding node's parent, so its path copies an
     unfolding path, on which only a duplicated leaf repeats a BRG state,
-    that of its loop entry.  A pairing of a
-    duplicated leaf whose low marking equals its loop entry's is a repeat:
-    recorded as a duplicate when the leaf is beta-tagged, as a plain one
-    otherwise.  Alpha tags are matched by mere reachability of their leaf;
-    beta tags only by a recorded duplicate pairing.  The unfolding is built
-    here unless passed, and the low label language (kept as ``low``) is read
-    off its basis graph unless passed.
+    that of its loop entry.  A pairing of a duplicated leaf whose low
+    marking equals its loop entry's is a repeat; every repeat goes into one
+    set, ``repeat_nodes``.  Alpha tags are matched by mere reachability of
+    their leaf; beta tags only by a repeat at their leaf, since a duplicated
+    leaf's tag is always beta.  The unfolding is built here unless passed,
+    and the low label language (kept as ``low``) is read off its basis graph
+    unless passed.
 
     The tree is sized before it is built, so a tree past ``node_cap`` is
     refused without building any column.  Every pairing of one unfolding
@@ -202,8 +200,7 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
     low_marking = [low.initial[0]]
     parent = [-1]
     low_transition: list[str | None] = [None]
-    duplicate_pair_nodes: set[int] = set()
-    plain_duplicate_nodes: set[int] = set()
+    repeat_nodes: set[int] = set()
     # Breadth-first order is id order, so the walk reads the columns it grows.
     for nid, u in enumerate(ubrg_node):
         lm = low_marking[nid]
@@ -214,8 +211,7 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
             while ustate[ubrg_node[entry]] != s:
                 entry = parent[entry]
             if low_marking[entry] == lm:
-                # A duplicated leaf's tag, if any, is a beta tag.
-                (duplicate_pair_nodes if u in utags else plain_duplicate_nodes).add(nid)
+                repeat_nodes.add(nid)
         first = ufirst[u]
         if first:
             moves = low_moves[lm]
@@ -229,11 +225,11 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
     reached = set(ubrg_node)
     alpha_matched = frozenset(tag for u, tag in utags.items()
                               if tag.kind == "alpha" and u in reached)
-    beta_matched = frozenset(utags[ubrg_node[k]] for k in duplicate_pair_nodes)
+    # A duplicated leaf's tag, if any, is a beta tag.
+    beta_matched = frozenset(utags[ubrg_node[k]] for k in repeat_nodes if ubrg_node[k] in utags)
     return SvResult(ubrg, low, ubrg_node, low_marking, parent, low_transition,
                     alpha_matched=alpha_matched, beta_matched=beta_matched,
-                    duplicate_pair_nodes=frozenset(duplicate_pair_nodes),
-                    plain_duplicate_nodes=frozenset(plain_duplicate_nodes))
+                    repeat_nodes=frozenset(repeat_nodes))
 
 
 @dataclass(frozen=True)

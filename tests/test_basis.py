@@ -20,7 +20,7 @@ from conftest import (ALL_BASIS_MARKINGS, BASIS_M0, BASIS_M1, BASIS_M2, assert_p
 def test_brg_states_match_expected_set(secure):
     brg = build_brg(secure)
     assert brg.basis_markings == ALL_BASIS_MARKINGS
-    assert brg.initial == BASIS_M0
+    assert brg.nfa.initial == (BASIS_M0,)
 
 
 def test_brg_has_expected_arcs(secure):

@@ -101,10 +101,25 @@ def test_info_command(net_file, capsys):
 
 
 def test_info_machine_readable(net_file, capsys):
-    assert run_cli(["info", "--net", net_file("secure"), "--format", "machine-readable"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["ok"] is True
-    assert payload["reachable_markings"] == 9
+    # The whole payload of each outcome: the flags are read off the facts beside them.
+    passing = {"ok": True, "bounded": True, "reachable_markings": 9, "domination_witness": None,
+               "high_subnet_acyclic": True, "high_cycle": None, "cap": 100000}
+    outcomes = [
+        ("secure", [], 0, passing),
+        ("unbounded", [], 2, {**passing, "ok": False, "bounded": False, "reachable_markings": None,
+                              "domination_witness": {"path": ["t"], "pump_start": 0}}),
+        ("cyclic-high", [], 2, {**passing, "ok": False, "reachable_markings": 2,
+                                "high_subnet_acyclic": False,
+                                "high_cycle": ["p", "ha", "q", "hb", "p"]}),
+        ("secure", ["--cap", "2"], 2, {**passing, "ok": False, "bounded": None,
+                                       "reachable_markings": None, "cap": 2}),
+    ]
+    for name, extra, code, expected in outcomes:
+        argv = ["info", "--net", net_file(name), "--format", "machine-readable", *extra]
+        assert run_cli(argv) == code, (name, extra)
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == expected, (name, extra)
+        assert captured.err == ""
 
 
 def test_explain_command(net_file, capsys):

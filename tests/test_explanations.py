@@ -5,16 +5,17 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from snnicheck import explanations
+from snnicheck import explanations, petri
 from snnicheck.basis import build_brg
 from snnicheck.explanations import (Explanation, explanations_bounded, high_run_answers,
-                                    minimal_e_vectors, minimality_filter, search_tables)
+                                    minimal_e_vector_sets, minimal_e_vectors, minimality_filter,
+                                    search_tables)
 from snnicheck.fixtures import demo_unbounded
 from snnicheck.petri import (DEFAULT_EXPLORATION_CAP, AssumptionError, InvalidNetError,
                              LabeledPetriNet, PetriNet, check_assumptions, covers,
                              explore_markings)
 
-from conftest import bounded_nets
+from conftest import bounded_nets, record_calls
 
 
 def test_explanation_sets_at_initial(secure):
@@ -63,6 +64,17 @@ def test_minimal_e_vectors_witnesses(secure):
     for vector, witness in result.witnesses.items():
         after = high_net.fire_sequence(m0, witness)
         assert secure.net.enabled(after, result.transition)
+
+
+def test_an_empty_query_checks_its_cap_and_explores_nothing(secure, monkeypatch):
+    m0 = secure.net.initial_marking
+    for bad, message in ((1.5, "must be an int, got 1.5"), (0, "must be positive, got 0")):
+        with pytest.raises(InvalidNetError) as refused:
+            minimal_e_vector_sets(secure, m0, (), cap=bad)
+        assert str(refused.value) == f"exploration cap {message}"
+    explored = record_calls(monkeypatch, petri, ("explore_markings",))
+    assert minimal_e_vector_sets(secure, m0, (), cap=1) == {}
+    assert explored == []
 
 
 def test_minimal_e_vectors_requires_assumptions():

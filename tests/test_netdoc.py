@@ -32,6 +32,26 @@ def test_parse_accepts_bytes():
     assert len(lpn.net.transitions) == 11
 
 
+def test_a_bytearray_is_decoded_as_bytes():
+    text = fixture_document("secure")
+    assert serialize_net(parse_net(bytearray(text.encode()))) == text
+    for data in (b"\xff", text.encode("utf-16")):
+        with pytest.raises(NetDocumentError) as as_bytes:
+            parse_net(data)
+        with pytest.raises(NetDocumentError) as as_bytearray:
+            parse_net(bytearray(data))
+        assert str(as_bytearray.value) == str(as_bytes.value)
+        assert str(as_bytes.value).startswith("document is not valid UTF-8: ")
+
+
+@pytest.mark.parametrize("document", [None, {"schema_version": "1"}, 1, ["{}"]])
+def test_a_document_that_is_not_text_or_bytes_is_refused(document):
+    with pytest.raises(NetDocumentError) as refused:
+        parse_net(document)
+    assert str(refused.value) == ("document must be str, bytes or bytearray, "
+                                  f"got {type(document).__name__}")
+
+
 def test_roundtrip_is_identity():
     for name in DEMOS:
         text = fixture_document(name)

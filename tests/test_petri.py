@@ -11,9 +11,9 @@ from hypothesis import given, strategies as st
 from snnicheck.fixtures import (_DEMO_ARCS, DEMOS, demo_cyclic_high, demo_secure,
                                 demo_unbounded)
 import snnicheck.petri as petri
-from snnicheck.petri import (AssumptionError, DominationWitness, ExplorationResult,
-                             FiringError, InvalidNetError, LabeledPetriNet, PetriNet,
-                             check_assumptions, explore_markings, parikh, shift)
+from snnicheck.petri import (AssumptionError, AssumptionReport, DominationWitness,
+                             ExplorationResult, FiringError, InvalidNetError, LabeledPetriNet,
+                             PetriNet, check_assumptions, explore_markings, parikh, shift)
 from snnicheck.randnets import GeneratorConfig, _candidate, random_lpn
 
 from conftest import (BASIS_M2, BASIS_M4, BENCH_SUITES, demo_and_suite_nets, marking_of,
@@ -260,10 +260,13 @@ def _explore_walking_every_firing(net: PetriNet, cap: int) -> ExplorationResult:
 
 
 def _assert_explores_as_the_reference(net: PetriNet, bound_cap: int) -> ExplorationResult:
-    """Compare at caps 1, n - 1, n, 3,000 and ``bound_cap``; n markings are found under it."""
+    """Compare at caps 1, n - 1, n, 3,000 and ``bound_cap``; n markings are found under it.
+
+    A cap below 1 is refused, so a one-marking net is compared from cap 1.
+    """
     widest = _explore_walking_every_firing(net, bound_cap)
     n = len(widest.markings)
-    for cap in sorted({1, n - 1, n, 3000, bound_cap}):
+    for cap in sorted({1, max(n - 1, 1), n, 3000, bound_cap}):
         reference = widest if cap == bound_cap else _explore_walking_every_firing(net, cap)
         assert explore_markings(net, cap) == reference, cap
     return widest
@@ -350,6 +353,22 @@ def test_sparse_tables_match_dense_definition():
             change = (net.weight.get((t, p), 0) - net.weight.get((p, t), 0) for p in net.places)
             assert net.pre[t] == pre
             assert net.delta[t] == tuple((i, d) for i, d in enumerate(change) if d)
+
+
+def test_assumption_report_keeps_only_facts():
+    assert [f.name for f in dataclasses.fields(AssumptionReport)] == [
+        "reachable_count", "cap", "domination_witness", "high_cycle"]
+    # (count, witness, cycle) -> (bounded, high_subnet_acyclic, ok)
+    witness = DominationWitness(("t",), 0)
+    flags = {(9, None, None): (True, True, True),
+             (None, witness, None): (False, True, False),
+             (None, None, None): (None, True, False),
+             (2, None, ("p", "t", "p")): (True, False, False),
+             # A witness refutes boundedness whatever count stands beside it.
+             (9, witness, None): (False, True, False)}
+    for (count, found, cycle), expected in flags.items():
+        report = AssumptionReport(count, 100, found, cycle)
+        assert (report.bounded, report.high_subnet_acyclic, report.ok) == expected
 
 
 def test_cached_assumption_report_does_not_answer_a_smaller_cap():
@@ -478,6 +497,26 @@ def test_a_bare_string_is_refused_where_a_collection_of_names_belongs():
                                       f"not the string {text!r}")
     assert LabeledPetriNet(net, labels, high_labels=["ab"]).high_transitions == ("t3",)
     assert net.induced_subnet(["t1"]).transitions == ("t1",)
+
+
+def test_a_bare_string_sequence_is_refused():
+    # Read as a sequence, "ab" would fire a, then b.
+    net = PetriNet(("p", "q", "r"), ("a", "b"), [("p", "a"), ("a", "q"), ("q", "b"), ("b", "r")],
+                   (1, 0, 0))
+    lpn = LabeledPetriNet(net, {"a": "x", "b": "y"})
+    refusals = (
+        (lambda: net.fire_sequence(net.initial_marking, "ab"), "a firing sequence"),
+        (lambda: lpn.label_word("ab"), "a firing sequence"),
+        (lambda: parikh("ab", ("a", "b")), "a sequence"),
+        (lambda: parikh(("a", "b"), "ab"), "an index set"),
+    )
+    for call, what in refusals:
+        with pytest.raises(InvalidNetError) as refused:
+            call()
+        assert str(refused.value) == f"{what} must be a collection of strings, not the string 'ab'"
+    assert net.fire_sequence(net.initial_marking, ("a", "b")) == (0, 0, 1)
+    assert lpn.label_word(["a", "b"]) == ("x", "y")
+    assert parikh(("a", "b"), ["a", "b"]) == (1, 1)
 
 
 def test_unknown_transition_messages_name_the_strings(secure):

@@ -187,8 +187,8 @@ def test_justification_markings_exhaust_basis_states_by_depth():
         union = set()
         for word in bounded_language(projected_label_language(lpn), depth):
             union |= justifications(lpn, word).basis_markings
-        frontier = {brg.initial}
-        within = {brg.initial}
+        frontier = set(brg.nfa.initial)
+        within = set(brg.nfa.initial)
         for _ in range(depth):
             frontier = {dst for m in frontier for _, dst in brg.nfa.arcs_from(m)
                         if dst not in within}

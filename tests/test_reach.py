@@ -20,12 +20,15 @@ from conftest import bounded_nets
 @pytest.mark.parametrize("cap, message", [
     (True, "exploration cap must be an int, got True"),
     (1.5, "exploration cap must be an int, got 1.5"),
-    (0, "exploration cap must be positive, got 0")])
+    (0, "exploration cap must be positive, got 0"),
+    (-1, "exploration cap must be positive, got -1")])
 def test_exploration_caps_are_positive_ints(cap, message):
     # A bool would run as a cap of 1 and a float as a fractional one; each
-    # exploration refuses both up front, as it refuses a cap below 1.
+    # exploration refuses both up front, as it refuses a cap below 1.  Every
+    # full exploration is refused by explore_markings itself.
     lpn = demo_secure()
-    for explore in (lambda: petri.check_assumptions(lpn, cap), lambda: build_brg(lpn, cap),
+    for explore in (lambda: explore_markings(lpn.net, cap),
+                    lambda: petri.check_assumptions(lpn, cap), lambda: build_brg(lpn, cap),
                     lambda: decide_languages(lpn, cap), lambda: reachability_graph(lpn.net, cap),
                     lambda: snni_oracle(lpn, cap)):
         with pytest.raises(petri.InvalidNetError) as refused:

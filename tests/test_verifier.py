@@ -27,8 +27,10 @@ def test_sv_duplicate_pair_bookkeeping(secure):
 
     def pair_of(nid):
         return sv.ubrg.marking(sv.ubrg_node[nid]), sv.low_marking[nid]
-    beta_pairs = {pair_of(nid) for nid in sv.duplicate_pair_nodes}
-    plain_pairs = {pair_of(nid) for nid in sv.plain_duplicate_nodes}
+    # The one repeat set, split by whether the duplicated leaf is tagged.
+    tagged = {nid for nid in sv.repeat_nodes if sv.ubrg_node[nid] in sv.ubrg.tags}
+    beta_pairs = {pair_of(nid) for nid in tagged}
+    plain_pairs = {pair_of(nid) for nid in sv.repeat_nodes - tagged}
     assert beta_pairs == {(BASIS_M1, marking_of(secure, p8=1))}
     assert plain_pairs == {(BASIS_M0, BASIS_M0)}
 
@@ -60,8 +62,8 @@ def test_repeats_are_the_pairs_found_again_up_the_root_path():
             assert "exceeds 200000 nodes" in str(refused), name
             continue
         beta, plain = repeats_on_root_paths(sv)
-        assert sv.duplicate_pair_nodes == beta, name
-        assert sv.plain_duplicate_nodes == plain, name
+        assert sv.repeat_nodes == beta | plain, name
+        assert {nid for nid in sv.repeat_nodes if sv.ubrg_node[nid] in sv.ubrg.tags} == beta, name
 
 
 def test_sv_leaves_beta_unmatched_on_leaky(leaky):
@@ -243,10 +245,12 @@ def test_tree_views_agree_with_the_tree_data(make):
         assert ubrg.parent[sv.ubrg_node[dst]] == sv.ubrg_node[src]
         assert (sv.low_marking[src], t_low, sv.low_marking[dst]) in low_arcs
         assert sv.low.labeling[t_low] == lpn.label(t)
-    # Exactly the duplicate beta pairings match beta tags.
-    duplicate_tags = {ubrg.tags.get(sv.ubrg_node[nid]) for nid in sv.duplicate_pair_nodes}
-    assert all(tag is not None and tag.kind == "beta" for tag in duplicate_tags)
-    assert duplicate_tags == sv.beta_matched
+    # Every repeat pairs a duplicated leaf, and exactly the tagged repeats match beta tags.
+    assert all(sv.ubrg_node[nid] in ubrg.duplicated for nid in sv.repeat_nodes)
+    repeat_tags = {ubrg.tags[sv.ubrg_node[nid]] for nid in sv.repeat_nodes
+                   if sv.ubrg_node[nid] in ubrg.tags}
+    assert all(tag.kind == "beta" for tag in repeat_tags)
+    assert repeat_tags == sv.beta_matched
     assert {ubrg.tags.get(u) for u in sv.ubrg_node} >= sv.alpha_matched
 
 
