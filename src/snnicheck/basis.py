@@ -13,18 +13,22 @@ inherited from the parent) receives an alpha tag (fresh marking) or beta tag
 (repeated marking).  Those tags are what the interference verifier matches.
 
 The unfolding is stored as columns, parallel lists indexed by node id (BRG
-state, parent, incoming arc payload, first child), plus a sparse map of
-tags and the set of duplicated ids.  A large unfolding is then a handful of
-lists, not one object per node for the garbage collector to walk.  Each fact
-is kept once: a node's root path, a tag's leaf or a leaf's being a leaf is
-read off these columns, not stored again.
+state, parent, incoming arc payload, first child), plus the set of
+duplicated ids and, per tag kind, the ids of its tagged leaves in number
+order.  A tag is a kind, a number and the leaf it sits on, so it needs no
+object of its own: tag ``n`` of a kind sits on the ``n``-th leaf of that
+kind's list, and the :class:`Tag` views are built only when read.  A large
+unfolding is then a handful of lists, not one object per node or tag for
+the garbage collector to walk.  Each fact is kept once: a node's root path,
+a tag's leaf or a leaf's being a leaf is read off these columns, not stored
+again.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .explanations import high_run_answers, search_tables
 from .nfa import Nfa
@@ -56,6 +60,11 @@ class Tag(NamedTuple):
         return f"{self.kind}_{self.number}"
 
 
+def _tag_set(kind: str, numbers: Iterable[int]) -> frozenset[Tag]:
+    """The :class:`Tag` view of the ``kind`` tags with the given numbers."""
+    return frozenset(Tag(kind, n) for n in numbers)
+
+
 @dataclass(frozen=True)
 class Brg:
     """Basis reachability graph; NFA states are the basis markings themselves.
@@ -76,7 +85,7 @@ class Brg:
 
 @dataclass
 class UbrgResult:
-    """Unfolded graph as parallel columns indexed by node id, plus the tags.
+    """Unfolded graph as parallel columns indexed by node id, plus the tagged leaves.
 
     The root is node 0.  Breadth-first creation gives each expanded node's
     children consecutive ids, in the order of its BRG state's arcs: child
@@ -84,6 +93,12 @@ class UbrgResult:
     is allocated per node beyond the column entries; the arc payloads are
     the BRG's own ``BrgEvent`` objects.  Node ``k > 0`` is created with the
     arc ``(parent[k], event[k], k)``, its one parent link.
+
+    The tags are numbered leaves: alpha tag ``n`` sits on leaf
+    ``alpha_leaves[n - 1]`` and beta tag ``n`` on ``beta_leaves[n - 1]``.
+    Each kind is numbered in node order, so both lists are ascending.
+    ``tags``, ``alpha_tags`` and ``beta_tags`` are :class:`Tag` views built
+    anew on each access.
     """
 
     brg: Brg
@@ -95,15 +110,29 @@ class UbrgResult:
     event: list[BrgEvent | None]
     #: Per node: the id of its first child, 0 for a leaf.
     first_child: list[int]
-    #: The tag of each tagged leaf, in node order.
-    tags: dict[int, Tag]
     #: Ids of the duplicated leaves.
     duplicated: frozenset[int]
-    alpha_tags: frozenset[Tag]
-    beta_tags: frozenset[Tag]
+    #: Per kind: the leaf of tag ``n`` at index ``n - 1``, ascending.
+    alpha_leaves: list[int]
+    beta_leaves: list[int]
 
     def marking(self, node_id: int) -> Marking:
         return self.brg.nfa.states[self.state[node_id]]
+
+    @property
+    def tags(self) -> dict[int, Tag]:
+        """The tag of each tagged leaf, in node order."""
+        tags = {leaf: Tag("alpha", n) for n, leaf in enumerate(self.alpha_leaves, 1)}
+        tags.update((leaf, Tag("beta", n)) for n, leaf in enumerate(self.beta_leaves, 1))
+        return dict(sorted(tags.items()))
+
+    @property
+    def alpha_tags(self) -> frozenset[Tag]:
+        return _tag_set("alpha", range(1, len(self.alpha_leaves) + 1))
+
+    @property
+    def beta_tags(self) -> frozenset[Tag]:
+        return _tag_set("beta", range(1, len(self.beta_leaves) + 1))
 
     @property
     def nodes(self) -> range:
@@ -210,7 +239,8 @@ def build_ubrg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
     marking is already on its parent's path is left unexpanded and recorded
     as duplicated.  Each node also carries whether its path consumed a
     nonzero explanation vector, and exactly such leaves get a tag, numbered
-    per kind in node order.  Nodes are stored as column entries, not
+    per kind in node order: a tag is recorded as its leaf's id, appended to
+    its kind's list.  Nodes and tags are stored as column entries, not
     objects (see :class:`UbrgResult`).  Pass a prebuilt ``brg`` to avoid
     building the basis graph twice; ``cap`` then goes unused, since the
     basis graph is itself the proof of the standing assumptions.
@@ -229,10 +259,9 @@ def build_ubrg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
     parent = [-1]
     events: list[BrgEvent | None] = [None]
     first_child = [0]
-    tags: dict[int, Tag] = {}
     duplicated: set[int] = set()
-    alpha: list[Tag] = []
-    beta: list[Tag] = []
+    alpha: list[int] = []
+    beta: list[int] = []
     # Expandable nodes: (node id, BRG state, path bitmask including the node,
     # path consumed high firings), each with at least one arc.  Leaves are
     # settled when they are created; a root without arcs is a leaf.
@@ -254,15 +283,13 @@ def build_ubrg(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
             if path & bit:
                 duplicated.add(next_id)
                 if child_consumed:
-                    tag = tags[next_id] = Tag("beta", len(beta) + 1)
-                    beta.append(tag)
+                    beta.append(next_id)
             elif children[child_state]:
                 queue.append((next_id, child_state, path | bit, child_consumed))
             elif child_consumed:
-                tag = tags[next_id] = Tag("alpha", len(alpha) + 1)
-                alpha.append(tag)
+                alpha.append(next_id)
             next_id += 1
 
     return UbrgResult(brg=brg, state=state, parent=parent, event=events,
-                      first_child=first_child, tags=tags, duplicated=frozenset(duplicated),
-                      alpha_tags=frozenset(alpha), beta_tags=frozenset(beta))
+                      first_child=first_child, duplicated=frozenset(duplicated),
+                      alpha_leaves=alpha, beta_leaves=beta)

@@ -12,8 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .petri import (LabeledPetriNet, NetError, PetriNet, _high_subnet_cycle,
-                    check_assumptions)
+from . import petri
+from .petri import LabeledPetriNet, NetError, PetriNet, _high_subnet_cycle
 
 _LOW_POOL = ("a", "b", "c")
 _HIGH_POOL = ("f", "g")
@@ -35,8 +35,11 @@ def random_lpn(seed: int, config: GeneratorConfig = GeneratorConfig()) -> Labele
     rng = random.Random(seed)
     for _ in range(_MAX_ATTEMPTS):
         lpn = _candidate(rng, config)
-        # The structural cycle test is cheap; explore only acyclic candidates.
-        if _high_subnet_cycle(lpn) is None and check_assumptions(lpn, config.bound_cap).ok:
+        # The structural cycle test is cheap; explore only acyclic candidates,
+        # each once.  An acyclic candidate passes both standing checks exactly
+        # when its exploration finishes within the cap.
+        if (_high_subnet_cycle(lpn) is None
+                and petri.explore_markings(lpn.net, config.bound_cap).complete):
             return lpn
     raise NetError(f"no acceptable net found for seed {seed} "
                    f"within {_MAX_ATTEMPTS} attempts")

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import AbstractSet
 
-from .basis import Tag, build_ubrg
+from .basis import build_ubrg
 from .petri import DEFAULT_EXPLORATION_CAP, AssumptionReport, LabeledPetriNet, format_word
 from .verifier import Verdict, build_sv, decide_languages, sv_verdict
 
@@ -17,16 +16,19 @@ class AnalysisReport:
 
     The verdict, its shortest leaked low word and the witness words are
     ``verdict``'s, and the reachable-marking count is ``assumptions``'; the
-    report keeps no copy of them.  The tag sets are an unfolding's
-    (:func:`~snnicheck.basis.build_ubrg`): each kind is numbered 1, 2, ...
-    without gaps, and the renderings list them in that order.
+    report keeps no copy of them.  The tags are an unfolding's
+    (:func:`~snnicheck.basis.build_ubrg`), kept as numbers like the
+    verdict's: each kind is numbered 1..``alpha_count`` or
+    1..``beta_count`` without gaps, and the renderings list them in that
+    order.  No :class:`~snnicheck.basis.Tag` is built to render them.
     """
 
     verdict: Verdict
-    alpha_tags: frozenset[Tag]
-    beta_tags: frozenset[Tag]
-    alpha_matched: frozenset[Tag]
-    beta_matched: frozenset[Tag]
+    alpha_count: int
+    beta_count: int
+    #: Numbers of the tags the verifier matched, each kind ascending.
+    alpha_matched_numbers: tuple[int, ...]
+    beta_matched_numbers: tuple[int, ...]
     brg_states: int
     ubrg_nodes: int
     sv_nodes: int
@@ -36,33 +38,34 @@ class AnalysisReport:
     timings: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """JSON-ready view; tag sets and words are rendered in unfolding order.
+        """JSON-ready view; tag lists and words are rendered in unfolding order.
 
         Per kind, alpha first, tag ``n`` is named ``names[n - 1]``: the
         unfolding numbers each kind's tags 1, 2, ... in node order, so the
-        names list every tag in unfolding order without sorting a tag set,
-        and every rendered list is filtered from them.  ``witness_words`` is
-        walked in its own order, which the verdict documents as alpha tags,
-        then beta tags, each by number.  Its words are the verdict's shared
-        tuples, not copies; ``json.dumps`` writes them as arrays.
+        names list every tag in unfolding order, and every rendered list
+        picks its names by the ascending numbers it renders.  The
+        ``witness_words`` keys are the verdict's missing alpha tags, then its
+        missing beta tags, each by number, in step with its words.  The words
+        are the verdict's shared tuples, not copies; ``json.dumps`` writes
+        them as arrays.
         """
-        alpha_tags, beta_tags, verdict = self.alpha_tags, self.beta_tags, self.verdict
-        names = {kind: [f"{kind}_{number}" for number in range(1, len(tags) + 1)]
-                 for kind, tags in (("alpha", alpha_tags), ("beta", beta_tags))}
-        alpha, beta = names["alpha"], names["beta"]
+        verdict = self.verdict
+        alpha = [f"alpha_{number}" for number in range(1, self.alpha_count + 1)]
+        beta = [f"beta_{number}" for number in range(1, self.beta_count + 1)]
+        missing_alpha = _named(alpha, verdict.missing_alpha_numbers)
+        missing_beta = _named(beta, verdict.missing_beta_numbers)
         leaked = verdict.counterexample
         return {
             "snni": verdict.snni,
             "alpha_tags": alpha,
             "beta_tags": beta,
-            "alpha_matched": _among("alpha", alpha, alpha_tags, self.alpha_matched),
-            "beta_matched": _among("beta", beta, beta_tags, self.beta_matched),
-            "missing_alpha": _among("alpha", alpha, alpha_tags, verdict.missing_alpha),
-            "missing_beta": _among("beta", beta, beta_tags, verdict.missing_beta),
-            "spurious_tags": (_among("alpha", alpha, alpha_tags, verdict.spurious_tags)
-                              + _among("beta", beta, beta_tags, verdict.spurious_tags)),
-            "witness_words": {names[kind][number - 1]: word
-                              for (kind, number), word in verdict.witness_words.items()},
+            "alpha_matched": _named(alpha, self.alpha_matched_numbers),
+            "beta_matched": _named(beta, self.beta_matched_numbers),
+            "missing_alpha": missing_alpha,
+            "missing_beta": missing_beta,
+            "spurious_tags": (_named(alpha, verdict.spurious_alpha_numbers)
+                              + _named(beta, verdict.spurious_beta_numbers)),
+            "witness_words": dict(zip(missing_alpha + missing_beta, verdict.missing_words)),
             "leaked_word": list(leaked) if leaked is not None else None,
             "sizes": {
                 "brg_states": self.brg_states,
@@ -113,20 +116,9 @@ class AnalysisReport:
         return "\n".join(lines) + "\n"
 
 
-def _among(kind: str, names: list[str], tags: AbstractSet[Tag],
-           subset: AbstractSet[Tag]) -> list[str]:
-    """The names of the ``kind`` tags in ``subset``, in number order.
-
-    ``tags`` holds every ``kind`` tag, so a subset equal to it is the whole
-    kind and needs no test per tag.  Otherwise a plain ``(kind, number)``
-    tuple equals and hashes as the :class:`Tag`, so no tag object is built
-    to test membership.
-    """
-    if not subset:
-        return []
-    if subset == tags:
-        return list(names)
-    return [name for number, name in enumerate(names, 1) if (kind, number) in subset]
+def _named(names: list[str], numbers: tuple[int, ...]) -> list[str]:
+    """The names of the tags of one kind with the given numbers, in their order."""
+    return [names[n - 1] for n in numbers]
 
 
 def _braced(names: list[str]) -> str:
@@ -153,8 +145,9 @@ def analyze(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Analysi
                "ubrg": t1 - t0, "sv": time.perf_counter() - t1,
                "languages": decision.timings["languages"]}
     return AnalysisReport(
-        verdict=verdict, alpha_tags=ubrg.alpha_tags, beta_tags=ubrg.beta_tags,
-        alpha_matched=sv.alpha_matched, beta_matched=sv.beta_matched,
+        verdict=verdict, alpha_count=len(ubrg.alpha_leaves), beta_count=len(ubrg.beta_leaves),
+        alpha_matched_numbers=sv.alpha_matched_numbers,
+        beta_matched_numbers=sv.beta_matched_numbers,
         brg_states=len(decision.brg.nfa.states), ubrg_nodes=len(ubrg.nodes),
         sv_nodes=len(sv.nodes), low_reachable_markings=len(decision.low.states),
         assumptions=decision.brg.assumptions, cap=cap, timings=timings)

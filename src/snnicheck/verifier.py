@@ -20,10 +20,10 @@ count.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
-from .basis import DEFAULT_TREE_NODE_CAP, Brg, Tag, UbrgResult, build_brg, build_ubrg
+from .basis import DEFAULT_TREE_NODE_CAP, Brg, Tag, UbrgResult, _tag_set, build_brg, build_ubrg
 from .language import LanguageCheckResult, language_equal
 from .nfa import Nfa
 from .petri import (DEFAULT_EXPLORATION_CAP, LabeledPetriNet, LabelWord, Marking, NetError,
@@ -96,7 +96,9 @@ class SvResult:
     transitions are its events.  Node ``k > 0`` is created by the arc from
     ``parent[k]`` that pairs the unfolding arc into ``ubrg_node[k]``, whose
     transition is ``ubrg.event[ubrg_node[k]].transition``, with the low arc
-    of ``low_transition[k]``; the two share its label.
+    of ``low_transition[k]``; the two share its label.  The matched tags are
+    kept as their numbers, ascending; ``alpha_matched`` and ``beta_matched``
+    are :class:`~snnicheck.basis.Tag` views built anew on each access.
     """
 
     ubrg: UbrgResult
@@ -110,8 +112,9 @@ class SvResult:
     parent: list[int]
     #: Per node: the low transition it was created with (``None`` at the root).
     low_transition: list[str | None]
-    alpha_matched: frozenset[Tag]
-    beta_matched: frozenset[Tag]
+    #: Numbers of the matched tags of each kind, ascending.
+    alpha_matched_numbers: tuple[int, ...]
+    beta_matched_numbers: tuple[int, ...]
     #: Duplicated-leaf pairings whose low marking is the one paired with the
     #: leaf's loop entry, so their (BRG state, low marking) pair repeats on
     #: their path.  Those whose leaf is tagged admit its beta tag; the rest
@@ -122,6 +125,14 @@ class SvResult:
     def nodes(self) -> range:
         """The node ids."""
         return range(len(self.ubrg_node))
+
+    @property
+    def alpha_matched(self) -> frozenset[Tag]:
+        return _tag_set("alpha", self.alpha_matched_numbers)
+
+    @property
+    def beta_matched(self) -> frozenset[Tag]:
+        return _tag_set("beta", self.beta_matched_numbers)
 
 
 def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
@@ -140,9 +151,9 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
     marking equals its loop entry's is a repeat; every repeat goes into one
     set, ``repeat_nodes``.  Alpha tags are matched by mere reachability of
     their leaf; beta tags only by a repeat at their leaf, since a duplicated
-    leaf's tag is always beta.  The unfolding is built here unless passed,
-    and the low label language (kept as ``low``) is read off its basis graph
-    unless passed.
+    leaf's tag is always beta.  A matched tag is recorded as its number.
+    The unfolding is built here unless passed, and the low label language
+    (kept as ``low``) is read off its basis graph unless passed.
 
     The tree is sized before it is built, so a tree past ``node_cap`` is
     refused without building any column.  Every pairing of one unfolding
@@ -172,7 +183,7 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
                 moves.setdefault(low.labeling[t_low], []).append((t_low, fired))
         return moves
 
-    ustate, ufirst, utags, duplicated = ubrg.state, ubrg.first_child, ubrg.tags, ubrg.duplicated
+    ustate, ufirst, duplicated = ubrg.state, ubrg.first_child, ubrg.duplicated
     # Per level: unfolding node -> {low marking: number of tree nodes pairing them}.
     level: dict[int, dict[Marking, int]] = {0: {low.initial[0]: 1}}
     size = 1
@@ -223,12 +234,13 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
                     low_transition.append(t_low)
 
     reached = set(ubrg_node)
-    alpha_matched = frozenset(tag for u, tag in utags.items()
-                              if tag.kind == "alpha" and u in reached)
     # A duplicated leaf's tag, if any, is a beta tag.
-    beta_matched = frozenset(utags[ubrg_node[k]] for k in repeat_nodes if ubrg_node[k] in utags)
+    repeated = {ubrg_node[k] for k in repeat_nodes}
     return SvResult(ubrg, low, ubrg_node, low_marking, parent, low_transition,
-                    alpha_matched=alpha_matched, beta_matched=beta_matched,
+                    alpha_matched_numbers=tuple(n for n, leaf in enumerate(ubrg.alpha_leaves, 1)
+                                                if leaf in reached),
+                    beta_matched_numbers=tuple(n for n, leaf in enumerate(ubrg.beta_leaves, 1)
+                                               if leaf in repeated),
                     repeat_nodes=frozenset(repeat_nodes))
 
 
@@ -237,26 +249,54 @@ class Verdict:
     """A language comparison's verdict, with the verifier's tags as evidence.
 
     ``snni`` and ``counterexample``, a shortest leaked low word, come from the
-    comparison alone.  ``witness_words`` gives each unmatched tag's unfolding
-    path word: the alpha tags, then the beta tags, each kind in number order.
+    comparison alone.  The tags are kept as numbers, each kind ascending.
+    ``missing_words`` gives each unmatched tag's unfolding path word: the
+    unmatched alpha tags', then the beta tags', each kind in number order.
     Equal words are one shared tuple.  An alpha tag's word is a low
     observation the low subnet cannot produce.  A beta tag's word is one
     along which no low-only run returns to a pair repeated on its path; the
-    low subnet may still accept it.  ``spurious_tags`` holds tags the
-    per-path rule missed although the languages are equal.
+    low subnet may still accept it.  The spurious numbers are those of tags
+    the per-path rule missed although the languages are equal.
+
+    ``missing_alpha``, ``missing_beta``, ``witness_words`` (each unmatched
+    :class:`~snnicheck.basis.Tag` with its word, in the same order) and
+    ``spurious_tags`` are views built anew on each access.
     """
 
     snni: bool
-    missing_alpha: frozenset[Tag] = frozenset()
-    missing_beta: frozenset[Tag] = frozenset()
-    witness_words: Mapping[Tag, LabelWord] = field(default_factory=dict)
+    missing_alpha_numbers: tuple[int, ...] = ()
+    missing_beta_numbers: tuple[int, ...] = ()
+    missing_words: tuple[LabelWord, ...] = ()
     counterexample: LabelWord | None = None
-    spurious_tags: frozenset[Tag] = frozenset()
+    spurious_alpha_numbers: tuple[int, ...] = ()
+    spurious_beta_numbers: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.snni and (self.missing_alpha or self.missing_beta
+        if self.snni and (self.missing_alpha_numbers or self.missing_beta_numbers
                           or self.counterexample is not None):
             raise NetError("a positive verdict cannot carry interference evidence")
+        if len(self.missing_words) != (len(self.missing_alpha_numbers)
+                                       + len(self.missing_beta_numbers)):
+            raise NetError("a verdict needs exactly one word per unmatched tag")
+
+    @property
+    def missing_alpha(self) -> frozenset[Tag]:
+        return _tag_set("alpha", self.missing_alpha_numbers)
+
+    @property
+    def missing_beta(self) -> frozenset[Tag]:
+        return _tag_set("beta", self.missing_beta_numbers)
+
+    @property
+    def witness_words(self) -> dict[Tag, LabelWord]:
+        tags = ([Tag("alpha", n) for n in self.missing_alpha_numbers]
+                + [Tag("beta", n) for n in self.missing_beta_numbers])
+        return dict(zip(tags, self.missing_words))
+
+    @property
+    def spurious_tags(self) -> frozenset[Tag]:
+        return (_tag_set("alpha", self.spurious_alpha_numbers)
+                | _tag_set("beta", self.spurious_beta_numbers))
 
 
 def sv_verdict(lpn: LabeledPetriNet, sv: SvResult, brg: Brg | None = None,
@@ -269,30 +309,37 @@ def sv_verdict(lpn: LabeledPetriNet, sv: SvResult, brg: Brg | None = None,
     see.  So the verdict is the comparison's: pass ``check`` from
     :func:`decide_languages`, or ``brg`` (by default ``sv.ubrg.brg``) is
     compared with ``sv.low`` here.  Tags missed while the languages are
-    equal are spurious, not leaks.  Nothing is explored.  On a negative
-    verdict each unmatched tag gets its leaf's unfolding path word, and
-    ``witness_words`` lists the alpha tags, then the beta tags, each kind in
-    unfolding order, which is also the order of their numbers.
+    equal are spurious, not leaks.  Nothing is explored.  The unmatched tags
+    of each kind are its numbers 1..N without the matched ones.  On a
+    negative verdict each unmatched tag gets its leaf's unfolding path word,
+    in ``missing_words``: the alpha tags', then the beta tags', each kind in
+    number order, which is also unfolding order.
     """
     if check is None:
         check = _compare((sv.ubrg.brg if brg is None else brg).nfa, sv.low)
-    missing_alpha = sv.ubrg.alpha_tags - sv.alpha_matched
-    missing_beta = sv.ubrg.beta_tags - sv.beta_matched
+    ubrg = sv.ubrg
+    missing_alpha = _unmatched(len(ubrg.alpha_leaves), sv.alpha_matched_numbers)
+    missing_beta = _unmatched(len(ubrg.beta_leaves), sv.beta_matched_numbers)
     if check.equal:
-        return Verdict(True, spurious_tags=missing_alpha | missing_beta)
-    # One pass over the tags, in node order, which is each kind's number order.
-    matched = sv.alpha_matched | sv.beta_matched
-    unmatched = {leaf: tag for leaf, tag in sv.ubrg.tags.items() if tag not in matched}
-    alpha: dict[Tag, LabelWord] = {}
-    beta: dict[Tag, LabelWord] = {}
-    for tag, word in zip(unmatched.values(), _path_words(lpn, sv.ubrg, list(unmatched))):
-        (alpha if tag.kind == "alpha" else beta)[tag] = word
-    alpha.update(beta)
-    return Verdict(False, missing_alpha, missing_beta, alpha, check.counterexample)
+        return Verdict(True, spurious_alpha_numbers=missing_alpha,
+                       spurious_beta_numbers=missing_beta)
+    leaves = ([ubrg.alpha_leaves[n - 1] for n in missing_alpha]
+              + [ubrg.beta_leaves[n - 1] for n in missing_beta])
+    return Verdict(False, missing_alpha, missing_beta, _path_words(lpn, ubrg, leaves),
+                   check.counterexample)
 
 
-def _path_words(lpn: LabeledPetriNet, ubrg: UbrgResult, leaves: list[int]) -> list[LabelWord]:
-    """Label words of the unfolding paths to ``leaves``, given in id order.
+def _unmatched(count: int, matched: tuple[int, ...]) -> tuple[int, ...]:
+    """The numbers 1..``count`` that are not in the ascending ``matched``."""
+    if not matched:
+        return tuple(range(1, count + 1))
+    matched_set = set(matched)
+    return tuple(n for n in range(1, count + 1) if n not in matched_set)
+
+
+def _path_words(lpn: LabeledPetriNet, ubrg: UbrgResult,
+                leaves: list[int]) -> tuple[LabelWord, ...]:
+    """Label words of the unfolding paths to ``leaves``, in the order given.
 
     A parent's id is below its children's, so one pass in id order, up to the
     last leaf, gives each node a word id from its parent's.  The words are
@@ -303,7 +350,7 @@ def _path_words(lpn: LabeledPetriNet, ubrg: UbrgResult, leaves: list[int]) -> li
     labeling, parent, event = lpn.labeling, ubrg.parent, ubrg.event
     words: list[LabelWord] = [()]
     extensions: list[dict[str, int]] = [{}]
-    last = leaves[-1] if leaves else 0
+    last = max(leaves, default=0)
     word_of = [0] * (last + 1)
     for k in range(1, last + 1):
         w = word_of[parent[k]]
@@ -314,4 +361,4 @@ def _path_words(lpn: LabeledPetriNet, ubrg: UbrgResult, leaves: list[int]) -> li
             words.append(words[w] + (label,))
             extensions.append({})
         word_of[k] = x
-    return [words[word_of[leaf]] for leaf in leaves]
+    return tuple(words[word_of[leaf]] for leaf in leaves)

@@ -125,9 +125,11 @@ def test_sv_verdict_explores_nothing(monkeypatch, demo):
     assert explored == []
 
 
+_BIG = GeneratorConfig(max_places=14, max_transitions=20, max_tokens=6, bound_cap=100_000)
+
+
 def _big_net_24() -> LabeledPetriNet:
-    return random_lpn(24, GeneratorConfig(max_places=14, max_transitions=20, max_tokens=6,
-                                          bound_cap=100_000))
+    return random_lpn(24, _BIG)
 
 
 @pytest.mark.parametrize("make", [demo_secure, demo_leaky, demo_sync_period_two, _big_net_24])
@@ -161,3 +163,24 @@ def test_witness_text_claims_no_counterpart_only_for_unmatched_alpha_tags():
         claim = f"unmatched {tag}: low observation {format_word(word)} has no low-only counterpart"
         assert (claim in text) == (tag.kind == "alpha")
         assert not word_in_language(low, word) or tag.kind == "beta"
+
+
+def test_check_path_builds_no_tag(monkeypatch):
+    # Big net 18 has 37,593 tags, all unmatched.  The check path keeps them
+    # as numbered leaves and renders names and words from the numbers.
+    made = []
+    new = Tag.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Tag, "__new__", staticmethod(counting_new))
+    report = analyze(random_lpn(18, _BIG))
+    report.to_dict()
+    report.to_text()
+    assert report.verdict.counterexample is not None
+    assert made == []
+    # The library view builds its tags on access, and the count sees them.
+    assert len(report.verdict.witness_words) == 37_593
+    assert len(made) == 37_593

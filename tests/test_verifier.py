@@ -184,12 +184,12 @@ def test_decide_snni_refuses_bad_assumptions():
 
 def test_verdict_consistency_guard():
     with pytest.raises(NetError):
-        Verdict(snni=True, missing_beta=frozenset({Tag("beta", 1)}))
+        Verdict(snni=True, missing_beta_numbers=(1,))
     with pytest.raises(NetError):
         Verdict(snni=True, counterexample=("a",))
     with pytest.raises(NetError):
         Verdict(snni=True, counterexample=())
-    Verdict(snni=True, spurious_tags=frozenset({Tag("beta", 1)}))  # allowed
+    Verdict(snni=True, spurious_beta_numbers=(1,))  # allowed
 
 
 def test_tag_rule_gap_regression():
@@ -271,3 +271,52 @@ def test_verifier_past_its_cap_is_refused_before_any_column_is_built():
         tracemalloc.stop()
     assert str(refused.value) == "verifier tree exceeds 200000 nodes; raise node_cap to continue"
     assert peak < 2_000_000
+
+
+def test_tag_views_match_the_numbered_leaves():
+    # A tag is stored as its kind's leaf list, a matched or missing tag as its
+    # number; every Tag view must be exactly the tags those numbers name.
+    big = GeneratorConfig(max_places=14, max_transitions=20, max_tokens=6, bound_cap=100_000)
+    nets = ([(f"default net {seed}", seed, GeneratorConfig()) for seed in range(1, 51)]
+            + [(f"big net {seed}", seed, big) for seed in (18, 24, 39)])
+    for name, seed, config in nets:
+        lpn = random_lpn(seed, config)
+        decision = decide_languages(lpn)
+        ubrg = build_ubrg(lpn, brg=decision.brg)
+        sv = build_sv(lpn, ubrg=ubrg, low=decision.low)
+        verdict = sv_verdict(lpn, sv, check=decision.check)
+        leaves = {"alpha": ubrg.alpha_leaves, "beta": ubrg.beta_leaves}
+        recorded = sorted((leaf, Tag(kind, n)) for kind, kind_leaves in leaves.items()
+                          for n, leaf in enumerate(kind_leaves, 1))
+        assert list(ubrg.tags.items()) == recorded, name
+        assert ubrg.alpha_tags == {Tag("alpha", n) for n in range(1, len(ubrg.alpha_leaves) + 1)}
+        assert ubrg.beta_tags == {Tag("beta", n) for n in range(1, len(ubrg.beta_leaves) + 1)}
+        assert all(ubrg.first_child[leaf] == 0 for leaf, _ in recorded), name
+        assert set(ubrg.beta_leaves) <= ubrg.duplicated, name
+        assert not set(ubrg.alpha_leaves) & ubrg.duplicated, name
+        # Matching by reachability and by repeat, over the tag view.
+        reached = set(sv.ubrg_node)
+        repeated = {sv.ubrg_node[k] for k in sv.repeat_nodes}
+        matched = {kind: tuple(tag.number for leaf, tag in ubrg.tags.items()
+                               if tag.kind == kind and leaf in on)
+                   for kind, on in (("alpha", reached), ("beta", repeated))}
+        assert (sv.alpha_matched_numbers, sv.beta_matched_numbers) == \
+            (matched["alpha"], matched["beta"]), name
+        assert sv.alpha_matched == {Tag("alpha", n) for n in matched["alpha"]}, name
+        assert sv.beta_matched == {Tag("beta", n) for n in matched["beta"]}, name
+        missing = {kind: tuple(n for n in range(1, len(leaves[kind]) + 1) if n not in matched[kind])
+                   for kind in leaves}
+        if verdict.snni:
+            assert (verdict.spurious_alpha_numbers, verdict.spurious_beta_numbers) == \
+                (missing["alpha"], missing["beta"]), name
+            assert verdict.spurious_tags == {Tag(kind, n) for kind in missing
+                                             for n in missing[kind]}, name
+            assert verdict.witness_words == {}, name
+            continue
+        assert (verdict.missing_alpha_numbers, verdict.missing_beta_numbers) == \
+            (missing["alpha"], missing["beta"]), name
+        assert verdict.missing_alpha == {Tag("alpha", n) for n in missing["alpha"]}, name
+        assert verdict.missing_beta == {Tag("beta", n) for n in missing["beta"]}, name
+        keys = [Tag(kind, n) for kind in ("alpha", "beta") for n in missing[kind]]
+        assert list(verdict.witness_words) == keys, name
+        assert tuple(verdict.witness_words.values()) == verdict.missing_words, name
