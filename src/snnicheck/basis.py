@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .explanations import high_run_answers, search_tables
@@ -97,8 +98,8 @@ class UbrgResult:
     The tags are numbered leaves: alpha tag ``n`` sits on leaf
     ``alpha_leaves[n - 1]`` and beta tag ``n`` on ``beta_leaves[n - 1]``.
     Each kind is numbered in node order, so both lists are ascending.
-    ``tags``, ``alpha_tags`` and ``beta_tags`` are :class:`Tag` views built
-    anew on each access.
+    ``tags``, ``alpha_tags`` and ``beta_tags`` are :class:`Tag` views, built
+    on first access and kept.
     """
 
     brg: Brg
@@ -119,18 +120,18 @@ class UbrgResult:
     def marking(self, node_id: int) -> Marking:
         return self.brg.nfa.states[self.state[node_id]]
 
-    @property
+    @cached_property
     def tags(self) -> dict[int, Tag]:
         """The tag of each tagged leaf, in node order."""
         tags = {leaf: Tag("alpha", n) for n, leaf in enumerate(self.alpha_leaves, 1)}
         tags.update((leaf, Tag("beta", n)) for n, leaf in enumerate(self.beta_leaves, 1))
         return dict(sorted(tags.items()))
 
-    @property
+    @cached_property
     def alpha_tags(self) -> frozenset[Tag]:
         return _tag_set("alpha", range(1, len(self.alpha_leaves) + 1))
 
-    @property
+    @cached_property
     def beta_tags(self) -> frozenset[Tag]:
         return _tag_set("beta", range(1, len(self.beta_leaves) + 1))
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .basis import DEFAULT_TREE_NODE_CAP, Brg, Tag, UbrgResult, _tag_set, build_brg, build_ubrg
@@ -98,7 +99,7 @@ class SvResult:
     transition is ``ubrg.event[ubrg_node[k]].transition``, with the low arc
     of ``low_transition[k]``; the two share its label.  The matched tags are
     kept as their numbers, ascending; ``alpha_matched`` and ``beta_matched``
-    are :class:`~snnicheck.basis.Tag` views built anew on each access.
+    are :class:`~snnicheck.basis.Tag` views, built on first access and kept.
     """
 
     ubrg: UbrgResult
@@ -126,11 +127,11 @@ class SvResult:
         """The node ids."""
         return range(len(self.ubrg_node))
 
-    @property
+    @cached_property
     def alpha_matched(self) -> frozenset[Tag]:
         return _tag_set("alpha", self.alpha_matched_numbers)
 
-    @property
+    @cached_property
     def beta_matched(self) -> frozenset[Tag]:
         return _tag_set("beta", self.beta_matched_numbers)
 
@@ -260,7 +261,7 @@ class Verdict:
 
     ``missing_alpha``, ``missing_beta``, ``witness_words`` (each unmatched
     :class:`~snnicheck.basis.Tag` with its word, in the same order) and
-    ``spurious_tags`` are views built anew on each access.
+    ``spurious_tags`` are views, built on first access and kept.
     """
 
     snni: bool
@@ -279,21 +280,21 @@ class Verdict:
                                        + len(self.missing_beta_numbers)):
             raise NetError("a verdict needs exactly one word per unmatched tag")
 
-    @property
+    @cached_property
     def missing_alpha(self) -> frozenset[Tag]:
         return _tag_set("alpha", self.missing_alpha_numbers)
 
-    @property
+    @cached_property
     def missing_beta(self) -> frozenset[Tag]:
         return _tag_set("beta", self.missing_beta_numbers)
 
-    @property
+    @cached_property
     def witness_words(self) -> dict[Tag, LabelWord]:
         tags = ([Tag("alpha", n) for n in self.missing_alpha_numbers]
                 + [Tag("beta", n) for n in self.missing_beta_numbers])
         return dict(zip(tags, self.missing_words))
 
-    @property
+    @cached_property
     def spurious_tags(self) -> frozenset[Tag]:
         return (_tag_set("alpha", self.spurious_alpha_numbers)
                 | _tag_set("beta", self.spurious_beta_numbers))
@@ -331,8 +332,6 @@ def sv_verdict(lpn: LabeledPetriNet, sv: SvResult, brg: Brg | None = None,
 
 def _unmatched(count: int, matched: tuple[int, ...]) -> tuple[int, ...]:
     """The numbers 1..``count`` that are not in the ascending ``matched``."""
-    if not matched:
-        return tuple(range(1, count + 1))
     matched_set = set(matched)
     return tuple(n for n in range(1, count + 1) if n not in matched_set)
 

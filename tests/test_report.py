@@ -181,6 +181,10 @@ def test_check_path_builds_no_tag(monkeypatch):
     report.to_text()
     assert report.verdict.counterexample is not None
     assert made == []
-    # The library view builds its tags on access, and the count sees them.
-    assert len(report.verdict.witness_words) == 37_593
+    # The library view builds its tags on first access, and the count sees
+    # them; later reads return the kept view.
+    witness_words = report.verdict.witness_words
+    assert len(witness_words) == 37_593
+    assert len(made) == 37_593
+    assert report.verdict.witness_words is witness_words
     assert len(made) == 37_593

@@ -183,13 +183,27 @@ def test_decide_snni_refuses_bad_assumptions():
 
 
 def test_verdict_consistency_guard():
-    with pytest.raises(NetError):
-        Verdict(snni=True, missing_beta_numbers=(1,))
-    with pytest.raises(NetError):
+    evidence = "cannot carry interference evidence"
+    with pytest.raises(NetError, match=evidence):
+        Verdict(snni=True, missing_beta_numbers=(1,), missing_words=(("a",),))
+    with pytest.raises(NetError, match=evidence):
         Verdict(snni=True, counterexample=("a",))
-    with pytest.raises(NetError):
+    with pytest.raises(NetError, match=evidence):
         Verdict(snni=True, counterexample=())
     Verdict(snni=True, spurious_beta_numbers=(1,))  # allowed
+
+
+def test_verdict_needs_one_word_per_unmatched_tag():
+    one_word = "one word per unmatched tag"
+    with pytest.raises(NetError, match=one_word):
+        Verdict(snni=False, missing_alpha_numbers=(1,))
+    with pytest.raises(NetError, match=one_word):
+        Verdict(snni=False, missing_beta_numbers=(1, 2), missing_words=(("a",),))
+    with pytest.raises(NetError, match=one_word):
+        Verdict(snni=False, missing_words=(("a",),))
+    verdict = Verdict(snni=False, missing_alpha_numbers=(2,), missing_beta_numbers=(1,),
+                      missing_words=(("a",), ("a", "b")), counterexample=("a",))
+    assert verdict.witness_words == {Tag("alpha", 2): ("a",), Tag("beta", 1): ("a", "b")}
 
 
 def test_tag_rule_gap_regression():
