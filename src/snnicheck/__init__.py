@@ -6,7 +6,7 @@ language-equality oracle.  The test battery cross-checks them on every
 bundled and randomly generated net.
 """
 
-from .basis import Brg, BrgEvent, Tag, UbrgResult, build_brg, build_ubrg
+from .basis import Brg, BrgEvent, UbrgResult, build_brg, build_ubrg
 from .explanations import (Explanation, MinimalExplanationSet,
                            explanations_bounded, minimal_e_vectors,
                            minimality_filter)
@@ -32,7 +32,7 @@ __all__ = [
     "FiringError", "InvalidNetError", "JustificationSet", "LabeledPetriNet",
     "LanguageCheckResult", "LanguageDecision", "Marking", "MinimalExplanationSet",
     "NetDocumentError", "NetError", "Nfa", "ParikhVector", "PetriNet",
-    "ReachGraph", "SvResult", "Tag", "TransitionSequence", "UbrgResult",
+    "ReachGraph", "SvResult", "TransitionSequence", "UbrgResult",
     "Verdict", "analyze", "bounded_language", "build_brg", "build_sv",
     "build_ubrg", "check_assumptions", "decide_languages", "decide_snni",
     "explanations_bounded", "export_dot", "format_word", "justifications",

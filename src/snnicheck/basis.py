@@ -17,19 +17,18 @@ state, parent, incoming arc payload, first child), plus the set of
 duplicated ids and, per tag kind, the ids of its tagged leaves in number
 order.  A tag is a kind, a number and the leaf it sits on, so it needs no
 object of its own: tag ``n`` of a kind sits on the ``n``-th leaf of that
-kind's list, and the :class:`Tag` views are built only when read.  A large
-unfolding is then a handful of lists, not one object per node or tag for
-the garbage collector to walk.  Each fact is kept once: a node's root path,
-a tag's leaf or a leaf's being a leaf is read off these columns, not stored
-again.
+kind's list, and is named ``<kind>_<n>`` (:func:`_tag_names`) only where it
+is rendered.  A large unfolding is then a handful of lists, not one object
+per node or tag for the garbage collector to walk.  Each fact is kept once:
+a node's root path, a tag's leaf or a leaf's being a leaf is read off these
+columns, not stored again.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .explanations import high_run_answers, search_tables
 from .nfa import Nfa
@@ -51,19 +50,9 @@ class BrgEvent(NamedTuple):
     evector: ParikhVector
 
 
-class Tag(NamedTuple):
-    """Leaf tag; ``kind`` is "alpha" (fresh leaf) or "beta" (duplicated leaf)."""
-
-    kind: str
-    number: int
-
-    def __str__(self) -> str:
-        return f"{self.kind}_{self.number}"
-
-
-def _tag_set(kind: str, numbers: Iterable[int]) -> frozenset[Tag]:
-    """The :class:`Tag` view of the ``kind`` tags with the given numbers."""
-    return frozenset(Tag(kind, n) for n in numbers)
+def _tag_names(kind: str, count: int) -> list[str]:
+    """The names ``<kind>_<n>`` of a kind's tags ``n`` = 1..``count``, at index ``n - 1``."""
+    return [f"{kind}_{n}" for n in range(1, count + 1)]
 
 
 @dataclass(frozen=True)
@@ -98,8 +87,6 @@ class UbrgResult:
     The tags are numbered leaves: alpha tag ``n`` sits on leaf
     ``alpha_leaves[n - 1]`` and beta tag ``n`` on ``beta_leaves[n - 1]``.
     Each kind is numbered in node order, so both lists are ascending.
-    ``tags``, ``alpha_tags`` and ``beta_tags`` are :class:`Tag` views, built
-    on first access and kept.
     """
 
     brg: Brg
@@ -119,21 +106,6 @@ class UbrgResult:
 
     def marking(self, node_id: int) -> Marking:
         return self.brg.nfa.states[self.state[node_id]]
-
-    @cached_property
-    def tags(self) -> dict[int, Tag]:
-        """The tag of each tagged leaf, in node order."""
-        tags = {leaf: Tag("alpha", n) for n, leaf in enumerate(self.alpha_leaves, 1)}
-        tags.update((leaf, Tag("beta", n)) for n, leaf in enumerate(self.beta_leaves, 1))
-        return dict(sorted(tags.items()))
-
-    @cached_property
-    def alpha_tags(self) -> frozenset[Tag]:
-        return _tag_set("alpha", range(1, len(self.alpha_leaves) + 1))
-
-    @cached_property
-    def beta_tags(self) -> frozenset[Tag]:
-        return _tag_set("beta", range(1, len(self.beta_leaves) + 1))
 
     @property
     def nodes(self) -> range:

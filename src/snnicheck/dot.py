@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Container, Iterable, Mapping
 
-from .basis import Brg, BrgEvent, Tag, UbrgResult
+from .basis import Brg, BrgEvent, UbrgResult, _tag_names
 from .nfa import Nfa
 from .petri import InvalidNetError, Marking
 from .reach import ReachGraph
@@ -53,7 +53,7 @@ def _nfa_dot(nfa: Nfa, name: str, state_text, event_text) -> str:
                 nfa.arcs, event_text)
 
 
-def _tree_dot(name: str, texts: list[str], tags: Mapping[int, Tag], dashed: Container[int],
+def _tree_dot(name: str, texts: list[str], tags: Mapping[int, str], dashed: Container[int],
               parent: list[int], events: list, event_text) -> str:
     """Node ``k`` reads ``texts[k]``, then its tag if it has one (written into ``texts``).
 
@@ -67,10 +67,17 @@ def _tree_dot(name: str, texts: list[str], tags: Mapping[int, Tag], dashed: Cont
                 zip(parent[1:], events[1:], range(1, len(ids))), event_text)
 
 
+def _leaf_tags(ubrg: UbrgResult) -> dict[int, str]:
+    """The tag name of each tagged leaf of the unfolding."""
+    tags = dict(zip(ubrg.alpha_leaves, _tag_names("alpha", len(ubrg.alpha_leaves))))
+    tags.update(zip(ubrg.beta_leaves, _tag_names("beta", len(ubrg.beta_leaves))))
+    return tags
+
+
 def _ubrg_dot(ubrg: UbrgResult) -> str:
     markings = [format_marking(m) for m in ubrg.brg.nfa.states]
-    return _tree_dot("ubrg", [markings[s] for s in ubrg.state], ubrg.tags, ubrg.duplicated,
-                     ubrg.parent, ubrg.event, format_event)
+    return _tree_dot("ubrg", [markings[s] for s in ubrg.state], _leaf_tags(ubrg),
+                     ubrg.duplicated, ubrg.parent, ubrg.event, format_event)
 
 
 def _sv_dot(sv: SvResult) -> str:
@@ -78,7 +85,7 @@ def _sv_dot(sv: SvResult) -> str:
     ubrg = sv.ubrg
     markings = [format_marking(m) for m in ubrg.brg.nfa.states]
     low_markings = {m: format_marking(m) for m in sv.low.states}
-    utags, uevent = ubrg.tags, ubrg.event
+    utags, uevent = _leaf_tags(ubrg), ubrg.event
     texts = [f"{markings[ubrg.state[u]]} ; {low_markings[low]}"
              for u, low in zip(sv.ubrg_node, sv.low_marking)]
     tags = {nid: utags[u] for nid, u in enumerate(sv.ubrg_node) if u in utags}

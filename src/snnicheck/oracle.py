@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .explanations import minimality_filter
-from .petri import (DEFAULT_EXPLORATION_CAP, InvalidNetError, LabeledPetriNet,
-                    LabelWord, Marking, ParikhVector, TransitionSequence, _marking_equation)
+from .petri import (DEFAULT_EXPLORATION_CAP, InvalidNetError, LabeledPetriNet, LabelWord, Marking,
+                    ParikhVector, TransitionSequence, _marking_equation, _require_count)
 from .reach import low_language_within, projected_label_language
 from .verifier import Verdict, _compare
 
@@ -68,8 +68,8 @@ def justifications(lpn: LabeledPetriNet, word: Sequence[str] | str,
     explored.
     """
     atoms = _word_atoms(lpn, word)
-    if cap is not None and (not isinstance(cap, int) or isinstance(cap, bool) or cap < 1):
-        raise InvalidNetError(f"interleaving cap must be a positive int, got {cap!r}")
+    if cap is not None:
+        _require_count("interleaving cap", cap, 1)
     net = lpn.net
     high = lpn.high_transitions
     if cap is None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .basis import build_ubrg
+from .basis import _tag_names, build_ubrg
 from .petri import DEFAULT_EXPLORATION_CAP, AssumptionReport, LabeledPetriNet, format_word
 from .verifier import Verdict, build_sv, decide_languages, sv_verdict
 
@@ -20,7 +20,7 @@ class AnalysisReport:
     (:func:`~snnicheck.basis.build_ubrg`), kept as numbers like the
     verdict's: each kind is numbered 1..``alpha_count`` or
     1..``beta_count`` without gaps, and the renderings list them in that
-    order.  No :class:`~snnicheck.basis.Tag` is built to render them.
+    order, tag ``n`` by its name ``alpha_<n>`` or ``beta_<n>``.
     """
 
     verdict: Verdict
@@ -50,8 +50,8 @@ class AnalysisReport:
         them as arrays.
         """
         verdict = self.verdict
-        alpha = [f"alpha_{number}" for number in range(1, self.alpha_count + 1)]
-        beta = [f"beta_{number}" for number in range(1, self.beta_count + 1)]
+        alpha = _tag_names("alpha", self.alpha_count)
+        beta = _tag_names("beta", self.beta_count)
         missing_alpha = _named(alpha, verdict.missing_alpha_numbers)
         missing_beta = _named(beta, verdict.missing_beta_numbers)
         leaked = verdict.counterexample

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping
 
-from .basis import DEFAULT_TREE_NODE_CAP, Brg, Tag, UbrgResult, _tag_set, build_brg, build_ubrg
+from .basis import DEFAULT_TREE_NODE_CAP, Brg, UbrgResult, build_brg, build_ubrg
 from .language import LanguageCheckResult, language_equal
 from .nfa import Nfa
 from .petri import (DEFAULT_EXPLORATION_CAP, LabeledPetriNet, LabelWord, Marking, NetError,
@@ -98,8 +97,8 @@ class SvResult:
     ``parent[k]`` that pairs the unfolding arc into ``ubrg_node[k]``, whose
     transition is ``ubrg.event[ubrg_node[k]].transition``, with the low arc
     of ``low_transition[k]``; the two share its label.  The matched tags are
-    kept as their numbers, ascending; ``alpha_matched`` and ``beta_matched``
-    are :class:`~snnicheck.basis.Tag` views, built on first access and kept.
+    kept as their numbers, ascending: matched alpha tag ``n`` sits on the
+    unfolding leaf ``ubrg.alpha_leaves[n - 1]``, and likewise for beta.
     """
 
     ubrg: UbrgResult
@@ -126,14 +125,6 @@ class SvResult:
     def nodes(self) -> range:
         """The node ids."""
         return range(len(self.ubrg_node))
-
-    @cached_property
-    def alpha_matched(self) -> frozenset[Tag]:
-        return _tag_set("alpha", self.alpha_matched_numbers)
-
-    @cached_property
-    def beta_matched(self) -> frozenset[Tag]:
-        return _tag_set("beta", self.beta_matched_numbers)
 
 
 def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
@@ -257,11 +248,10 @@ class Verdict:
     observation the low subnet cannot produce.  A beta tag's word is one
     along which no low-only run returns to a pair repeated on its path; the
     low subnet may still accept it.  The spurious numbers are those of tags
-    the per-path rule missed although the languages are equal.
-
-    ``missing_alpha``, ``missing_beta``, ``witness_words`` (each unmatched
-    :class:`~snnicheck.basis.Tag` with its word, in the same order) and
-    ``spurious_tags`` are views, built on first access and kept.
+    the per-path rule missed although the languages are equal.  Number
+    ``n`` of a kind names the tag on the unfolding's leaf
+    ``alpha_leaves[n - 1]`` or ``beta_leaves[n - 1]``; the report renders
+    it as ``alpha_<n>`` or ``beta_<n>``.
     """
 
     snni: bool
@@ -279,25 +269,6 @@ class Verdict:
         if len(self.missing_words) != (len(self.missing_alpha_numbers)
                                        + len(self.missing_beta_numbers)):
             raise NetError("a verdict needs exactly one word per unmatched tag")
-
-    @cached_property
-    def missing_alpha(self) -> frozenset[Tag]:
-        return _tag_set("alpha", self.missing_alpha_numbers)
-
-    @cached_property
-    def missing_beta(self) -> frozenset[Tag]:
-        return _tag_set("beta", self.missing_beta_numbers)
-
-    @cached_property
-    def witness_words(self) -> dict[Tag, LabelWord]:
-        tags = ([Tag("alpha", n) for n in self.missing_alpha_numbers]
-                + [Tag("beta", n) for n in self.missing_beta_numbers])
-        return dict(zip(tags, self.missing_words))
-
-    @cached_property
-    def spurious_tags(self) -> frozenset[Tag]:
-        return (_tag_set("alpha", self.spurious_alpha_numbers)
-                | _tag_set("beta", self.spurious_beta_numbers))
 
 
 def sv_verdict(lpn: LabeledPetriNet, sv: SvResult, brg: Brg | None = None,

@@ -82,6 +82,24 @@ def root_path(tree, node: int) -> list:
     return events
 
 
+def leaf_tags(ubrg) -> dict[int, tuple[str, int]]:
+    """The ``(kind, number)`` tag of each tagged unfolding leaf, in node order.
+
+    Rebuilt from the leaf lists: tag ``n`` of a kind sits on the ``n``-th leaf
+    of that kind's list.
+    """
+    tags = {leaf: ("alpha", n) for n, leaf in enumerate(ubrg.alpha_leaves, 1)}
+    tags.update((leaf, ("beta", n)) for n, leaf in enumerate(ubrg.beta_leaves, 1))
+    return dict(sorted(tags.items()))
+
+
+def witness_words(verdict) -> dict[tuple[str, int], tuple[str, ...]]:
+    """Each unmatched ``(kind, number)`` tag with its word: the alpha tags', then the beta tags'."""
+    tags = ([("alpha", n) for n in verdict.missing_alpha_numbers]
+            + [("beta", n) for n in verdict.missing_beta_numbers])
+    return dict(zip(tags, verdict.missing_words))
+
+
 def relabeled(nfa: Nfa, label) -> Nfa:
     """``nfa`` with each event ``e`` labeled ``label(e)``."""
     return Nfa(nfa.states, nfa.arcs, nfa.initial, {e: label(e) for e in nfa.events})

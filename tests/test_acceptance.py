@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from snnicheck.basis import Tag, build_brg, build_ubrg
+from snnicheck.basis import build_brg, build_ubrg
 from snnicheck.explanations import minimal_e_vectors
 from snnicheck.fixtures import demo_leaky, demo_secure
 from snnicheck.language import word_in_language
@@ -23,10 +23,6 @@ from snnicheck.report import analyze, decide_snni
 from snnicheck.verifier import build_sv
 
 from conftest import ALL_BASIS_MARKINGS, BASIS_M0, BASIS_M1, relabeled
-
-ALPHA_1 = Tag("alpha", 1)
-BETA_1 = Tag("beta", 1)
-
 
 def criterion(number: int, description: str):
     def decorate(fn):
@@ -63,16 +59,16 @@ def test_criterion_2_explanations_and_justifications():
 def test_criterion_3_unfolding_tags():
     ubrg = build_ubrg(demo_secure())
     assert {ubrg.marking(nid) for nid in ubrg.duplicated} == {BASIS_M0, BASIS_M1}
-    assert ubrg.alpha_tags == {ALPHA_1}
-    assert ubrg.beta_tags == {BETA_1}
+    assert len(ubrg.alpha_leaves) == 1
+    assert len(ubrg.beta_leaves) == 1
 
 
 @criterion(4, "secure net: verifier matches both tags and the verdict is SNNI")
 def test_criterion_4_verifier_secure():
     lpn = demo_secure()
     sv = build_sv(lpn)
-    assert sv.alpha_matched == {ALPHA_1}
-    assert sv.beta_matched == {BETA_1}
+    assert sv.alpha_matched_numbers == (1,)
+    assert sv.beta_matched_numbers == (1,)
     assert decide_snni(lpn).snni
 
 
@@ -80,11 +76,11 @@ def test_criterion_4_verifier_secure():
 def test_criterion_5_verifier_leaky():
     lpn = demo_leaky()
     sv = build_sv(lpn)
-    assert sv.alpha_matched == {ALPHA_1}
-    assert sv.beta_matched == frozenset()
+    assert sv.alpha_matched_numbers == (1,)
+    assert sv.beta_matched_numbers == ()
     verdict = decide_snni(lpn)
     assert not verdict.snni
-    assert verdict.missing_beta == {BETA_1}
+    assert verdict.missing_beta_numbers == (1,)
     oracle = snni_oracle(lpn)
     assert not oracle.snni
     assert oracle.counterexample == ("a", "c")

@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 
 from snnicheck import explanations
-from snnicheck.basis import BrgEvent, Tag, basis_successor, build_brg, build_ubrg
+from snnicheck.basis import BrgEvent, basis_successor, build_brg, build_ubrg
 from snnicheck.explanations import minimal_e_vectors
 from snnicheck.dot import export_dot
 from snnicheck.fixtures import (demo_cyclic_high, demo_leaky, demo_secure,
@@ -14,7 +14,7 @@ from snnicheck.petri import (AssumptionError, InvalidNetError, LabeledPetriNet, 
 from snnicheck.randnets import GeneratorConfig, random_lpn
 
 from conftest import (ALL_BASIS_MARKINGS, BASIS_M0, BASIS_M1, BASIS_M2, assert_pumps,
-                      record_calls, root_path, unbounded_witness)
+                      leaf_tags, record_calls, root_path, unbounded_witness)
 
 
 def test_brg_states_match_expected_set(secure):
@@ -167,34 +167,35 @@ def test_brg_with_a_high_transition_that_changes_nothing():
 def test_ubrg_duplicates_and_tags(secure):
     ubrg = build_ubrg(secure)
     assert {ubrg.marking(nid) for nid in ubrg.duplicated} == {BASIS_M0, BASIS_M1}
-    assert ubrg.alpha_tags == {Tag("alpha", 1)}
-    assert ubrg.beta_tags == {Tag("beta", 1)}
+    assert len(ubrg.alpha_leaves) == 1
+    assert len(ubrg.beta_leaves) == 1
 
 
 def test_ubrg_beta_leaf_lies_on_low_cycle(secure):
     ubrg = build_ubrg(secure)
-    leaf = {tag: nid for nid, tag in ubrg.tags.items()}
-    assert [e.transition for e in root_path(ubrg, leaf[Tag("beta", 1)])] == ["l1", "l2", "l1"]
-    assert [e.transition for e in root_path(ubrg, leaf[Tag("alpha", 1)])] == ["l3", "l4"]
+    leaf = {tag: nid for nid, tag in leaf_tags(ubrg).items()}
+    assert [e.transition for e in root_path(ubrg, leaf[("beta", 1)])] == ["l1", "l2", "l1"]
+    assert [e.transition for e in root_path(ubrg, leaf[("alpha", 1)])] == ["l3", "l4"]
 
 
 def test_ubrg_without_high_transitions(secure):
     low = secure.low_subnet()
     ubrg = build_ubrg(low)
-    assert ubrg.alpha_tags == frozenset()
-    assert ubrg.beta_tags == frozenset()
+    assert ubrg.alpha_leaves == []
+    assert ubrg.beta_leaves == []
 
 
 def test_ubrg_leaf_tagging_characterization(secure, leaky):
     for lpn in (secure, leaky):
         ubrg = build_ubrg(lpn)
         leaves = [nid for nid in ubrg.nodes if not ubrg.first_child[nid]]
-        assert set(ubrg.tags) <= set(leaves)
+        tags = leaf_tags(ubrg)
+        assert set(tags) <= set(leaves)
         for nid in leaves:
-            tag = ubrg.tags.get(nid)
+            tag = tags.get(nid)
             assert (tag is not None) == any(any(e.evector) for e in root_path(ubrg, nid))
             if tag is not None:
-                assert (nid in ubrg.duplicated) == (tag.kind == "beta")
+                assert (nid in ubrg.duplicated) == (tag[0] == "beta")
 
 
 def test_ubrg_duplicate_iff_marking_repeats_on_path(secure):
@@ -265,7 +266,7 @@ def test_construction_is_deterministic(secure):
     first = build_ubrg(secure)
     second = build_ubrg(secure)
     assert (first.parent, first.event) == (second.parent, second.event)
-    assert list(first.tags.items()) == list(second.tags.items())
+    assert (first.alpha_leaves, first.beta_leaves) == (second.alpha_leaves, second.beta_leaves)
     assert [first.marking(k) for k in first.nodes] == [second.marking(k) for k in second.nodes]
     assert build_brg(secure).nfa.arcs == build_brg(secure).nfa.arcs
     # Unfolding a prebuilt BRG is the same as letting build_ubrg build it.
@@ -279,5 +280,5 @@ def test_secure_and_leaky_share_basis_structure(secure, leaky):
     assert build_brg(secure).basis_markings == build_brg(leaky).basis_markings
     u1, u2 = build_ubrg(secure), build_ubrg(leaky)
     assert [u1.marking(k) for k in u1.nodes] == [u2.marking(k) for k in u2.nodes]
-    assert u1.alpha_tags == u2.alpha_tags
-    assert u1.beta_tags == u2.beta_tags
+    assert u1.alpha_leaves == u2.alpha_leaves
+    assert u1.beta_leaves == u2.beta_leaves

@@ -96,8 +96,15 @@ def test_equal_effect_sizes_and_verdict(n, c):
     (equal_effect, (0, 3)),
     (equal_effect, (2, 0)),
     (hidden_choice, (0, True)),
-], ids=["equal_effect(0, 3)", "equal_effect(2, 0)", "hidden_choice(0, leaky)"])
+    (hidden_choice, (True, True)),
+    (hidden_choice, (2.5, True)),
+    (equal_effect, (True, 3)),
+    (equal_effect, (2, 1.5)),
+], ids=["equal_effect(0, 3)", "equal_effect(2, 0)", "hidden_choice(0, leaky)",
+        "hidden_choice(True, leaky)", "hidden_choice(2.5, leaky)", "equal_effect(True, 3)",
+        "equal_effect(2, 1.5)"])
 def test_families_reject_sizes_without_their_leak(family, args):
-    # Each of these sizes would build an SNNI net, not the leaky one promised.
-    with pytest.raises(InvalidNetError):
+    # Each of the first three sizes would build an SNNI net, not the leaky one
+    # promised; a bool or a float is no size, even where it would run.
+    with pytest.raises(InvalidNetError, match="must be (positive|an int)"):
         family(*args)

@@ -120,11 +120,11 @@ def test_justifications_reject_non_low_symbol(secure):
     ([["a"]], None, "word atoms must be label strings"),
     ([1], None, "word atoms must be label strings"),
     # A cap below 1 would return an empty, incomplete set; a bool is no count.
-    ("ab", 0, "interleaving cap must be a positive int"),
-    ("ab", -3, "interleaving cap must be a positive int"),
-    ("ab", True, "interleaving cap must be a positive int"),
-    ("ab", False, "interleaving cap must be a positive int"),
-    ("ab", 2.5, "interleaving cap must be a positive int"),
+    ("ab", 0, "interleaving cap must be positive, got 0$"),
+    ("ab", -3, "interleaving cap must be positive, got -3$"),
+    ("ab", True, "interleaving cap must be an int, got True$"),
+    ("ab", False, "interleaving cap must be an int, got False$"),
+    ("ab", 2.5, r"interleaving cap must be an int, got 2\.5$"),
 ])
 def test_justifications_reject_bad_atoms_and_caps(leaky, word, cap, message):
     with pytest.raises(InvalidNetError, match=message):

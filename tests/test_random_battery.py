@@ -21,7 +21,7 @@ from snnicheck.reach import (low_label_language, projected_label_language,
 from snnicheck.report import analyze, decide_snni
 from snnicheck.verifier import build_sv
 
-from conftest import assert_pumps, relabeled, root_path, unbounded_witness
+from conftest import assert_pumps, leaf_tags, relabeled, root_path, unbounded_witness
 
 CROSS_VALIDATION_SEEDS = range(1, 201)
 PROJECTION_SEEDS = range(1, 51)
@@ -108,12 +108,14 @@ def test_matched_tags_never_exceed_tags():
     for seed in STRUCTURE_SEEDS:
         lpn = random_lpn(seed)
         sv = build_sv(lpn)
-        assert sv.alpha_matched <= sv.ubrg.alpha_tags, seed
-        assert sv.beta_matched <= sv.ubrg.beta_tags, seed
+        alpha = range(1, len(sv.ubrg.alpha_leaves) + 1)
+        beta = range(1, len(sv.ubrg.beta_leaves) + 1)
+        assert set(sv.alpha_matched_numbers) <= set(alpha), seed
+        assert set(sv.beta_matched_numbers) <= set(beta), seed
         # Tag numbering is consecutive from 1 per kind, in discovery order.
-        for kind, tags in (("alpha", sv.ubrg.alpha_tags), ("beta", sv.ubrg.beta_tags)):
-            assert sorted(t.number for t in tags) == list(range(1, len(tags) + 1)), seed
-            assert all(t.kind == kind for t in tags), seed
+        tags = leaf_tags(sv.ubrg)
+        for kind, numbers in (("alpha", alpha), ("beta", beta)):
+            assert [n for tag_kind, n in tags.values() if tag_kind == kind] == list(numbers), seed
 
 
 def test_alpha_matching_is_word_membership():
@@ -121,10 +123,10 @@ def test_alpha_matching_is_word_membership():
         lpn = random_lpn(seed)
         sv = build_sv(lpn)
         low = low_label_language(lpn)
-        for leaf, tag in sv.ubrg.tags.items():
-            if tag.kind == "alpha":
+        for leaf, (kind, n) in leaf_tags(sv.ubrg).items():
+            if kind == "alpha":
                 word = lpn.label_word([e.transition for e in root_path(sv.ubrg, leaf)])
-                assert (tag in sv.alpha_matched) == word_in_language(low, word), (seed, tag)
+                assert (n in sv.alpha_matched_numbers) == word_in_language(low, word), (seed, n)
 
 
 def test_unfolding_duplicates_track_simple_cycles():
@@ -156,8 +158,10 @@ def test_negative_verdicts_carry_replayable_counterexamples():
         assert not word_in_language(low_label_language(lpn), word), seed
         # The unmatched tags' words list the alpha tags, then the beta tags,
         # each kind in number order (seeds 12, 24 and 30 miss both kinds).
-        assert list(verdict.witness_words) == sorted(verdict.missing_alpha
-                                                     | verdict.missing_beta), seed
+        tags = ([("alpha", n) for n in verdict.missing_alpha_numbers]
+                + [("beta", n) for n in verdict.missing_beta_numbers])
+        assert tags == sorted(set(tags)), seed
+        assert len(verdict.missing_words) == len(tags), seed
 
 
 def test_basis_and_full_route_counterexamples_agree():

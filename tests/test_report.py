@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import copy
+import gc
+import tracemalloc
 
 import pytest
 
@@ -8,7 +10,7 @@ import snnicheck.petri as petri
 import snnicheck.reach as reach
 import snnicheck.report as report_module
 import snnicheck.verifier as verifier
-from snnicheck.basis import Tag, build_brg, build_ubrg
+from snnicheck.basis import build_brg, build_ubrg
 from snnicheck.dot import export_dot
 from snnicheck.fixtures import demo_leaky, demo_secure, demo_sync_period_two
 from snnicheck.language import word_in_language
@@ -19,7 +21,7 @@ from snnicheck.randnets import GeneratorConfig, random_lpn
 from snnicheck.report import analyze, decide_snni
 from snnicheck.verifier import build_sv, decide_languages, sv_verdict
 
-from conftest import record_calls
+from conftest import record_calls, witness_words
 
 
 def _record_explorations(monkeypatch) -> list:
@@ -155,36 +157,38 @@ def test_witness_text_claims_no_counterpart_only_for_unmatched_alpha_tags():
     report = analyze(lpn)
     low = reach.low_label_language(lpn)
     text = report.to_text()
-    assert report.verdict.witness_words[Tag("beta", 3)] == ("c", "b")
+    words = witness_words(report.verdict)
+    assert words[("beta", 3)] == ("c", "b")
     assert word_in_language(low, ("c", "b"))
     assert "unmatched beta_3: no low-only run of cb returns to a pair repeated on its path\n" \
         in text
-    for tag, word in report.verdict.witness_words.items():
-        claim = f"unmatched {tag}: low observation {format_word(word)} has no low-only counterpart"
-        assert (claim in text) == (tag.kind == "alpha")
-        assert not word_in_language(low, word) or tag.kind == "beta"
+    for (kind, n), word in words.items():
+        claim = (f"unmatched {kind}_{n}: low observation {format_word(word)} "
+                 "has no low-only counterpart")
+        assert (claim in text) == (kind == "alpha")
+        assert not word_in_language(low, word) or kind == "beta"
 
 
-def test_check_path_builds_no_tag(monkeypatch):
+def test_check_path_builds_no_tag():
     # Big net 18 has 37,593 tags, all unmatched.  The check path keeps them
-    # as numbered leaves and renders names and words from the numbers.
-    made = []
-    new = Tag.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        made.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Tag, "__new__", staticmethod(counting_new))
-    report = analyze(random_lpn(18, _BIG))
-    report.to_dict()
-    report.to_text()
+    # as numbered leaves and renders names and words from the numbers, so
+    # the report keeps no object per tag: a tag costs its number, an int,
+    # and one slot in each tuple that lists it, about 49 bytes in all.  One
+    # tuple per tag would double that and add as many live objects.
+    lpn = random_lpn(18, _BIG)
+    gc.collect()
+    objects = len(gc.get_objects())
+    tracemalloc.start()
+    try:
+        report = analyze(lpn)
+        report.to_dict()
+        report.to_text()
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    tags = report.alpha_count + report.beta_count
     assert report.verdict.counterexample is not None
-    assert made == []
-    # The library view builds its tags on first access, and the count sees
-    # them; later reads return the kept view.
-    witness_words = report.verdict.witness_words
-    assert len(witness_words) == 37_593
-    assert len(made) == 37_593
-    assert report.verdict.witness_words is witness_words
-    assert len(made) == 37_593
+    assert (tags, len(report.verdict.missing_words)) == (37_593, 37_593)
+    assert len(gc.get_objects()) - objects < 100
+    assert kept < 64 * tags

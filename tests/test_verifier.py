@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from snnicheck.basis import Tag, build_brg, build_ubrg
+from snnicheck.basis import build_brg, build_ubrg
 from snnicheck.fixtures import demo_leaky, demo_secure, demo_sync_period_two, demo_unbounded
 from snnicheck.language import word_in_language
 from snnicheck.petri import AssumptionError, NetError
@@ -13,13 +13,14 @@ from snnicheck.reach import low_label_language
 from snnicheck.report import analyze, decide_snni
 from snnicheck.verifier import Verdict, build_sv, decide_languages, sv_verdict
 
-from conftest import BASIS_M0, BASIS_M1, bounded_nets, marking_of, root_path
+from conftest import (BASIS_M0, BASIS_M1, bounded_nets, leaf_tags, marking_of, root_path,
+                      witness_words)
 
 
 def test_sv_matches_both_tags_on_secure(secure):
     sv = build_sv(secure)
-    assert sv.alpha_matched == {Tag("alpha", 1)}
-    assert sv.beta_matched == {Tag("beta", 1)}
+    assert sv.alpha_matched_numbers == (1,)
+    assert sv.beta_matched_numbers == (1,)
 
 
 def test_sv_duplicate_pair_bookkeeping(secure):
@@ -28,7 +29,8 @@ def test_sv_duplicate_pair_bookkeeping(secure):
     def pair_of(nid):
         return sv.ubrg.marking(sv.ubrg_node[nid]), sv.low_marking[nid]
     # The one repeat set, split by whether the duplicated leaf is tagged.
-    tagged = {nid for nid in sv.repeat_nodes if sv.ubrg_node[nid] in sv.ubrg.tags}
+    tags = leaf_tags(sv.ubrg)
+    tagged = {nid for nid in sv.repeat_nodes if sv.ubrg_node[nid] in tags}
     beta_pairs = {pair_of(nid) for nid in tagged}
     plain_pairs = {pair_of(nid) for nid in sv.repeat_nodes - tagged}
     assert beta_pairs == {(BASIS_M1, marking_of(secure, p8=1))}
@@ -41,7 +43,7 @@ def repeats_on_root_paths(sv) -> tuple[set[int], set[int]]:
     Scans each node's whole path, and splits the hits into those pairing a
     beta-tagged unfolding leaf and the rest.
     """
-    state, tags = sv.ubrg.state, sv.ubrg.tags
+    state, tags = sv.ubrg.state, leaf_tags(sv.ubrg)
     beta, plain = set(), set()
     for nid in sv.nodes:
         pair = (state[sv.ubrg_node[nid]], sv.low_marking[nid])
@@ -50,7 +52,7 @@ def repeats_on_root_paths(sv) -> tuple[set[int], set[int]]:
             above = sv.parent[above]
         if above >= 0:
             tag = tags.get(sv.ubrg_node[nid])
-            (beta if tag is not None and tag.kind == "beta" else plain).add(nid)
+            (beta if tag is not None and tag[0] == "beta" else plain).add(nid)
     return beta, plain
 
 
@@ -63,21 +65,22 @@ def test_repeats_are_the_pairs_found_again_up_the_root_path():
             continue
         beta, plain = repeats_on_root_paths(sv)
         assert sv.repeat_nodes == beta | plain, name
-        assert {nid for nid in sv.repeat_nodes if sv.ubrg_node[nid] in sv.ubrg.tags} == beta, name
+        tags = leaf_tags(sv.ubrg)
+        assert {nid for nid in sv.repeat_nodes if sv.ubrg_node[nid] in tags} == beta, name
 
 
 def test_sv_leaves_beta_unmatched_on_leaky(leaky):
     sv = build_sv(leaky)
-    assert sv.alpha_matched == {Tag("alpha", 1)}
-    assert sv.beta_matched == frozenset()
+    assert sv.alpha_matched_numbers == (1,)
+    assert sv.beta_matched_numbers == ()
 
 
 def test_sv_trivial_without_high_transitions(secure):
     low = secure.low_subnet()
     sv = build_sv(low)
-    assert sv.alpha_matched == frozenset()
-    assert sv.beta_matched == frozenset()
-    assert sv.ubrg.alpha_tags == frozenset()
+    assert sv.alpha_matched_numbers == ()
+    assert sv.beta_matched_numbers == ()
+    assert sv.ubrg.alpha_leaves == []
     assert decide_snni(low).snni
 
 
@@ -96,8 +99,8 @@ def test_sv_arcs_share_labels(secure, leaky):
 def test_sv_matched_subsets_of_tags(secure, leaky):
     for lpn in (secure, leaky):
         sv = build_sv(lpn)
-        assert sv.alpha_matched <= sv.ubrg.alpha_tags
-        assert sv.beta_matched <= sv.ubrg.beta_tags
+        assert set(sv.alpha_matched_numbers) <= set(range(1, len(sv.ubrg.alpha_leaves) + 1))
+        assert set(sv.beta_matched_numbers) <= set(range(1, len(sv.ubrg.beta_leaves) + 1))
 
 
 def test_sv_nodes_pair_unfolding_with_low_reachability(secure):
@@ -113,27 +116,27 @@ def test_alpha_matched_iff_word_in_low_language(secure, leaky):
     for lpn in (secure, leaky):
         sv = build_sv(lpn)
         low = low_label_language(lpn)
-        for leaf, tag in sv.ubrg.tags.items():
-            if tag.kind == "alpha":
+        for leaf, (kind, n) in leaf_tags(sv.ubrg).items():
+            if kind == "alpha":
                 word = lpn.label_word([e.transition for e in root_path(sv.ubrg, leaf)])
-                assert (tag in sv.alpha_matched) == word_in_language(low, word)
+                assert (n in sv.alpha_matched_numbers) == word_in_language(low, word)
 
 
 def test_decide_snni_secure(secure):
     verdict = decide_snni(secure)
     assert verdict.snni
-    assert verdict.missing_alpha == frozenset()
-    assert verdict.missing_beta == frozenset()
-    assert verdict.spurious_tags == frozenset()
-    assert verdict.witness_words == {}
+    assert verdict.missing_alpha_numbers == ()
+    assert verdict.missing_beta_numbers == ()
+    assert (verdict.spurious_alpha_numbers, verdict.spurious_beta_numbers) == ((), ())
+    assert verdict.missing_words == ()
 
 
 def test_decide_snni_leaky(leaky):
     verdict = decide_snni(leaky)
     assert not verdict.snni
-    assert verdict.missing_alpha == frozenset()
-    assert verdict.missing_beta == {Tag("beta", 1)}
-    word = verdict.witness_words[Tag("beta", 1)]
+    assert verdict.missing_alpha_numbers == ()
+    assert verdict.missing_beta_numbers == (1,)
+    word = witness_words(verdict)[("beta", 1)]
     assert word == ("a", "c", "a")
     # The leak shows up already in the proper prefix, which the low subnet
     # cannot produce.
@@ -158,22 +161,23 @@ def test_witness_words_are_shared_and_read_off_the_parent_column():
             assert "exceeds 200000 nodes" in str(refused), name
             continue
         verdict = sv_verdict(lpn, sv, check=decision.check)
-        assert set(verdict.witness_words) == verdict.missing_alpha | verdict.missing_beta, name
-        leaf = {tag: nid for nid, tag in ubrg.tags.items()}
+        words = witness_words(verdict)
+        assert len(words) == len(verdict.missing_words), name
+        leaf = {tag: nid for nid, tag in leaf_tags(ubrg).items()}
         shared = {}
-        for tag, word in verdict.witness_words.items():
+        for tag, word in words.items():
             assert word == lpn.label_word([e.transition for e in root_path(ubrg, leaf[tag])]), \
                 (name, tag)
             assert shared.setdefault(word, word) is word, (name, tag)
         report = analyze(lpn)
-        assert report.verdict.witness_words == verdict.witness_words, name
+        assert witness_words(report.verdict) == words, name
         rendered = report.to_dict()["witness_words"]
-        assert list(rendered) == [str(tag) for tag in verdict.witness_words], name
-        for tag, word in report.verdict.witness_words.items():
-            assert rendered[str(tag)] is word, (name, tag)
+        assert list(rendered) == [f"{kind}_{n}" for kind, n in words], name
+        for (kind, n), word in witness_words(report.verdict).items():
+            assert rendered[f"{kind}_{n}"] is word, (name, kind, n)
         covered.add(name)
         if name == "14-place net 18":
-            assert (len(verdict.witness_words), len(shared)) == (37_593, 543)
+            assert (len(words), len(shared)) == (37_593, 543)
     assert {f"14-place net {seed}" for seed in (18, 24, 39)} <= covered
 
 
@@ -203,7 +207,7 @@ def test_verdict_needs_one_word_per_unmatched_tag():
         Verdict(snni=False, missing_words=(("a",),))
     verdict = Verdict(snni=False, missing_alpha_numbers=(2,), missing_beta_numbers=(1,),
                       missing_words=(("a",), ("a", "b")), counterexample=("a",))
-    assert verdict.witness_words == {Tag("alpha", 2): ("a",), Tag("beta", 1): ("a", "b")}
+    assert witness_words(verdict) == {("alpha", 2): ("a",), ("beta", 1): ("a", "b")}
 
 
 def test_tag_rule_gap_regression():
@@ -212,19 +216,20 @@ def test_tag_rule_gap_regression():
     # still find the net interference-free.
     lpn = demo_sync_period_two()
     ubrg = build_ubrg(lpn)
-    assert ubrg.beta_tags == {Tag("beta", 1)}
+    assert len(ubrg.beta_leaves) == 1
     sv = build_sv(lpn, ubrg=ubrg)
-    assert sv.beta_matched == frozenset()
+    assert sv.beta_matched_numbers == ()
     verdict = sv_verdict(lpn, sv)
     assert verdict.snni
-    assert verdict.spurious_tags == {Tag("beta", 1)}
+    assert (verdict.spurious_alpha_numbers, verdict.spurious_beta_numbers) == ((), (1,))
 
 
 def test_verdict_iff_invariant_on_tag_grounded_fixtures(secure, leaky):
     for lpn, expected in ((secure, True), (leaky, False)):
         verdict = decide_snni(lpn)
         assert verdict.snni is expected
-        assert verdict.snni == (not verdict.missing_alpha and not verdict.missing_beta)
+        assert verdict.snni == (not verdict.missing_alpha_numbers
+                                and not verdict.missing_beta_numbers)
 
 
 @pytest.mark.parametrize("make", [
@@ -261,11 +266,12 @@ def test_tree_views_agree_with_the_tree_data(make):
         assert sv.low.labeling[t_low] == lpn.label(t)
     # Every repeat pairs a duplicated leaf, and exactly the tagged repeats match beta tags.
     assert all(sv.ubrg_node[nid] in ubrg.duplicated for nid in sv.repeat_nodes)
-    repeat_tags = {ubrg.tags[sv.ubrg_node[nid]] for nid in sv.repeat_nodes
-                   if sv.ubrg_node[nid] in ubrg.tags}
-    assert all(tag.kind == "beta" for tag in repeat_tags)
-    assert repeat_tags == sv.beta_matched
-    assert {ubrg.tags.get(u) for u in sv.ubrg_node} >= sv.alpha_matched
+    tags = leaf_tags(ubrg)
+    repeat_tags = {tags[sv.ubrg_node[nid]] for nid in sv.repeat_nodes
+                   if sv.ubrg_node[nid] in tags}
+    assert all(kind == "beta" for kind, _ in repeat_tags)
+    assert repeat_tags == {("beta", n) for n in sv.beta_matched_numbers}
+    assert {tags.get(u) for u in sv.ubrg_node} >= {("alpha", n) for n in sv.alpha_matched_numbers}
 
 
 def test_verifier_past_its_cap_is_refused_before_any_column_is_built():
@@ -289,7 +295,7 @@ def test_verifier_past_its_cap_is_refused_before_any_column_is_built():
 
 def test_tag_views_match_the_numbered_leaves():
     # A tag is stored as its kind's leaf list, a matched or missing tag as its
-    # number; every Tag view must be exactly the tags those numbers name.
+    # number; the numbers must name exactly the leaves the rules pick.
     big = GeneratorConfig(max_places=14, max_transitions=20, max_tokens=6, bound_cap=100_000)
     nets = ([(f"default net {seed}", seed, GeneratorConfig()) for seed in range(1, 51)]
             + [(f"big net {seed}", seed, big) for seed in (18, 24, 39)])
@@ -300,37 +306,34 @@ def test_tag_views_match_the_numbered_leaves():
         sv = build_sv(lpn, ubrg=ubrg, low=decision.low)
         verdict = sv_verdict(lpn, sv, check=decision.check)
         leaves = {"alpha": ubrg.alpha_leaves, "beta": ubrg.beta_leaves}
-        recorded = sorted((leaf, Tag(kind, n)) for kind, kind_leaves in leaves.items()
-                          for n, leaf in enumerate(kind_leaves, 1))
-        assert list(ubrg.tags.items()) == recorded, name
-        assert ubrg.alpha_tags == {Tag("alpha", n) for n in range(1, len(ubrg.alpha_leaves) + 1)}
-        assert ubrg.beta_tags == {Tag("beta", n) for n in range(1, len(ubrg.beta_leaves) + 1)}
-        assert all(ubrg.first_child[leaf] == 0 for leaf, _ in recorded), name
+        # Each kind is numbered in node order, and no leaf carries two tags.
+        for kind_leaves in leaves.values():
+            assert kind_leaves == sorted(set(kind_leaves)), name
+        tags = leaf_tags(ubrg)
+        assert len(tags) == len(ubrg.alpha_leaves) + len(ubrg.beta_leaves), name
+        assert all(ubrg.first_child[leaf] == 0 for leaf in tags), name
         assert set(ubrg.beta_leaves) <= ubrg.duplicated, name
         assert not set(ubrg.alpha_leaves) & ubrg.duplicated, name
-        # Matching by reachability and by repeat, over the tag view.
+        # Matching by reachability and by repeat, over the leaf lists.
         reached = set(sv.ubrg_node)
         repeated = {sv.ubrg_node[k] for k in sv.repeat_nodes}
-        matched = {kind: tuple(tag.number for leaf, tag in ubrg.tags.items()
-                               if tag.kind == kind and leaf in on)
+        matched = {kind: tuple(n for leaf, (tag_kind, n) in tags.items()
+                               if tag_kind == kind and leaf in on)
                    for kind, on in (("alpha", reached), ("beta", repeated))}
         assert (sv.alpha_matched_numbers, sv.beta_matched_numbers) == \
             (matched["alpha"], matched["beta"]), name
-        assert sv.alpha_matched == {Tag("alpha", n) for n in matched["alpha"]}, name
-        assert sv.beta_matched == {Tag("beta", n) for n in matched["beta"]}, name
         missing = {kind: tuple(n for n in range(1, len(leaves[kind]) + 1) if n not in matched[kind])
                    for kind in leaves}
         if verdict.snni:
             assert (verdict.spurious_alpha_numbers, verdict.spurious_beta_numbers) == \
                 (missing["alpha"], missing["beta"]), name
-            assert verdict.spurious_tags == {Tag(kind, n) for kind in missing
-                                             for n in missing[kind]}, name
-            assert verdict.witness_words == {}, name
+            assert verdict.missing_words == (), name
             continue
         assert (verdict.missing_alpha_numbers, verdict.missing_beta_numbers) == \
             (missing["alpha"], missing["beta"]), name
-        assert verdict.missing_alpha == {Tag("alpha", n) for n in missing["alpha"]}, name
-        assert verdict.missing_beta == {Tag("beta", n) for n in missing["beta"]}, name
-        keys = [Tag(kind, n) for kind in ("alpha", "beta") for n in missing[kind]]
-        assert list(verdict.witness_words) == keys, name
-        assert tuple(verdict.witness_words.values()) == verdict.missing_words, name
+        # The words are the missing alpha tags', then the beta tags', by number.
+        keys = [(kind, n) for kind in ("alpha", "beta") for n in missing[kind]]
+        assert len(verdict.missing_words) == len(keys), name
+        word_of = {(kind, n): lpn.label_word([e.transition for e in root_path(ubrg, leaf)])
+                   for kind in ("alpha", "beta") for n, leaf in enumerate(leaves[kind], 1)}
+        assert verdict.missing_words == tuple(word_of[key] for key in keys), name
