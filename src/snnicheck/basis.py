@@ -68,10 +68,6 @@ class Brg:
     nfa: Nfa
     assumptions: AssumptionReport
 
-    @property
-    def basis_markings(self) -> frozenset[Marking]:
-        return frozenset(self.nfa.states)
-
 
 @dataclass
 class UbrgResult:
@@ -103,9 +99,6 @@ class UbrgResult:
     #: Per kind: the leaf of tag ``n`` at index ``n - 1``, ascending.
     alpha_leaves: list[int]
     beta_leaves: list[int]
-
-    def marking(self, node_id: int) -> Marking:
-        return self.brg.nfa.states[self.state[node_id]]
 
     @property
     def nodes(self) -> range:

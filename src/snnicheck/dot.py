@@ -81,10 +81,13 @@ def _ubrg_dot(ubrg: UbrgResult) -> str:
 
 
 def _sv_dot(sv: SvResult) -> str:
-    """The pipeline half of an arc's ``(t,t_low)`` label is read off the unfolding node."""
+    """The pipeline half of an arc's ``(t,t_low)`` label is read off the unfolding node.
+
+    Each distinct low marking of the ``low_marking`` column is formatted once.
+    """
     ubrg = sv.ubrg
     markings = [format_marking(m) for m in ubrg.brg.nfa.states]
-    low_markings = {m: format_marking(m) for m in sv.low.states}
+    low_markings = {m: format_marking(m) for m in set(sv.low_marking)}
     utags, uevent = _leaf_tags(ubrg), ubrg.event
     texts = [f"{markings[ubrg.state[u]]} ; {low_markings[low]}"
              for u, low in zip(sv.ubrg_node, sv.low_marking)]

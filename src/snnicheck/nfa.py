@@ -18,35 +18,48 @@ from .petri import InvalidNetError
 EPSILON = ""
 
 
-def _ordered_dedupe(items: Iterable) -> tuple:
-    seen = set()
-    out = []
+def _distinct(kind: str, items: Iterable) -> tuple:
+    """``items`` without repeats, in first-seen order; an unhashable item is refused."""
+    out: dict = {}
     for x in items:
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
+        try:
+            out[x] = None
+        except TypeError:  # an unhashable item
+            raise InvalidNetError(f"{kind} {x!r} is not hashable") from None
     return tuple(out)
+
+
+def _arc(entry) -> tuple:
+    """An arc entry, a tuple or list of three, as a ``(source, event, target)`` tuple."""
+    if isinstance(entry, (tuple, list)) and len(entry) == 3:
+        return tuple(entry)
+    raise InvalidNetError(f"arc entry {entry!r} must be a tuple (source, event, target)")
 
 
 class Nfa:
     """States, arcs ``(source, event, target)``, initial states, optional labeling.
 
     ``Nfa(...)`` drops repeated states, arcs and initial states and checks
-    that every arc and initial state uses a declared state and, given a
-    labeling, that it labels every arc's event with a ``str``.  The graphs
-    this package builds (reachability graphs and the basis reachability
-    graph) are unique by construction: their states are discovered once
-    each and their arcs come straight from that one discovery.  They go
-    through :meth:`_from_unique`, which skips both steps.
+    that each is hashable, that every arc is a ``(source, event, target)``
+    triple, that every arc and initial state uses a declared state and,
+    given a labeling, that it labels every arc's event with a ``str`` and
+    has no label of another type; it refuses any other input with
+    :class:`~snnicheck.petri.InvalidNetError`.  The graphs this package
+    builds (reachability graphs and the basis reachability graph) are
+    unique by construction: their states are discovered once each and their
+    arcs come straight from that one discovery.  They go through
+    :meth:`_from_unique`, which skips the checks.  An automaton keeps its
+    events only on its arcs and as labeling keys, which may also name
+    events no arc uses.
     """
 
     def __init__(self, states: Iterable[Hashable],
                  arcs: Iterable[tuple],
                  initial: Iterable[Hashable],
                  labeling: Mapping[Hashable, str] | None = None):
-        states = _ordered_dedupe(states)
-        arcs = _ordered_dedupe(tuple(a) for a in arcs)
-        initial = _ordered_dedupe(initial)
+        states = _distinct("state", states)
+        arcs = _distinct("arc", map(_arc, arcs))
+        initial = _distinct("initial state", initial)
         declared = frozenset(states)
         for s, e, d in arcs:
             if s not in declared or d not in declared:
@@ -56,6 +69,9 @@ class Nfa:
         for s in initial:
             if s not in declared:
                 raise InvalidNetError(f"initial state {s!r} is not declared")
+        # The alphabet is read off the labeling, so a label no arc carries is a str too.
+        if labeling is not None and not all(isinstance(a, str) for a in labeling.values()):
+            raise InvalidNetError("every label of an automaton must be a str")
         self._index(states, arcs, initial, labeling)
 
     @classmethod
@@ -76,7 +92,6 @@ class Nfa:
         self.states = states
         self.arcs = arcs
         self.initial = initial
-        self.events = _ordered_dedupe(e for _, e, _ in arcs)
         self.labeling = dict(labeling) if labeling is not None else None
         # Arcs usually arrive grouped by source, so each state's tuple is
         # built from its run of arcs in one go (a source that comes back
@@ -92,7 +107,7 @@ class Nfa:
         """Outgoing ``(event, target)`` pairs in construction order."""
         try:
             return self._out[state]
-        except KeyError:
+        except (KeyError, TypeError):  # an unknown or unhashable state
             raise InvalidNetError(f"unknown state {state!r}") from None
 
     def __repr__(self) -> str:

@@ -166,10 +166,13 @@ class PetriNet:
                      delta: dict[str, tuple[tuple[int, int], ...]]) -> PetriNet:
         """Trusted construction from tables that are checked and consistent.
 
-        The caller guarantees what the constructor would check: distinct
-        non-empty identifiers, no identifier both a place and a transition,
-        each arc joining a declared place and transition once with a
-        positive int weight, and a marking of non-negative ints.  The
+        Its one caller is :func:`~snnicheck.netdoc.parse_net`, which has
+        checked the document already; every other net, subnets included, is
+        built by the constructor.  The caller guarantees what the
+        constructor would check: distinct non-empty identifiers, no
+        identifier both a place and a transition, each arc joining a
+        declared place and transition once with a positive int weight, and
+        a marking of non-negative ints.  The
         indexes follow declaration order, and ``pre`` and ``delta`` are the
         tables of :func:`_firing_tables`, keyed in transition order.
         """
@@ -236,11 +239,11 @@ class PetriNet:
     def induced_subnet(self, keep: Iterable[str]) -> PetriNet:
         """Subnet over the same places, keeping only the transitions in ``keep``.
 
-        Only the selection is validated.  The subnet is cut from this net's
-        validated tables rather than built by the constructor: it shares the
-        places, their index and the initial marking, keeps the arcs of the
-        kept transitions in their order and their ``pre``/``delta`` entries,
-        and indexes the kept transitions afresh in declaration order.
+        The selection is validated, and the subnet is built by the
+        constructor from this net's places and initial marking, the kept
+        transitions in declaration order and their arcs in this net's order.
+        No operation builds a subnet; only the reference
+        :func:`~snnicheck.reach.low_label_language` does.
         """
         _refuse_bare_string("a subnet selection", keep)
         try:
@@ -251,11 +254,10 @@ class PetriNet:
         if unknown:
             raise InvalidNetError(
                 f"unknown transitions in subnet selection: {sorted(unknown, key=str)}")
-        kept = tuple(t for t in self.transitions if t in keep_set)
-        return PetriNet._from_tables(
-            self.places, kept, self._place_index, {t: i for i, t in enumerate(kept)},
+        return PetriNet(
+            self.places, tuple(t for t in self.transitions if t in keep_set),
             {arc: w for arc, w in self.weight.items() if arc[0] in keep_set or arc[1] in keep_set},
-            self.initial_marking, {t: self.pre[t] for t in kept}, {t: self.delta[t] for t in kept})
+            self.initial_marking)
 
     def __repr__(self) -> str:
         return (f"PetriNet(|P|={len(self.places)}, |T|={len(self.transitions)}, "
@@ -357,17 +359,17 @@ class LabeledPetriNet:
             if not isinstance(a, str) or not a:
                 raise InvalidNetError(f"transition {t} must carry a non-empty label, got {a!r}")
         self.labeling = {t: labeling[t] for t in net.transitions}
-        self.alphabet = frozenset(self.labeling.values())
+        alphabet = frozenset(self.labeling.values())
         _refuse_bare_string("high labels", high_labels)
         high = tuple(high_labels)
         for a in high:
             if not isinstance(a, str):
                 raise InvalidNetError(f"high label must be a string, got {a!r}")
         self.high_labels = frozenset(high)
-        unknown = self.high_labels - self.alphabet
+        unknown = self.high_labels - alphabet
         if unknown:
             raise InvalidNetError(f"high labels not used by any transition: {sorted(unknown)}")
-        self.low_labels = self.alphabet - self.high_labels
+        self.low_labels = alphabet - self.high_labels
         self.low_transitions = tuple(t for t in net.transitions
                                      if self.labeling[t] in self.low_labels)
         self.high_transitions = tuple(t for t in net.transitions
@@ -380,17 +382,17 @@ class LabeledPetriNet:
                      high_transitions: tuple[str, ...]) -> LabeledPetriNet:
         """Trusted construction from a labeling and partition that are checked.
 
-        The caller guarantees what the constructor would check and derive:
-        ``labeling`` gives every transition of ``net`` a non-empty label, in
-        transition order; the label sets are disjoint and together are the
-        labels used; and the transition tuples list the transitions with a
-        low and a high label, in declaration order.  The assumption report
-        starts empty.
+        Its one caller is :func:`~snnicheck.netdoc.parse_net`; the low subnet
+        is built by the constructor.  The caller guarantees what the
+        constructor would check and derive: ``labeling`` gives every
+        transition of ``net`` a non-empty label, in transition order; the
+        label sets are disjoint and together are the labels used; and the
+        transition tuples list the transitions with a low and a high label,
+        in declaration order.  The assumption report starts empty.
         """
         lpn = cls.__new__(cls)
         lpn.net = net
         lpn.labeling = labeling
-        lpn.alphabet = low_labels | high_labels
         lpn.high_labels = high_labels
         lpn.low_labels = low_labels
         lpn.low_transitions = low_transitions
@@ -413,17 +415,11 @@ class LabeledPetriNet:
     def low_subnet(self) -> LabeledPetriNet:
         """Low-transition-induced subnet with the restricted labeling.
 
-        Cut from this net's validated tables without the constructor's
-        checks: its alphabet is the low labels, it has no high labels, and
-        its assumption report starts empty.
+        Built by the validating constructors: its labels are the low labels,
+        it has no high labels, and its assumption report starts empty.
         """
-        return LabeledPetriNet._from_tables(
-            self.net.induced_subnet(self.low_transitions),
-            {t: self.labeling[t] for t in self.low_transitions},
-            self.low_labels, frozenset(), self.low_transitions, ())
-
-    def high_subnet(self) -> PetriNet:
-        return self.net.induced_subnet(self.high_transitions)
+        return LabeledPetriNet(self.net.induced_subnet(self.low_transitions),
+                               {t: self.labeling[t] for t in self.low_transitions})
 
     def require_assumptions(self, cap: int = DEFAULT_EXPLORATION_CAP) -> AssumptionReport:
         """Raise :class:`AssumptionError` unless both standing checks pass.

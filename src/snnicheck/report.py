@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .basis import _tag_names, build_ubrg
 from .petri import DEFAULT_EXPLORATION_CAP, AssumptionReport, LabeledPetriNet, format_word
-from .verifier import Verdict, build_sv, decide_languages, sv_verdict
+from .verifier import Verdict, _others, build_sv, decide_languages, sv_verdict
 
 
 @dataclass
@@ -15,26 +15,24 @@ class AnalysisReport:
     """Everything one analysis run produced, ready for rendering.
 
     The verdict, its shortest leaked low word and the witness words are
-    ``verdict``'s, and the reachable-marking count is ``assumptions``'; the
-    report keeps no copy of them.  The tags are an unfolding's
-    (:func:`~snnicheck.basis.build_ubrg`), kept as numbers like the
-    verdict's: each kind is numbered 1..``alpha_count`` or
+    ``verdict``'s, and the reachable-marking count and the exploration cap
+    are ``assumptions``'; the report keeps no copy of them.  The tags are an
+    unfolding's (:func:`~snnicheck.basis.build_ubrg`), kept as numbers like
+    the verdict's: each kind is numbered 1..``alpha_count`` or
     1..``beta_count`` without gaps, and the renderings list them in that
-    order, tag ``n`` by its name ``alpha_<n>`` or ``beta_<n>``.
+    order, tag ``n`` by its name ``alpha_<n>`` or ``beta_<n>``.  The tags
+    the verifier matched are not stored either: they are the ones the
+    verdict does not list as missing or spurious.
     """
 
     verdict: Verdict
     alpha_count: int
     beta_count: int
-    #: Numbers of the tags the verifier matched, each kind ascending.
-    alpha_matched_numbers: tuple[int, ...]
-    beta_matched_numbers: tuple[int, ...]
     brg_states: int
     ubrg_nodes: int
     sv_nodes: int
     low_reachable_markings: int
     assumptions: AssumptionReport
-    cap: int
     timings: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -54,13 +52,17 @@ class AnalysisReport:
         beta = _tag_names("beta", self.beta_count)
         missing_alpha = _named(alpha, verdict.missing_alpha_numbers)
         missing_beta = _named(beta, verdict.missing_beta_numbers)
+        # An unmatched tag is missing or spurious: SNNI lists none missing, and NOT SNNI
+        # none spurious.
+        unmatched_alpha = verdict.missing_alpha_numbers or verdict.spurious_alpha_numbers
+        unmatched_beta = verdict.missing_beta_numbers or verdict.spurious_beta_numbers
         leaked = verdict.counterexample
         return {
             "snni": verdict.snni,
             "alpha_tags": alpha,
             "beta_tags": beta,
-            "alpha_matched": _named(alpha, self.alpha_matched_numbers),
-            "beta_matched": _named(beta, self.beta_matched_numbers),
+            "alpha_matched": _named(alpha, _others(self.alpha_count, unmatched_alpha)),
+            "beta_matched": _named(beta, _others(self.beta_count, unmatched_beta)),
             "missing_alpha": missing_alpha,
             "missing_beta": missing_beta,
             "spurious_tags": (_named(alpha, verdict.spurious_alpha_numbers)
@@ -78,7 +80,7 @@ class AnalysisReport:
                 "bounded": self.assumptions.bounded,
                 "high_subnet_acyclic": self.assumptions.high_subnet_acyclic,
             },
-            "cap": self.cap,
+            "cap": self.assumptions.cap,
             "timings": {k: round(v, 6) for k, v in self.timings.items()},
         }
 
@@ -146,11 +148,9 @@ def analyze(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Analysi
                "languages": decision.timings["languages"]}
     return AnalysisReport(
         verdict=verdict, alpha_count=len(ubrg.alpha_leaves), beta_count=len(ubrg.beta_leaves),
-        alpha_matched_numbers=sv.alpha_matched_numbers,
-        beta_matched_numbers=sv.beta_matched_numbers,
         brg_states=len(decision.brg.nfa.states), ubrg_nodes=len(ubrg.nodes),
         sv_nodes=len(sv.nodes), low_reachable_markings=len(decision.low.states),
-        assumptions=decision.brg.assumptions, cap=cap, timings=timings)
+        assumptions=decision.brg.assumptions, timings=timings)
 
 
 def decide_snni(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP) -> Verdict:

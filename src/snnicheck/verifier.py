@@ -68,7 +68,7 @@ def _low_language(lpn: LabeledPetriNet, brg: Brg) -> Nfa:
     one minimal explanation, so those arcs are exactly the low subnet's
     firings, and every marking they reach is a basis marking.
     """
-    return low_language_within(lpn, brg.nfa, {e: e.transition for e in brg.nfa.events
+    return low_language_within(lpn, brg.nfa, {e: e.transition for e in brg.nfa.labeling
                                               if not any(e.evector)})
 
 
@@ -92,21 +92,21 @@ class SvResult:
 
     The root is node 0 and pairs the unfolding root, node 0, with the low
     initial marking.  Nothing is allocated per node beyond the column
-    entries: the low markings are the states of ``low``, and the low
-    transitions are its events.  Node ``k > 0`` is created by the arc from
-    ``parent[k]`` that pairs the unfolding arc into ``ubrg_node[k]``, whose
-    transition is ``ubrg.event[ubrg_node[k]].transition``, with the low arc
-    of ``low_transition[k]``; the two share its label.  The matched tags are
+    entries: the low markings are states of the low subnet's label language
+    the tree was paired with, and the low transitions are its events.  That
+    automaton is not kept here; :class:`LanguageDecision` holds it as
+    ``low``.  Node ``k > 0`` is created by the arc from ``parent[k]`` that
+    pairs the unfolding arc into ``ubrg_node[k]``, whose transition is
+    ``ubrg.event[ubrg_node[k]].transition``, with the low arc of
+    ``low_transition[k]``; the two share its label.  The matched tags are
     kept as their numbers, ascending: matched alpha tag ``n`` sits on the
     unfolding leaf ``ubrg.alpha_leaves[n - 1]``, and likewise for beta.
     """
 
     ubrg: UbrgResult
-    #: The low subnet's label language the tree is paired with.
-    low: Nfa
     #: Per node: the unfolding node it pairs.
     ubrg_node: list[int]
-    #: Per node: the low marking it pairs, a state of ``low``.
+    #: Per node: the low marking it pairs.
     low_marking: list[Marking]
     #: Per node: its parent's id (-1 at the root).
     parent: list[int]
@@ -145,7 +145,7 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
     their leaf; beta tags only by a repeat at their leaf, since a duplicated
     leaf's tag is always beta.  A matched tag is recorded as its number.
     The unfolding is built here unless passed, and the low label language
-    (kept as ``low``) is read off its basis graph unless passed.
+    is read off its basis graph unless passed; the result does not keep it.
 
     The tree is sized before it is built, so a tree past ``node_cap`` is
     refused without building any column.  Every pairing of one unfolding
@@ -228,7 +228,7 @@ def build_sv(lpn: LabeledPetriNet, cap: int = DEFAULT_EXPLORATION_CAP,
     reached = set(ubrg_node)
     # A duplicated leaf's tag, if any, is a beta tag.
     repeated = {ubrg_node[k] for k in repeat_nodes}
-    return SvResult(ubrg, low, ubrg_node, low_marking, parent, low_transition,
+    return SvResult(ubrg, ubrg_node, low_marking, parent, low_transition,
                     alpha_matched_numbers=tuple(n for n, leaf in enumerate(ubrg.alpha_leaves, 1)
                                                 if leaf in reached),
                     beta_matched_numbers=tuple(n for n, leaf in enumerate(ubrg.beta_leaves, 1)
@@ -280,18 +280,20 @@ def sv_verdict(lpn: LabeledPetriNet, sv: SvResult, brg: Brg | None = None,
     returns to a repeated pair, which the path-local repeat check cannot
     see.  So the verdict is the comparison's: pass ``check`` from
     :func:`decide_languages`, or ``brg`` (by default ``sv.ubrg.brg``) is
-    compared with ``sv.low`` here.  Tags missed while the languages are
-    equal are spurious, not leaks.  Nothing is explored.  The unmatched tags
+    compared here with the low label language read off it.  Tags missed
+    while the languages are equal are spurious, not leaks.  Nothing is
+    explored.  The unmatched tags
     of each kind are its numbers 1..N without the matched ones.  On a
     negative verdict each unmatched tag gets its leaf's unfolding path word,
     in ``missing_words``: the alpha tags', then the beta tags', each kind in
     number order, which is also unfolding order.
     """
     if check is None:
-        check = _compare((sv.ubrg.brg if brg is None else brg).nfa, sv.low)
+        brg = sv.ubrg.brg if brg is None else brg
+        check = _compare(brg.nfa, _low_language(lpn, brg))
     ubrg = sv.ubrg
-    missing_alpha = _unmatched(len(ubrg.alpha_leaves), sv.alpha_matched_numbers)
-    missing_beta = _unmatched(len(ubrg.beta_leaves), sv.beta_matched_numbers)
+    missing_alpha = _others(len(ubrg.alpha_leaves), sv.alpha_matched_numbers)
+    missing_beta = _others(len(ubrg.beta_leaves), sv.beta_matched_numbers)
     if check.equal:
         return Verdict(True, spurious_alpha_numbers=missing_alpha,
                        spurious_beta_numbers=missing_beta)
@@ -301,10 +303,16 @@ def sv_verdict(lpn: LabeledPetriNet, sv: SvResult, brg: Brg | None = None,
                    check.counterexample)
 
 
-def _unmatched(count: int, matched: tuple[int, ...]) -> tuple[int, ...]:
-    """The numbers 1..``count`` that are not in the ascending ``matched``."""
-    matched_set = set(matched)
-    return tuple(n for n in range(1, count + 1) if n not in matched_set)
+def _others(count: int, numbers: tuple[int, ...]) -> tuple[int, ...]:
+    """The numbers 1..``count`` that are not in ``numbers``, distinct ones of them, ascending.
+
+    Where ``numbers`` holds them all, as on a net whose tags all go unmatched
+    (big net 18 has 37,593), no number is looked at.
+    """
+    if len(numbers) == count:
+        return ()
+    skip = set(numbers)
+    return tuple(n for n in range(1, count + 1) if n not in skip)
 
 
 def _path_words(lpn: LabeledPetriNet, ubrg: UbrgResult,

@@ -72,6 +72,11 @@ def marking_of(lpn: LabeledPetriNet, **tokens: int) -> tuple[int, ...]:
     return tuple(tokens.get(p, 0) for p in lpn.net.places)
 
 
+def node_marking(ubrg, node: int) -> tuple[int, ...]:
+    """The marking of an unfolding node: its BRG state's, off the ``state`` column."""
+    return ubrg.brg.nfa.states[ubrg.state[node]]
+
+
 def root_path(tree, node: int) -> list:
     """Arc payloads from a tree's root, node 0, down to ``node``, off its parent and event columns."""
     events = []
@@ -101,8 +106,8 @@ def witness_words(verdict) -> dict[tuple[str, int], tuple[str, ...]]:
 
 
 def relabeled(nfa: Nfa, label) -> Nfa:
-    """``nfa`` with each event ``e`` labeled ``label(e)``."""
-    return Nfa(nfa.states, nfa.arcs, nfa.initial, {e: label(e) for e in nfa.events})
+    """``nfa`` with each event ``e`` of its arcs labeled ``label(e)``."""
+    return Nfa(nfa.states, nfa.arcs, nfa.initial, {e: label(e) for _, e, _ in nfa.arcs})
 
 
 def unbounded_witness(message: str) -> tuple[tuple[str, ...], int]:

@@ -9,17 +9,17 @@ from snnicheck.explanations import minimal_e_vectors
 from snnicheck.dot import export_dot
 from snnicheck.fixtures import (demo_cyclic_high, demo_leaky, demo_secure,
                                 demo_sync_period_two, demo_unbounded)
-from snnicheck.petri import (AssumptionError, InvalidNetError, LabeledPetriNet, PetriNet,
-                             check_assumptions)
+from snnicheck.petri import (AssumptionError, InvalidNetError, LabeledPetriNet, NetError,
+                             PetriNet, check_assumptions)
 from snnicheck.randnets import GeneratorConfig, random_lpn
 
 from conftest import (ALL_BASIS_MARKINGS, BASIS_M0, BASIS_M1, BASIS_M2, assert_pumps,
-                      leaf_tags, record_calls, root_path, unbounded_witness)
+                      leaf_tags, node_marking, record_calls, root_path, unbounded_witness)
 
 
 def test_brg_states_match_expected_set(secure):
     brg = build_brg(secure)
-    assert brg.basis_markings == ALL_BASIS_MARKINGS
+    assert frozenset(brg.nfa.states) == ALL_BASIS_MARKINGS
     assert brg.nfa.initial == (BASIS_M0,)
 
 
@@ -166,7 +166,7 @@ def test_brg_with_a_high_transition_that_changes_nothing():
 
 def test_ubrg_duplicates_and_tags(secure):
     ubrg = build_ubrg(secure)
-    assert {ubrg.marking(nid) for nid in ubrg.duplicated} == {BASIS_M0, BASIS_M1}
+    assert {node_marking(ubrg, nid) for nid in ubrg.duplicated} == {BASIS_M0, BASIS_M1}
     assert len(ubrg.alpha_leaves) == 1
     assert len(ubrg.beta_leaves) == 1
 
@@ -205,8 +205,8 @@ def test_ubrg_duplicate_iff_marking_repeats_on_path(secure):
         current = nid
         while current:
             current = ubrg.parent[current]
-            ancestors.append(ubrg.marking(current))
-        assert (nid in ubrg.duplicated) == (ubrg.marking(nid) in ancestors)
+            ancestors.append(node_marking(ubrg, current))
+        assert (nid in ubrg.duplicated) == (node_marking(ubrg, nid) in ancestors)
 
 
 def test_ubrg_first_child_is_zero_exactly_at_leaves():
@@ -233,6 +233,11 @@ def test_arc_soundness(secure, leaky):
     for lpn in (secure, leaky):
         brg = build_brg(lpn)
         _arc_soundness(lpn, brg.nfa.arcs, lambda m: m)
+    # A vector no run can fire drives the reference step below zero.
+    with pytest.raises(NetError, match=r"^marking equation produced a negative marking "
+                                       r"for \(l1, \(0, 1\)\); explanation vectors are "
+                                       r"inconsistent$"):
+        basis_successor(secure, secure.net.initial_marking, "l1", (0, 1))
         ubrg = build_ubrg(lpn)
         _arc_soundness(lpn, zip(ubrg.parent[1:], ubrg.event[1:], ubrg.nodes[1:]), ubrg.marking)
 
@@ -248,14 +253,14 @@ def test_unfolding_correspondence_with_cycles(secure):
     assert cycles
     ubrg = build_ubrg(secure)
     on_cycles = {m for cycle in cycles for m in cycle}
-    duplicate_markings = {ubrg.marking(nid) for nid in ubrg.duplicated}
+    duplicate_markings = {node_marking(ubrg, nid) for nid in ubrg.duplicated}
     assert duplicate_markings <= on_cycles
     for cycle in cycles:
         assert duplicate_markings & set(cycle)
     # Each duplicated leaf path really ends in a marking repeat.
     for nid in ubrg.duplicated:
         assert not ubrg.first_child[nid]
-        markings = [ubrg.marking(0)]
+        markings = [node_marking(ubrg, 0)]
         for event in root_path(ubrg, nid):
             markings.append(basis_successor(secure, markings[-1],
                                             event.transition, event.evector))
@@ -267,7 +272,8 @@ def test_construction_is_deterministic(secure):
     second = build_ubrg(secure)
     assert (first.parent, first.event) == (second.parent, second.event)
     assert (first.alpha_leaves, first.beta_leaves) == (second.alpha_leaves, second.beta_leaves)
-    assert [first.marking(k) for k in first.nodes] == [second.marking(k) for k in second.nodes]
+    assert ([node_marking(first, k) for k in first.nodes]
+            == [node_marking(second, k) for k in second.nodes])
     assert build_brg(secure).nfa.arcs == build_brg(secure).nfa.arcs
     # Unfolding a prebuilt BRG is the same as letting build_ubrg build it.
     nets = [demo() for demo in (demo_secure, demo_leaky, demo_sync_period_two)]
@@ -277,8 +283,8 @@ def test_construction_is_deterministic(secure):
 
 def test_secure_and_leaky_share_basis_structure(secure, leaky):
     # Relabeling one transition changes neither basis markings nor unfolding.
-    assert build_brg(secure).basis_markings == build_brg(leaky).basis_markings
+    assert frozenset(build_brg(secure).nfa.states) == frozenset(build_brg(leaky).nfa.states)
     u1, u2 = build_ubrg(secure), build_ubrg(leaky)
-    assert [u1.marking(k) for k in u1.nodes] == [u2.marking(k) for k in u2.nodes]
+    assert [node_marking(u1, k) for k in u1.nodes] == [node_marking(u2, k) for k in u2.nodes]
     assert u1.alpha_leaves == u2.alpha_leaves
     assert u1.beta_leaves == u2.beta_leaves

@@ -3,10 +3,13 @@ from __future__ import annotations
 import hashlib
 import json
 
+import pytest
+
 from snnicheck.basis import build_brg, build_ubrg
 from snnicheck.dot import export_dot
 from snnicheck.netdoc import serialize_net
 from snnicheck.nfa import Nfa
+from snnicheck.petri import InvalidNetError
 from snnicheck.randnets import GeneratorConfig, random_lpn
 from snnicheck.reach import low_label_language, reachability_graph
 from snnicheck.report import analyze
@@ -26,6 +29,11 @@ def test_empty_graph_header_footer_only():
     text = export_dot(Nfa([], [], []))
     assert [line for line in text.splitlines()
             if line not in ("digraph nfa {", "  rankdir=LR;", "  node [shape=box];", "}")] == []
+
+
+def test_export_refuses_what_it_cannot_draw():
+    with pytest.raises(InvalidNetError, match=r"^cannot export object as DOT$"):
+        export_dot(object())
 
 
 def test_bare_nfa_dot_outlines_every_initial_state():

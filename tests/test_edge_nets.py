@@ -33,6 +33,7 @@ def test_multi_character_labels_compare_as_atoms():
     assert oracle.counterexample == ("ab",)
     assert verdict.counterexample == ("ab",)
     assert format_word(("ab", "c")) == "ab c"
+    assert format_word(()) == "ε"
 
 
 def test_multi_character_labels_with_low_twins():

@@ -29,6 +29,15 @@ def test_explanation_sets_at_initial(secure):
 def test_explanations_empty_when_nothing_helps(secure):
     # l2 needs p3, which no high sequence can mark from the initial marking.
     assert explanations_bounded(secure, secure.net.initial_marking, "l2", len_cap=6) == set()
+    # On a chain of two high transitions, a length cap of 1 stops the search
+    # before the one explanation, which a cap of 2 finds.
+    chain = LabeledPetriNet(PetriNet(("p0", "p1", "p2"), ("h1", "h2", "l"),
+                                     [("p0", "h1"), ("h1", "p1"), ("p1", "h2"), ("h2", "p2"),
+                                      ("p2", "l")], (1, 0, 0)),
+                            {"h1": "f", "h2": "g", "l": "a"}, high_labels={"f", "g"})
+    assert explanations_bounded(chain, (1, 0, 0), "l", len_cap=1) == set()
+    assert explanations_bounded(chain, (1, 0, 0), "l", len_cap=2) == {
+        Explanation(("h1", "h2"), (1, 1))}
 
 
 @pytest.mark.parametrize("len_cap, message", [
@@ -60,7 +69,7 @@ def test_minimal_e_vectors_witnesses(secure):
     m0 = secure.net.initial_marking
     result = minimal_e_vectors(secure, m0, "l1")
     assert result.witnesses[(1, 0)] == ("h1",)
-    high_net = secure.high_subnet()
+    high_net = secure.net.induced_subnet(secure.high_transitions)
     for vector, witness in result.witnesses.items():
         after = high_net.fire_sequence(m0, witness)
         assert secure.net.enabled(after, result.transition)
@@ -135,7 +144,7 @@ def test_oracle_equivalence_on_fixture(secure):
 
 
 def test_antichain_and_soundness_on_leaky(leaky):
-    high_net = leaky.high_subnet()
+    high_net = leaky.net.induced_subnet(leaky.high_transitions)
     for m in explore_markings(leaky.net, cap=100).markings:
         for t in leaky.low_transitions:
             result = minimal_e_vectors(leaky, m, t)

@@ -25,7 +25,8 @@ def test_label_sharing(secure):
     assert secure.label("l3") == secure.label("l5") == "c"
     assert secure.label("l2") == secure.label("l9") == "b"
     assert secure.label("l4") == secure.label("l6") == "d"
-    assert secure.alphabet == {"a", "b", "c", "d", "e", "f", "g"}
+    assert set(secure.labeling.values()) == {"a", "b", "c", "d", "e", "f", "g"}
+    assert secure.low_labels | secure.high_labels == {"a", "b", "c", "d", "e", "f", "g"}
     assert secure.high_labels == {"f", "g"}
 
 

@@ -56,6 +56,8 @@ def test_roundtrip_is_identity():
     for name in DEMOS:
         text = fixture_document(name)
         assert serialize_net(parse_net(text)) == text, name
+    with pytest.raises(KeyError, match=r"unknown demo net 'nope'; available: \['cyclic-high', "):
+        fixture_document("nope")
 
 
 def test_roundtrip_through_lpn():
@@ -329,10 +331,17 @@ def test_parsed_suite_nets_match_the_generated_nets():
 
 
 def _tables(lpn: LabeledPetriNet) -> dict:
-    """Every attribute of ``lpn`` and of its net; dicts as item lists, so order counts."""
-    return {(owner, name): list(value.items()) if isinstance(value, dict) else value
-            for owner, obj in (("lpn", lpn), ("net", lpn.net))
-            for name, value in vars(obj).items() if name != "net"}
+    """Every attribute of ``lpn`` and of its net; dicts as item lists, so order counts.
+
+    The labels used are listed too, as ``("lpn", "alphabet")``: the net keeps
+    them only as its low and high labels, and the corpus digest below was
+    pinned with them.
+    """
+    tables = {(owner, name): list(value.items()) if isinstance(value, dict) else value
+              for owner, obj in (("lpn", lpn), ("net", lpn.net))
+              for name, value in vars(obj).items() if name != "net"}
+    tables["lpn", "alphabet"] = frozenset(lpn.labeling.values())
+    return tables
 
 
 def test_valid_documents_never_reach_the_validating_constructors(monkeypatch):

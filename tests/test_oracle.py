@@ -1,18 +1,22 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
+from snnicheck import basis, explanations, verifier
 from snnicheck.basis import build_brg
-from snnicheck.fixtures import demo_unbounded
+from snnicheck.fixtures import DEMOS, demo_unbounded
 from snnicheck.language import (bounded_language, language_equal,
                                 word_in_language)
 from snnicheck.nfa import Nfa
 from snnicheck.oracle import justifications, snni_oracle
-from snnicheck.petri import AssumptionError, InvalidNetError, LabeledPetriNet, PetriNet
+from snnicheck.petri import AssumptionError, InvalidNetError, LabeledPetriNet, NetError, PetriNet
+from snnicheck.randnets import random_lpn
 from snnicheck.reach import (low_label_language, projected_label_language,
                              reachability_graph)
 
-from conftest import BASIS_M0, BASIS_M2
+from conftest import BASIS_M0, BASIS_M2, BENCH_SUITES
 
 
 def test_reachability_counts(secure):
@@ -176,7 +180,7 @@ def test_basis_marking_agreement_with_brg(secure):
     union = set()
     for word in bounded_language(projected_label_language(secure), 3):
         union |= justifications(secure, word).basis_markings
-    assert union == set(brg.basis_markings)
+    assert union == set(brg.nfa.states)
 
 
 def test_low_language_included_in_projection(secure, leaky):
@@ -220,6 +224,30 @@ def test_automaton_refuses_an_arc_event_without_a_str_label():
     for labeling in ({}, {"x": 5}):
         with pytest.raises(InvalidNetError, match=r"^arc \(0, 'x', 1\) has no str label$"):
             Nfa([0, 1], [(0, "x", 1)], [0], labeling)
+    # The alphabet is read off the labeling, so a label no arc carries is refused too.
+    with pytest.raises(InvalidNetError, match=r"^every label of an automaton must be a str$"):
+        Nfa([0, 1], [(0, "x", 1)], [0], {"x": "a", "y": 5})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Nfa(["s"], [("s", "a")], ["s"]),
+     "arc entry ('s', 'a') must be a tuple (source, event, target)"),
+    (lambda: Nfa(["s"], ["sas"], ["s"]),
+     "arc entry 'sas' must be a tuple (source, event, target)"),
+    (lambda: Nfa([["s"]], [], []), "state ['s'] is not hashable"),
+    (lambda: Nfa(["s"], [("s", ["a"], "s")], ["s"]), "arc ('s', ['a'], 's') is not hashable"),
+    (lambda: Nfa(["s"], [], [["s"]]), "initial state ['s'] is not hashable"),
+    (lambda: Nfa(["s"], [("s", "a", "t")], ["s"]), "arc ('s', 'a', 't') uses an undeclared state"),
+    (lambda: Nfa(["s"], [], ["t"]), "initial state 't' is not declared"),
+    (lambda: Nfa(["s"], [], ["s"]).arcs_from("t"), "unknown state 't'"),
+    (lambda: Nfa(["s"], [], ["s"]).arcs_from(["s"]), "unknown state ['s']"),
+], ids=["pair arc", "string arc", "unhashable state", "unhashable arc",
+        "unhashable initial state", "undeclared arc end", "undeclared initial state",
+        "unknown state", "unhashable state lookup"])
+def test_automaton_refuses_malformed_input(build, message):
+    with pytest.raises(InvalidNetError) as refused:
+        build()
+    assert str(refused.value) == message
 
 
 def test_oracle_verdict_reports_only_leaks():
@@ -229,3 +257,36 @@ def test_oracle_verdict_reports_only_leaks():
     verdict = snni_oracle(lpn)
     assert not verdict.snni
     assert verdict.counterexample == ("a",)
+
+
+def test_oracle_runs_no_basis_route_code():
+    # The two routes share only the guarded comparison: the oracle calls no
+    # function of the basis graph or the explanation search, and of the
+    # verifier module only _compare and the methods of Verdict.
+    big_config, big_seeds = BENCH_SUITES[1]
+    nets = ([make() for make in DEMOS.values()] + [random_lpn(seed) for seed in range(1, 51)]
+            + [random_lpn(seed, big_config) for seed in big_seeds])
+    allowed = {verifier._compare.__code__}
+    allowed |= {f.__code__ for f in vars(verifier.Verdict).values() if hasattr(f, "__code__")}
+    basis_files = {basis.__file__, explanations.__file__}
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    verdicts = []
+    sys.setprofile(record)
+    try:
+        for lpn in nets:
+            try:
+                verdicts.append(snni_oracle(lpn))
+            except NetError:
+                verdicts.append(None)
+    finally:
+        sys.setprofile(None)
+    assert verdicts.count(None) == 1  # the unbounded demo
+    assert verifier._compare.__code__ in called
+    assert sorted(code.co_name for code in called if code.co_filename in basis_files) == []
+    assert sorted(code.co_name for code in called
+                  if code.co_filename == verifier.__file__ and code not in allowed) == []

@@ -21,7 +21,8 @@ from snnicheck.reach import (low_label_language, projected_label_language,
 from snnicheck.report import analyze, decide_snni
 from snnicheck.verifier import build_sv
 
-from conftest import assert_pumps, leaf_tags, relabeled, root_path, unbounded_witness
+from conftest import (assert_pumps, leaf_tags, node_marking, relabeled, root_path,
+                      unbounded_witness)
 
 CROSS_VALIDATION_SEEDS = range(1, 201)
 PROJECTION_SEEDS = range(1, 51)
@@ -140,7 +141,7 @@ def test_unfolding_duplicates_track_simple_cycles():
         cycles = list(nx.simple_cycles(digraph))
         ubrg = build_ubrg(lpn)
         on_cycles = {m for cycle in cycles for m in cycle}
-        duplicate_markings = {ubrg.marking(nid) for nid in ubrg.duplicated}
+        duplicate_markings = {node_marking(ubrg, nid) for nid in ubrg.duplicated}
         assert duplicate_markings <= on_cycles, seed
         for cycle in cycles:
             assert duplicate_markings & set(cycle), (seed, cycle)

@@ -11,10 +11,10 @@ from snnicheck.petri import AssumptionError, NetError
 from snnicheck.randnets import GeneratorConfig, random_lpn
 from snnicheck.reach import low_label_language
 from snnicheck.report import analyze, decide_snni
-from snnicheck.verifier import Verdict, build_sv, decide_languages, sv_verdict
+from snnicheck.verifier import Verdict, _compare, build_sv, decide_languages, sv_verdict
 
-from conftest import (BASIS_M0, BASIS_M1, bounded_nets, leaf_tags, marking_of, root_path,
-                      witness_words)
+from conftest import (BASIS_M0, BASIS_M1, bounded_nets, leaf_tags, marking_of, node_marking,
+                      root_path, witness_words)
 
 
 def test_sv_matches_both_tags_on_secure(secure):
@@ -27,7 +27,7 @@ def test_sv_duplicate_pair_bookkeeping(secure):
     sv = build_sv(secure)
 
     def pair_of(nid):
-        return sv.ubrg.marking(sv.ubrg_node[nid]), sv.low_marking[nid]
+        return node_marking(sv.ubrg, sv.ubrg_node[nid]), sv.low_marking[nid]
     # The one repeat set, split by whether the duplicated leaf is tagged.
     tags = leaf_tags(sv.ubrg)
     tagged = {nid for nid in sv.repeat_nodes if sv.ubrg_node[nid] in tags}
@@ -144,6 +144,12 @@ def test_decide_snni_leaky(leaky):
     assert not word_in_language(low, ("a", "c"))
     assert word_in_language(low, ("a",))
     assert verdict.counterexample == ("a", "c")
+    # With the sides swapped, the leaked word is one only the low subnet's
+    # side lacks: the guard calls that an internal error, not a verdict.
+    decision = decide_languages(leaky)
+    with pytest.raises(NetError, match=r"^internal error: low-subnet word missing from the "
+                                       r"net's projected language: \('a', 'c'\)$"):
+        _compare(decision.low, decision.brg.nfa)
 
 
 def test_witness_words_are_shared_and_read_off_the_parent_column():
@@ -247,23 +253,25 @@ def test_tree_views_agree_with_the_tree_data(make):
     parents = set(ubrg.parent)
     for dst in ubrg.nodes[1:]:
         src = ubrg.parent[dst]
-        assert (ubrg.marking(src), ubrg.event[dst], ubrg.marking(dst)) in brg_arcs
+        assert (node_marking(ubrg, src), ubrg.event[dst], node_marking(ubrg, dst)) in brg_arcs
     for nid in ubrg.nodes:
         first = ubrg.first_child[nid]
         if first:
-            arcs = brg.nfa.arcs_from(ubrg.marking(nid))
+            arcs = brg.nfa.arcs_from(node_marking(ubrg, nid))
             assert ubrg.event[first:first + len(arcs)] == [event for event, _ in arcs]
             assert ubrg.parent[first:first + len(arcs)] == [nid] * len(arcs)
         else:
             assert nid not in parents
-    # Every verifier arc pairs an unfolding arc with an equally labeled low arc.
-    low_arcs = set(sv.low.arcs)
+    # Every verifier arc pairs an unfolding arc with an equally labeled arc
+    # of the low subnet's reachability graph, explored independently.
+    low = low_label_language(lpn)
+    low_arcs = set(low.arcs)
     for dst in sv.nodes[1:]:
         src, t_low = sv.parent[dst], sv.low_transition[dst]
         t = ubrg.event[sv.ubrg_node[dst]].transition
         assert ubrg.parent[sv.ubrg_node[dst]] == sv.ubrg_node[src]
         assert (sv.low_marking[src], t_low, sv.low_marking[dst]) in low_arcs
-        assert sv.low.labeling[t_low] == lpn.label(t)
+        assert low.labeling[t_low] == lpn.label(t)
     # Every repeat pairs a duplicated leaf, and exactly the tagged repeats match beta tags.
     assert all(sv.ubrg_node[nid] in ubrg.duplicated for nid in sv.repeat_nodes)
     tags = leaf_tags(ubrg)
