@@ -51,8 +51,9 @@ def label_step(nfa: Nfa, states: Iterable[Hashable], symbol: str) -> frozenset:
 
 
 def _alphabet(nfa: Nfa) -> list[str]:
-    """The visible labels of the labeling; one no arc carries steps nowhere on either side."""
-    return sorted(set(_labeling(nfa).values()) - {EPSILON})
+    """The visible labels of the arcs' events."""
+    labeling = _labeling(nfa)
+    return sorted({labeling[e] for _, e, _ in nfa.arcs} - {EPSILON})
 
 
 def word_in_language(nfa: Nfa, word: Sequence[str]) -> bool:

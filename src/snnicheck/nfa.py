@@ -42,8 +42,8 @@ class Nfa:
     ``Nfa(...)`` drops repeated states, arcs and initial states and checks
     that each is hashable, that every arc is a ``(source, event, target)``
     triple, that every arc and initial state uses a declared state and,
-    given a labeling, that it labels every arc's event with a ``str`` and
-    has no label of another type; it refuses any other input with
+    given a labeling, that it labels every arc's event with a ``str``; it
+    refuses any other input with
     :class:`~snnicheck.petri.InvalidNetError`.  The graphs this package
     builds (reachability graphs and the basis reachability graph) are
     unique by construction: their states are discovered once each and their
@@ -69,9 +69,6 @@ class Nfa:
         for s in initial:
             if s not in declared:
                 raise InvalidNetError(f"initial state {s!r} is not declared")
-        # The alphabet is read off the labeling, so a label no arc carries is a str too.
-        if labeling is not None and not all(isinstance(a, str) for a in labeling.values()):
-            raise InvalidNetError("every label of an automaton must be a str")
         self._index(states, arcs, initial, labeling)
 
     @classmethod

@@ -233,13 +233,14 @@ def test_arc_soundness(secure, leaky):
     for lpn in (secure, leaky):
         brg = build_brg(lpn)
         _arc_soundness(lpn, brg.nfa.arcs, lambda m: m)
+        ubrg = build_ubrg(lpn)
+        _arc_soundness(lpn, zip(ubrg.parent[1:], ubrg.event[1:], ubrg.nodes[1:]),
+                       lambda nid: node_marking(ubrg, nid))
     # A vector no run can fire drives the reference step below zero.
     with pytest.raises(NetError, match=r"^marking equation produced a negative marking "
                                        r"for \(l1, \(0, 1\)\); explanation vectors are "
                                        r"inconsistent$"):
         basis_successor(secure, secure.net.initial_marking, "l1", (0, 1))
-        ubrg = build_ubrg(lpn)
-        _arc_soundness(lpn, zip(ubrg.parent[1:], ubrg.event[1:], ubrg.nodes[1:]), ubrg.marking)
 
 
 def test_unfolding_correspondence_with_cycles(secure):
